@@ -308,6 +308,16 @@ class _Interp:
                 raise PlanVerificationError(
                     f"LIF module is missing {attr!r}", op_index=index
                 )
+        # The scalars are materialized at lowering and never revisited, so
+        # they must carry the dtype of the mode the plan claims.
+        scalar_dtype = _FLOAT64 if self.float64_mode else _FLOAT32
+        for attr in ("tau", "v_th_scalar"):
+            found = getattr(op, attr).dtype
+            if found != scalar_dtype:
+                raise PlanVerificationError(
+                    f"LIF constant {attr!r} was lowered under another dtype mode",
+                    op_index=index, expected=str(scalar_dtype), found=str(found),
+                )
         # Elementwise: shape passes through.  Under the legacy mode the
         # float64 tau/threshold scalars promote the membrane (and hence
         # the spikes); under the default policy they stay weak.

@@ -28,8 +28,11 @@ restore the legacy promotion behaviour: scalars materialize as float64 0-d
 arrays, float64 inputs pass through :class:`~repro.autograd.Tensor`
 construction untouched, and eval-time conv+norm folding is disabled.  The
 flag exists so the pre-policy numerics stay reproducible (CI keeps a job
-running the fast suite under it); it is read live on every decision point,
-so tests can flip it with ``monkeypatch.setenv``.
+running the fast suite under it).  The Tensor path reads it live on every
+decision point, so tests can flip it with ``monkeypatch.setenv``; a compiled
+plan resolves it once, when it is lowered (scalar constants are materialized
+into the ops, folding is decided), and ``plan_for`` recompiles on a flip —
+the per-timestep fast path never reads the environment.
 """
 
 from __future__ import annotations

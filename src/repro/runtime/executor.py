@@ -8,10 +8,13 @@ dynamic-timestep loop drive the fast path exactly the way they drove the
 Tensor model — the membrane rows of the plan and the slots of the batcher
 stay in lockstep.
 
-Scratch buffers are preallocated per op and reused across timesteps, across
-requests and across the whole serve session; they are reallocated only when
-the live batch width changes (early exits compact the batch, admissions grow
-it).  Because every kernel is bitwise-faithful to its autograd counterpart
+Scratch buffers, membranes and aligned stem rows live in one buffer each,
+sized to the widest batch the session has run (a serving engine's
+``batch_width``), and are reused across timesteps, requests and the whole
+serve session: the live rows are the leading rows, compaction moves the
+survivors forward in place and admission zeroes / fills the rows behind
+them, so the width changes of continuous batching allocate nothing.
+Because every kernel is bitwise-faithful to its autograd counterpart
 (see :mod:`repro.runtime.kernels`), an executor's logits are *identical* to
 the define-by-run path's logits, not merely close — which is what the
 equivalence test harness asserts.
@@ -25,9 +28,33 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .kernels import ensure_buffer
 from .plan import CompiledPlan, StemCache
 
 __all__ = ["PlanExecutor"]
+
+
+def _with_room(rows: np.ndarray, count: int) -> np.ndarray:
+    """``rows`` followed by ``count`` uninitialized rows.
+
+    In place whenever ``rows`` is the leading view of a buffer with room —
+    the steady state of a serving session, whose buffers were sized by its
+    widest batch; otherwise a grown copy, which becomes the new buffer.
+    Executor row state is only ever an owning array or such a leading view
+    (kernel scratch hands out ``buffer[:n]``, compaction keeps ``rows[:k]``),
+    which is what makes ``rows.base`` the buffer to grow into.
+    """
+    live = rows.shape[0]
+    buffer = rows.base
+    if (
+        not isinstance(buffer, np.ndarray)
+        or buffer.shape[0] < live + count
+        or buffer.shape[1:] != rows.shape[1:]
+        or buffer.dtype != rows.dtype
+    ):
+        buffer = np.empty((live + count,) + rows.shape[1:], dtype=rows.dtype)
+        buffer[:live] = rows
+    return buffer[: live + count]
 
 
 def _trace_ops_enabled() -> bool:
@@ -92,10 +119,26 @@ class PlanExecutor:
                 "event streams) are mutually exclusive stem strategies"
             )
         self._memo = stem_memo if plan.stem_len > 0 else None
+        # Row state.  Every non-None membrane / aligned stem array has
+        # exactly ``_rows`` rows and is either an owning array or the
+        # leading-row view of its capacity buffer (see _with_room).
+        self._rows = 0
         self._membranes: List[Optional[np.ndarray]] = [None] * plan.num_lif
         self._stem: Optional[Dict[int, np.ndarray]] = None
         self._registers: List[Optional[np.ndarray]] = [None] * plan.num_registers
         self._scratch: List[Dict[str, np.ndarray]] = [dict() for _ in plan.ops]
+        # A second scratch set for stem runs beside the live batch (the
+        # rows of an admission round, a memo round's misses): reused like
+        # the main one, and never aliased by the aligned stem rows.
+        self._side_scratch: List[Dict[str, np.ndarray]] = [
+            dict() for _ in range(plan.stem_len)
+        ]
+        self._memo_scratch: Dict[str, np.ndarray] = {}
+        # Whether an op beyond the stem reads the input frame itself: then
+        # a cached stem does not make the frame optional.
+        self._frame_live = any(
+            0 in op.reads for op in plan.ops[plan.stem_len:]
+        )
         self.trace_ops = _trace_ops_enabled()
         self._op_seconds = [0.0] * len(plan.ops)
         self._op_calls = [0] * len(plan.ops)
@@ -121,6 +164,7 @@ class PlanExecutor:
         frame bytes, so they stay valid across sessions, aborted replicas
         and server restarts — clearing it would only forfeit replay hits.
         """
+        self._rows = 0
         self._membranes = [None] * self.plan.num_lif
         self._stem = None
 
@@ -137,47 +181,62 @@ class PlanExecutor:
         self._stem = None
 
     def compact_rows(self, keep: np.ndarray) -> None:
-        """Drop the state rows of samples that left the batch (early exit)."""
+        """Drop the state rows of samples that left the batch (early exit).
+
+        ``keep`` is a boolean mask over the live rows.  The survivors move
+        to the front of their buffers in place, order preserved.
+        """
+        kept = np.asarray(keep, dtype=bool).nonzero()[0]
+        self._rows = kept.size
+
+        def compacted(rows: np.ndarray) -> np.ndarray:
+            rows[: kept.size] = rows[kept]
+            return rows[: kept.size]
+
         self._membranes = [
-            None if membrane is None else membrane[keep] for membrane in self._membranes
+            None if membrane is None else compacted(membrane)
+            for membrane in self._membranes
         ]
         if self._stem is not None:
-            self._stem = {reg: value[keep] for reg, value in self._stem.items()}
+            self._stem = {reg: compacted(value) for reg, value in self._stem.items()}
 
     def extend_rows(self, count: int, frames: Optional[np.ndarray] = None) -> None:
         """Append ``count`` fresh rows (newly admitted samples).
 
-        Membrane rows start at zero via the ``None == fresh`` identity (a
-        ``None`` membrane only materializes on the first integration, exactly
-        like :meth:`LIFNeuron.extend_state_rows`).  When the stem cache is
-        active, ``frames`` must hold the new samples' encoder frames so their
-        stem rows can be computed once and appended; omitting it invalidates
-        the cache, which is safe but forfeits the reuse until the next full
-        stem run.
+        Membrane rows start at zero; a ``None`` membrane stays ``None`` (the
+        ``None == fresh`` identity: it only materializes on the first
+        integration, exactly like :meth:`LIFNeuron.extend_state_rows`).  When
+        the stem cache is active, ``frames`` must hold the new samples'
+        encoder frames: their stem rows are computed once, here, and written
+        behind the live ones.  Omitting it — or extending live rows whose
+        stem was invalidated — leaves the cache empty, which is safe but
+        costs one full-width stem run at the next step (which then needs
+        the frame, see :attr:`needs_frame`).
         """
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
             return
-        self._membranes = [
-            None
-            if membrane is None
-            else np.concatenate(
-                [membrane, np.zeros((count,) + membrane.shape[1:], dtype=membrane.dtype)],
-                axis=0,
-            )
-            for membrane in self._membranes
-        ]
-        if self._stem is None:
+        live = self._rows
+        self._rows = live + count
+        for index, membrane in enumerate(self._membranes):
+            if membrane is not None:
+                membrane = self._membranes[index] = _with_room(membrane, count)
+                membrane[live:] = 0
+        if not self.stem_enabled:
             return
-        if frames is None or frames.shape[0] != count:
+        if frames is None or frames.shape[0] != count or (self._stem is None and live):
             self._stem = None
             return
-        fresh = self._run_stem(frames, scratch=None)
-        self._stem = {
-            reg: np.concatenate([value, fresh[reg]], axis=0)
-            for reg, value in self._stem.items()
-        }
+        fresh = self._run_stem(frames, self._side_scratch)
+        if self._stem is None:
+            # Nothing live: the round's rows are the whole aligned stem
+            # (copied out of the side scratch the next round reuses).
+            self._stem = {reg: value.copy() for reg, value in fresh.items()}
+            return
+        for reg, value in fresh.items():
+            rows = self._stem[reg] = _with_room(self._stem[reg], count)
+            rows[live:] = value
 
     def reset_rows(self, rows: np.ndarray) -> None:
         """Zero the membranes of specific batch rows (recycled slots)."""
@@ -188,11 +247,13 @@ class PlanExecutor:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _run_stem(self, frame: np.ndarray, scratch) -> Dict[int, np.ndarray]:
+    def _run_stem(self, frame: np.ndarray,
+                  scratch: List[Dict[str, np.ndarray]]) -> Dict[int, np.ndarray]:
         """Run the stateless prefix on ``frame``; return the live registers.
 
-        ``scratch=None`` allocates fresh arrays (used for admission-time stem
-        rows, so the main batch's reusable buffers are not disturbed).
+        ``scratch`` is the per-op buffer set to run in: the main one for a
+        full-width run, ``_side_scratch`` for rows computed beside the live
+        batch.  The returned arrays alias it.
         """
         plan = self.plan
         registers: List[Optional[np.ndarray]] = [None] * plan.num_registers
@@ -201,19 +262,14 @@ class PlanExecutor:
             timer = time.perf_counter
             for index in range(plan.stem_len):
                 began = timer()
-                plan.ops[index].run(
-                    registers,
-                    self._scratch[index] if scratch is not None else None,
-                    self._membranes, self.collect_statistics,
-                )
+                plan.ops[index].run(registers, scratch[index],
+                                    self._membranes, self.collect_statistics)
                 self._op_seconds[index] += timer() - began
                 self._op_calls[index] += 1
         else:
             for index in range(plan.stem_len):
-                op = plan.ops[index]
-                op.run(registers,
-                       self._scratch[index] if scratch is not None else None,
-                       self._membranes, self.collect_statistics)
+                plan.ops[index].run(registers, scratch[index],
+                                    self._membranes, self.collect_statistics)
         return {reg: registers[reg] for reg in plan.stem_registers}
 
     def _memo_stem(self, frame: np.ndarray, keys: Sequence[bytes]) -> Dict[int, np.ndarray]:
@@ -226,6 +282,11 @@ class PlanExecutor:
         one batched store), not one per row — this sits on the per-timestep
         serving hot path under N worker threads.
 
+        The memo keeps *owned copies* of the rows it stores: a row view
+        would pin the whole miss batch it was computed in for as long as
+        the row stays hot, so resident memory would follow the traffic mix
+        instead of the memo's capacity.
+
         The cache leans on the same per-sample batch invariance contract as
         the rest of the serving layer: a stem computed at miss-subset width
         must equal one computed at full batch width, exactly like compaction
@@ -234,9 +295,7 @@ class PlanExecutor:
         aliasing is the caller's contract: the serving engine interns
         128-bit clip digests plus the encoder's recorded-frame index
         (~2^-64 collision probability; see
-        :meth:`repro.serve.InferenceEngine._intern_stem_key`), falling back
-        to exact shape-prefixed frame bytes (alias-free by construction)
-        for encoders without a frame-index rule.
+        :meth:`repro.serve.InferenceEngine._intern_stem_key`).
         """
         plan = self.plan
         rows = frame.shape[0]
@@ -252,29 +311,23 @@ class PlanExecutor:
         signature = plan.stem_signature()
         cached = self._memo.lookup_many(keys, signature=signature)
         miss_rows = [i for i, entry in enumerate(cached) if entry is None]
-        if len(miss_rows) == rows:
-            # Fully cold batch: run at full width and publish every row.
-            fresh = self._run_stem(frame, scratch=None)
-            self._memo.store_many([
-                (key, tuple(fresh[reg][i].copy() for reg in plan.stem_registers))
-                for i, key in enumerate(keys)
-            ], signature=signature)
-            return fresh
-        fresh = (
-            self._run_stem(frame[miss_rows], scratch=None) if miss_rows else None
-        )
-        if fresh is not None:
+        if not miss_rows:
+            fresh = None
+        else:
+            cold = len(miss_rows) == rows
+            fresh = self._run_stem(frame if cold else frame[miss_rows],
+                                   self._side_scratch)
             self._memo.store_many([
                 (keys[i], tuple(fresh[reg][j].copy() for reg in plan.stem_registers))
                 for j, i in enumerate(miss_rows)
             ], signature=signature)
+            if cold:
+                return fresh
         assembled: Dict[int, np.ndarray] = {}
         for position, reg in enumerate(plan.stem_registers):
-            template = (
-                fresh[reg][0] if fresh is not None
-                else next(entry for entry in cached if entry is not None)[position]
-            )
-            out = np.empty((rows,) + template.shape, dtype=template.dtype)
+            template = next(entry for entry in cached if entry is not None)[position]
+            out = ensure_buffer(self._memo_scratch, str(reg),
+                                (rows,) + template.shape, template.dtype)
             if fresh is not None:
                 out[miss_rows] = fresh[reg]
             for i, entry in enumerate(cached):
@@ -283,17 +336,28 @@ class PlanExecutor:
             assembled[reg] = out
         return assembled
 
-    def step(self, frame: np.ndarray,
+    @property
+    def needs_frame(self) -> bool:
+        """Whether the next :meth:`step` must be handed the encoder frame.
+
+        False only while the aligned stem rows cover every live row and no
+        op beyond the stem reads the frame itself: then a direct-encoding
+        caller can skip gathering its inputs altogether.
+        """
+        return self._frame_live or not self.stem_enabled or self._stem is None
+
+    def step(self, frame: Optional[np.ndarray],
              stem_keys: Optional[Sequence[bytes]] = None) -> np.ndarray:
         """Advance one timestep; returns the classifier logits.
 
-        ``stem_keys`` (one key of frame-row bytes per batch row) routes the
-        stateless prefix through the content-keyed stem memo when one is
-        attached — the event-stream counterpart of the aligned direct-
-        encoding cache.  The returned array is freshly allocated each call
-        (safe to alias across timesteps — callers build running sums from
-        it).  Intermediate activations live in reused scratch buffers and
-        are only valid until the next call.
+        ``frame`` may be ``None`` when :attr:`needs_frame` is false.
+        ``stem_keys`` (one key per batch row) routes the stateless prefix
+        through the content-keyed stem memo when one is attached — the
+        event-stream counterpart of the aligned direct-encoding cache.  The
+        returned array is freshly allocated each call (safe to alias across
+        timesteps — callers build running sums from it).  Intermediate
+        activations live in reused scratch buffers and are only valid until
+        the next call.
         """
         plan = self.plan
         model = plan.model
@@ -302,19 +366,25 @@ class PlanExecutor:
                 "the compiled plan is inference-only; call model.eval() first "
                 "(training-mode BatchNorm/Dropout need the autograd path)"
             )
+        if frame is None:
+            if self.needs_frame:
+                raise ValueError(
+                    "step() needs the encoder frame: no aligned stem rows "
+                    "cover the live batch"
+                )
+        elif frame.shape[0] != self._rows:
+            # The caller changed the batch without row surgery: stale state
+            # of another width is fresh state (LIFNeuron's own rule).
+            self.reset_state()
+            self._rows = frame.shape[0]
         registers = self._registers
         registers[0] = frame
         start = 0
         if self.stem_enabled:
-            stem = self._stem
-            rows = frame.shape[0]
-            if stem is not None and all(v.shape[0] == rows for v in stem.values()):
-                for reg, value in stem.items():
-                    registers[reg] = value
-            else:
-                self._stem = self._run_stem(frame, scratch=self._scratch)
-                for reg, value in self._stem.items():
-                    registers[reg] = value
+            if self._stem is None:
+                self._stem = self._run_stem(frame, self._scratch)
+            for reg, value in self._stem.items():
+                registers[reg] = value
             start = plan.stem_len
         elif self._memo is not None and stem_keys is not None:
             for reg, value in self._memo_stem(frame, stem_keys).items():
@@ -364,9 +434,4 @@ class PlanExecutor:
     @property
     def batch_rows(self) -> Optional[int]:
         """Current state width, or ``None`` when no state has materialized."""
-        for membrane in self._membranes:
-            if membrane is not None:
-                return int(membrane.shape[0])
-        if self._stem:
-            return int(next(iter(self._stem.values())).shape[0])
-        return None
+        return self._rows or None

@@ -14,22 +14,22 @@ Dtype discipline
 The stack is weak-scalar float32 (:mod:`repro.autograd.dtypes`,
 docs/NUMERICS.md): scalars that the Tensor path routes through
 ``as_tensor`` adopt the dtype of the array they combine with, so every
-buffer here is float32 under the default policy.  The kernels materialize
-their scalar constants through the same
-:func:`~repro.autograd.dtypes.scalar_operand` helper, which keeps them
-bitwise-faithful in *either* mode — under ``REPRO_FLOAT64=1`` the helper
+buffer here is float32 under the default policy.  Scalar constants reach the
+kernels already materialized by the plan, at lowering, through the same
+:func:`~repro.autograd.dtypes.scalar_operand` helper — which keeps them
+bitwise-faithful in *either* mode: under ``REPRO_FLOAT64=1`` the helper
 reproduces the seed's float64 0-d scalars and the buffers promote exactly
 like the legacy Tensor path did.  The ``np.result_type`` plumbing is kept
 for that reason: it collapses to float32 everywhere by default and tracks
-the legacy promotion chain under the escape hatch.
+the legacy promotion chain under the escape hatch.  No kernel reads the
+environment.
 
 Buffer discipline
 -----------------
-Kernels receive a per-op ``scratch`` dict owned by the executor.  Buffers are
-keyed by name and reallocated only when the requested shape (or dtype)
-changes — i.e. when the live batch width changes; passing ``scratch=None``
-runs the kernel in allocate-everything mode, which is used for one-off side
-computations such as the stem rows of a freshly admitted serve request.
+Kernels receive a per-op ``scratch`` dict owned by the executor.  Each key
+holds ONE buffer sized to the widest batch seen so far; a narrower call gets
+the leading-row view of it, so the width changes of continuous batching
+(early exits compact, admissions grow) never reallocate.
 
 In-place NumPy ufuncs (``np.add(a, b, out=buf)``) produce results bitwise
 identical to their allocating forms (``a + b``) as long as ``buf`` has the
@@ -43,7 +43,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..autograd.dtypes import scalar_operand
 from ..autograd.ops import conv_output_size
 
 __all__ = [
@@ -59,17 +58,25 @@ __all__ = [
     "add_step",
 ]
 
-Scratch = Optional[Dict[str, np.ndarray]]
+Scratch = Dict[str, np.ndarray]
 
 
-def ensure_buffer(scratch: Scratch, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Fetch a reusable scratch array, reallocating only on shape/dtype change."""
-    if scratch is None:
-        return np.empty(shape, dtype=dtype)
+def ensure_buffer(scratch: Scratch, key: str, shape: Tuple[int, ...], dtype,
+                  allocate=np.empty) -> np.ndarray:
+    """The leading ``shape[0]`` rows of the one buffer kept under ``key``.
+
+    The buffer is replaced (through ``allocate``) only when the per-row shape
+    or dtype changes or the batch outgrows it, so resident scratch is bounded
+    by the widest batch ever run — never by how often the width changed.
+    """
     buffer = scratch.get(key)
-    if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
-        buffer = np.empty(shape, dtype=dtype)
-        scratch[key] = buffer
+    if buffer is not None and buffer.dtype == dtype:
+        if buffer.shape == shape:
+            return buffer
+        if buffer.shape[0] > shape[0] and buffer.shape[1:] == shape[1:]:
+            return buffer[: shape[0]]
+    buffer = allocate(shape, dtype=dtype)
+    scratch[key] = buffer
     return buffer
 
 
@@ -82,13 +89,7 @@ def _padded_view(images: np.ndarray, padding: int, scratch: Scratch) -> np.ndarr
     """
     n, c, h, w = images.shape
     shape = (n, c, h + 2 * padding, w + 2 * padding)
-    if scratch is None:
-        padded = np.zeros(shape, dtype=images.dtype)
-    else:
-        padded = scratch.get("pad")
-        if padded is None or padded.shape != shape or padded.dtype != images.dtype:
-            padded = np.zeros(shape, dtype=images.dtype)
-            scratch["pad"] = padded
+    padded = ensure_buffer(scratch, "pad", shape, images.dtype, allocate=np.zeros)
     padded[:, :, padding : padding + h, padding : padding + w] = images
     return padded
 
@@ -185,8 +186,9 @@ def batchnorm_step(
 def lif_step(
     current: np.ndarray,
     membrane: Optional[np.ndarray],
-    tau: float,
+    tau: np.ndarray,
     v_threshold: float,
+    v_th_scalar: np.ndarray,
     reset: str,
     scratch: Scratch,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -195,23 +197,23 @@ def lif_step(
     Replicates :meth:`LIFNeuron.forward` op for op — ``u = m*tau + I``, hard
     reset ``u * (1 - s)`` or soft reset ``u - s*V_th`` — and returns
     ``(spikes, new_membrane, spike_count)``.  A ``membrane`` of ``None`` (or
-    of a stale shape) is a fresh state, matching the layer's semantics.  The
-    scalars ``tau`` and ``V_th`` are materialized with
-    :func:`~repro.autograd.dtypes.scalar_operand`, exactly the dtype
-    ``as_tensor`` gives them on the Tensor path (float32 under the default
-    policy, float64 under ``REPRO_FLOAT64=1``).
+    of a stale shape) is a fresh state, matching the layer's semantics.
+    ``tau`` and ``v_th_scalar`` arrive as the 0-d arrays ``as_tensor`` gives
+    those scalars on the Tensor path (float32 under the default policy,
+    float64 under ``REPRO_FLOAT64=1``): the plan materializes them once at
+    lowering (:class:`~repro.runtime.plan.LIFOp`), because plans are
+    mode-bound and the dtype mode must not be re-read per timestep.
     """
     if membrane is not None and membrane.shape != current.shape:
         membrane = None
     if membrane is None:
         u = current
     else:
-        tau_scalar = scalar_operand(tau, membrane.dtype)
         u = ensure_buffer(
             scratch, "u", current.shape,
-            np.result_type(membrane.dtype, tau_scalar.dtype, current.dtype),
+            np.result_type(membrane.dtype, tau.dtype, current.dtype),
         )
-        np.multiply(membrane, tau_scalar, out=u)
+        np.multiply(membrane, tau, out=u)
         np.add(u, current, out=u)
 
     fired = ensure_buffer(scratch, "fired", u.shape, np.bool_)
@@ -227,7 +229,6 @@ def lif_step(
     else:
         # membrane - spikes * V_th: the scalar adopts the spike dtype (or
         # promotes to float64 under the legacy escape hatch).
-        v_th_scalar = scalar_operand(v_threshold, spikes.dtype)
         tmp = ensure_buffer(
             scratch, "tmp", u.shape, np.result_type(spikes.dtype, v_th_scalar.dtype)
         )

@@ -207,7 +207,9 @@ class FoldedConvNormOp(PlanOp):
     block — the same object the Tensor path reads during frozen inference —
     so both execution paths consume identical constants and the bitwise
     path-vs-path contract survives folding.  The cache refreshes itself when
-    any source parameter/buffer array object is replaced.
+    any source parameter/buffer array object is replaced; the dtype mode is
+    *not* re-read per step (``plan_arrays``): a folded op cannot exist in a
+    float64 plan, and plans are recompiled on a mode flip.
     """
 
     __slots__ = ("conv", "folded")
@@ -218,7 +220,7 @@ class FoldedConvNormOp(PlanOp):
         self.folded = folded
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        weight, bias = self.folded.arrays()
+        weight, bias = self.folded.plan_arrays()
         regs[self.dst] = kernels.conv2d_step(
             regs[self.src], weight, bias,
             self.conv.kernel_size, self.conv.stride, self.conv.padding, scratch,
@@ -226,12 +228,18 @@ class FoldedConvNormOp(PlanOp):
 
 
 class LIFOp(PlanOp):
-    __slots__ = ("module", "state_index")
+    """Fused LIF update.  ``tau`` / ``V_th`` are materialized here, once, as
+    the 0-d arrays ``as_tensor`` gives them on the Tensor path under the
+    mode the plan is lowered in (the :class:`NormOp` ``scale`` idiom)."""
+
+    __slots__ = ("module", "state_index", "tau", "v_th_scalar")
 
     def __init__(self, src: int, dst: int, module: LIFNeuron, state_index: int):
         super().__init__(src, dst)
         self.module = module
         self.state_index = state_index
+        self.tau = scalar_operand(module.tau, np.float32)
+        self.v_th_scalar = scalar_operand(module.v_threshold, np.float32)
 
     @property
     def is_stateful(self) -> bool:
@@ -242,8 +250,9 @@ class LIFOp(PlanOp):
         spikes, membrane, spike_count = kernels.lif_step(
             regs[self.src],
             state[self.state_index],
-            m.tau,
+            self.tau,
             m.v_threshold,
+            self.v_th_scalar,
             m.reset,
             scratch,
         )
@@ -642,7 +651,7 @@ class CompiledPlan:
         sources: List[object] = []
         for op in self.ops[: self.stem_len]:
             if isinstance(op, FoldedConvNormOp):
-                sources.extend(op.folded._current_sources())
+                sources.extend(op.folded._array_sources())
             elif isinstance(op, NormOp):
                 module = op.module
                 sources.extend(

@@ -43,11 +43,12 @@ def finalize_result(
     telemetry: Telemetry,
     controller: Optional[AdaptiveThresholdController],
 ) -> None:
-    """Record, steer, then resolve — shared by every completion path.
+    """Record, steer, then resolve ONE completion (the replica collector's
+    path; a batcher round does the same for all its completions at once in
+    :meth:`ContinuousBatcher._complete`).
 
     The future is resolved LAST so a waiting client observes telemetry that
-    already includes its own request; keep that ordering here, in one
-    place, rather than re-deriving it per path.
+    already includes its own request.
     """
     telemetry.record_completion(result)
     if controller is not None:
@@ -114,32 +115,36 @@ class ContinuousBatcher:
     def _fill_slots(self, wait_timeout: Optional[float] = None) -> int:
         """Splice queued requests into free slots; returns admissions.
 
-        The whole round is drained from the queue first and admitted through
-        :meth:`InferenceEngine.admit_batch` in one go, so a burst of B
-        arrivals costs one state extension and (under direct encoding) one
-        batched stem GEMM instead of B of each — admission work per request
-        stays flat in the burst size.
+        The whole round is drained from the queue in one critical section
+        and admitted through :meth:`InferenceEngine.admit_batch` in one go,
+        so a burst of B arrivals costs one queue lock, one state extension
+        and (under direct encoding) one batched stem GEMM instead of B of
+        each — admission work per request stays flat in the burst size.
+        Only an idle engine waits for traffic.
         """
-        admissions = []
         free = self.batch_width - self.engine.active_count
-        while len(admissions) < free:
-            if not admissions and self.engine.idle and wait_timeout:
-                item = self.queue.get(timeout=wait_timeout)
-            else:
-                item = self.queue.get_nowait()
-            if item is None:
-                break
-            request, response = item
+        if free <= 0:
+            return 0
+        if wait_timeout and self.engine.idle:
+            drained = self.queue.get(timeout=wait_timeout, limit=free)
+        else:
+            drained = self.queue.get_nowait(limit=free)
+        if drained is None:
+            return 0
+        # The round's one clock reading: the instant deadlines are compared
+        # against, the one a drop records, and every admission's start time.
+        now = self.clock()
+        admissions = []
+        for request, response in drained:
             # Deadline enforcement happens here, at dispatch: a request that
             # waited out its deadline in the queue is dropped before it can
             # occupy an engine slot — spending timesteps on an answer whose
             # client already gave up only deepens the backlog.
-            if request.deadline is not None and self.clock() > request.deadline:
+            if request.deadline is not None and now > request.deadline:
                 error = DeadlineExceededError(
                     f"request {request.request_id} missed its deadline "
                     f"before dispatch"
                 )
-                now = self.clock()
                 self.telemetry.record_deadline_drop(request.priority)
                 if self.trace is not None:
                     self.trace.record_rejection(request, now, reason="deadline")
@@ -147,7 +152,7 @@ class ContinuousBatcher:
                     self.spans.record_failure(request.request_id, now, error)
                 response.set_exception(error)
                 continue
-            admissions.append((request, response, self.clock()))
+            admissions.append((request, response, now))
         try:
             self.engine.admit_batch(admissions)
         except AdmissionRejectedError as error:
@@ -161,7 +166,6 @@ class ContinuousBatcher:
             # holds only if each failed future lands in exactly one counter,
             # and the WAL/span record is what lets a trace consumer see the
             # rejection at all.
-            now = self.clock()
             for request, _, _ in admissions:
                 self.telemetry.record_rejection()
                 if self.trace is not None:
@@ -172,18 +176,28 @@ class ContinuousBatcher:
         return len(admissions)
 
     def _complete(self, finished) -> List[RequestResult]:
+        """Price, record and resolve a round's completions in one pass.
+
+        Sinks first, futures last: a trace/span/telemetry consumer that
+        reacts to a resolved future must already see that request.  The
+        span's ``completed`` stamp is read after the sinks ran, so the
+        ``completion`` stage measures them.
+        """
+        if not finished:
+            return []
         now = self.clock()
         results: List[RequestResult] = []
         for sample in finished:
+            request = sample.request
             energy, edp = price_request(self.cost_model, sample.exit_timestep)
-            result = RequestResult(
-                request_id=sample.request.request_id,
+            results.append(RequestResult(
+                request_id=request.request_id,
                 prediction=sample.prediction,
                 exit_timestep=sample.exit_timestep,
                 score=sample.score,
-                label=sample.request.label,
+                label=request.label,
                 threshold=sample.threshold,
-                arrival_time=sample.request.arrival_time,
+                arrival_time=request.arrival_time,
                 start_time=sample.start_time,
                 finish_time=now,
                 energy=energy,
@@ -191,15 +205,20 @@ class ContinuousBatcher:
                 epoch=sample.epoch,
                 brownout=sample.brownout,
                 horizon=sample.horizon,
-            )
-            results.append(result)
-            # Observability first, future last: a trace/span consumer that
-            # reacts to the resolved future must already see this request.
-            if self.trace is not None:
+            ))
+        if self.trace is not None:
+            for sample, result in zip(finished, results):
                 self.trace.record_request(sample.request, result)
-            if self.spans is not None:
-                self.spans.record_result(result, now)
-            finalize_result(result, sample.response, self.telemetry, self.controller)
+        self.telemetry.record_completions(results)
+        if self.controller is not None:
+            for result in results:
+                self.controller.on_completion(result, self.telemetry)
+        if self.spans is not None:
+            completed_at = self.clock()
+            for result in results:
+                self.spans.record_result(result, completed_at)
+        for sample, result in zip(finished, results):
+            sample.response.set_result(result)
         return results
 
     # ------------------------------------------------------------------ #

@@ -79,10 +79,12 @@ class CompletedSample:
 
 @dataclass
 class _Slot:
+    """The per-request objects of one slot; its numeric state lives in the
+    engine's row arrays at the slot's index."""
+
     request: Request
     response: Response
     start_time: float
-    local_t: int = 0
     # Interned stem-memo key prefix: the clip's content digest, computed
     # once at admission (see _intern_stem_key).  None when the engine does
     # not intern (no memo, or the encoder lacks a frame_index rule).
@@ -117,16 +119,26 @@ class InferenceEngine:
         self._executor = executor_for(model, use_runtime,
                                       collect_statistics=collect_statistics)
         # Stem-memo keys are interned at admission: one content digest per
-        # request, combined with the encoder's frame_index per timestep,
-        # instead of copying every row's frame bytes on every step.  Needs
-        # the encoder to expose its timestep -> recorded-frame rule; without
-        # it, step() falls back to exact-frame-bytes keys.
+        # request, combined with the encoder's frame_index per timestep.
+        # Needs the encoder to expose its timestep -> recorded-frame rule;
+        # an encoder without one simply runs its stem every step.
         self._intern_keys = (
             self._executor is not None
             and self._executor.memo_enabled
             and hasattr(model.encoder, "frame_index")
         )
         self._slots: List[_Slot] = []
+        # Array-resident slot state: row i belongs to self._slots[i], the
+        # live rows are the leading ones, and the arrays only ever grow to
+        # the widest batch admitted (the batcher's batch_width).  Written at
+        # admission and compaction — exactly how the executor treats its
+        # membranes — so step() reads them without a per-slot Python loop.
+        # _local_t: timesteps consumed; _stamped: the epoch-pinned
+        # threshold, NaN where the slot follows the live policy knob;
+        # _horizons: the effective timestep cap.
+        self._local_t = np.zeros(0, dtype=np.int64)
+        self._stamped = np.zeros(0, dtype=np.float64)  # dtype-ok: thresholds are decision-side float64, like the scores they are compared with
+        self._horizons = np.zeros(0, dtype=np.int64)
         # Pinned on the first successful admission: the engine serves one
         # model with one sample shape for its lifetime, and validating
         # against the pin (not just the live batch) is what keeps a
@@ -135,7 +147,8 @@ class InferenceEngine:
         # arrays of the real shape, and a mismatch would otherwise escape
         # admit_batch's guard and take down the whole worker.
         self._sample_shape: Optional[Tuple[int, ...]] = None
-        self._running_sum: Optional[np.ndarray] = None  # (active, num_classes)
+        # (capacity, num_classes) once the first logits fix width and dtype.
+        self._running_sum: Optional[np.ndarray] = None
         # Work counters: the serving benchmark compares these against the
         # static baseline (active_count * steps == SNN forward rows executed).
         self.total_steps = 0
@@ -266,24 +279,54 @@ class InferenceEngine:
                 response.set_exception(clone_exception(rejection))
             raise rejection
         self._sample_shape = expected
-        for (request, response, start_time), stem_key in zip(admissions, stem_keys):
-            self._slots.append(
-                _Slot(
-                    request=request,
-                    response=response,
-                    start_time=start_time,
-                    stem_key=stem_key,
-                )
-            )
+        live = len(self._slots)
+        self._reserve(live + count)
+        self._local_t[live:live + count] = 0
+        if self._running_sum is not None:
+            self._running_sum[live:live + count] = 0
+        # A slot carrying a ThresholdEpoch runs under its *stamped*
+        # threshold/horizon instead of the live knob (brown-out, replay
+        # pinning), so the recorded value is the deciding one by
+        # construction.  The server stamps ONE epoch object into every
+        # request until a knob moves, so the knobs are resolved once per
+        # distinct epoch, not once per request.
+        stamped, horizons = self._stamped, self._horizons
+        resolved, threshold, horizon = None, np.nan, self.max_timesteps
+        for row, ((request, response, start_time), stem_key) in enumerate(
+            zip(admissions, stem_keys), start=live
+        ):
+            self._slots.append(_Slot(request, response, start_time, stem_key))
+            epoch = request.epoch
+            if epoch is not resolved:
+                resolved, threshold, horizon = epoch, np.nan, self.max_timesteps
+                if epoch is not None:
+                    if epoch.threshold is not None:
+                        threshold = float(epoch.threshold)
+                    if epoch.horizon is not None:
+                        horizon = min(horizon, int(epoch.horizon))
+            stamped[row] = threshold
+            horizons[row] = horizon
         if self._executor is not None:
             self._executor.extend_rows(count, frames=frames)
         else:
             self.model.extend_state(count)
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the slot-state arrays to ``rows`` rows, keeping their contents."""
+        capacity = self._local_t.shape[0]
+        if rows <= capacity:
+            return
+
+        def grown(state: np.ndarray) -> np.ndarray:
+            out = np.zeros((rows,) + state.shape[1:], dtype=state.dtype)
+            out[:capacity] = state
+            return out
+
+        self._local_t = grown(self._local_t)
+        self._stamped = grown(self._stamped)
+        self._horizons = grown(self._horizons)
         if self._running_sum is not None:
-            fresh = np.zeros(
-                (count, self._running_sum.shape[1]), dtype=self._running_sum.dtype
-            )
-            self._running_sum = np.concatenate([self._running_sum, fresh], axis=0)
+            self._running_sum = grown(self._running_sum)
 
     def _intern_stem_key(self, request: Request) -> bytes:
         """Digest a request's clip once; per-step keys append a frame index.
@@ -354,158 +397,140 @@ class InferenceEngine:
             self._executor.invalidate_stem()
 
     # ------------------------------------------------------------------ #
-    def _encode(self, inputs: np.ndarray, local_ts: np.ndarray) -> Tensor:
-        """Encode each slot's input at that slot's *own* timestep index."""
+    def _gather_frame(self) -> Tuple[np.ndarray, Optional[List[bytes]]]:
+        """This step's encoder frame and, on the keyed-memo path, its stem keys.
+
+        Row i is slot i's input encoded at slot i's *own* timestep.  An
+        encoder with a ``frame_index`` rule (event clips) is not called at
+        all: each slot contributes the one recorded frame the rule names, a
+        view into its clip, and the same index completes the slot's interned
+        memo key — replayed clips hit rows cached by earlier requests, on
+        this engine or on any replica sharing the plan, and padded tail
+        frames (min(t, T-1)) dedupe for free.  Any other encoder is asked
+        for each slot's row (deterministic encoders are batch-invariant).
+        """
         encoder = self.model.encoder
-        unique = np.unique(local_ts)
-        if isinstance(encoder, DirectEncoder) or unique.size == 1:
-            # Direct encoding ignores the timestep; a homogeneous batch needs
-            # only one call either way.
-            return encoder(inputs, int(unique[0]))
-        frames: Optional[np.ndarray] = None
-        for t in unique:
-            rows = np.where(local_ts == t)[0]
-            frame = encoder(inputs[rows], int(t)).data
-            if frames is None:
-                frames = np.zeros((inputs.shape[0],) + frame.shape[1:], dtype=frame.dtype)
-            frames[rows] = frame
-        return Tensor(frames)
+        slots = self._slots
+        timesteps = self._local_t[: len(slots)].tolist()
+        frame_index = getattr(encoder, "frame_index", None)
+        keys = None
+        if frame_index is None:
+            rows = [
+                encoder(slot.request.inputs[None], t).data[0]
+                for slot, t in zip(slots, timesteps)
+            ]
+        else:
+            indices = [
+                frame_index(slot.request.inputs.shape[0], t)
+                for slot, t in zip(slots, timesteps)
+            ]
+            rows = [slot.request.inputs[i] for slot, i in zip(slots, indices)]
+            if self._intern_keys:
+                keys = [
+                    slot.stem_key + i.to_bytes(4, "little")
+                    for slot, i in zip(slots, indices)
+                ]
+        return np.stack(rows).astype(np.float32, copy=False), keys
 
     def step(self) -> List[CompletedSample]:
         """Advance all occupied slots one timestep; return completed requests."""
-        if not self._slots:
+        active = len(self._slots)
+        if not active:
             return []
-        inputs = np.stack([slot.request.inputs for slot in self._slots]).astype(
-            np.float32, copy=False
-        )
-        local_ts = np.array([slot.local_t for slot in self._slots], dtype=np.int64)
-
+        executor = self._executor
         with no_grad():
-            frame = self._encode(inputs, local_ts)
-            if self._executor is not None:
-                stem_keys = None
-                if self._intern_keys:
-                    # Content-keyed stem memo (event streams) with interned
-                    # keys: each slot's clip was digested once at admission,
-                    # so the per-step key is that digest plus the encoder's
-                    # recorded-frame index — no frame-byte copies on the hot
-                    # path.  Replayed clips hit rows cached by earlier
-                    # requests — on this engine or on any replica sharing
-                    # the plan — and padded tail frames (min(t, T-1)) dedupe
-                    # for free through the shared frame index.
-                    encoder = self.model.encoder
-                    stem_keys = [
-                        slot.stem_key
-                        + encoder.frame_index(
-                            slot.request.inputs.shape[0], slot.local_t
-                        ).to_bytes(4, "little")
-                        for slot in self._slots
-                    ]
-                elif self._executor.memo_enabled:
-                    # Fallback for memo-capable encoders without a
-                    # frame_index rule: key on the exact bytes of each
-                    # slot's encoded frame, prefixed with its shape+dtype
-                    # (raw bytes alone would let two all-zero frames of
-                    # transposed resolutions collide).
-                    data = frame.data
-                    header = repr((data.shape[1:], data.dtype.str)).encode()
-                    stem_keys = [
-                        header + data[row].tobytes() for row in range(data.shape[0])
-                    ]
-                logits = self._executor.step(frame.data, stem_keys=stem_keys)
+            if executor is None:
+                frame, _ = self._gather_frame()
+                logits = self.model.classifier(self.model.features(Tensor(frame))).data
+            elif executor.needs_frame:
+                logits = executor.step(*self._gather_frame())
             else:
-                spikes = self.model.features(frame)
-                logits = self.model.classifier(spikes).data
+                # Direct encoding: every live row's stem was cached at its
+                # admission, so nothing downstream reads the inputs again.
+                logits = executor.step(None)
 
+        elapsed = self._local_t[:active]
+        elapsed += 1
         if self._running_sum is None:
-            self._running_sum = np.zeros_like(logits)
-        self._running_sum = self._running_sum + logits
-        horizon_used = local_ts + 1
-        cumulative = self._running_sum / horizon_used[:, None].astype(self._running_sum.dtype)
-
-        # Per-slot effective knobs.  The live policy threshold is read ONCE,
-        # up front — the PR 5 bug was reading it again after should_exit, so
-        # a concurrent controller nudge landed between the decision and the
-        # record.  A slot carrying a ThresholdEpoch runs under its *stamped*
-        # threshold/horizon instead of the live knob (brown-out, replay
-        # pinning), so the recorded value is the deciding one by construction.
-        live_threshold = getattr(self.policy, "threshold", None)
-        if live_threshold is not None:
-            live_threshold = float(live_threshold)
-        thresholds: List[Optional[float]] = []
-        horizons = np.empty(len(self._slots), dtype=np.int64)
-        heterogeneous = False
-        for index, slot in enumerate(self._slots):
-            epoch = slot.request.epoch
-            slot_threshold = live_threshold
-            slot_horizon = self.max_timesteps
-            if epoch is not None:
-                if epoch.threshold is not None:
-                    slot_threshold = float(epoch.threshold)
-                if epoch.horizon is not None:
-                    slot_horizon = min(slot_horizon, int(epoch.horizon))
-            thresholds.append(slot_threshold)
-            horizons[index] = slot_horizon
-            if slot_threshold != live_threshold or slot_horizon != self.max_timesteps:
-                heterogeneous = True
-
-        policy_mask = self.policy.should_exit(cumulative)
-        if heterogeneous:
-            direction = getattr(self.policy, "exit_when", None)
-            override = np.array(
-                [t is not None and t != live_threshold for t in thresholds],
-                dtype=bool,
+            self._running_sum = np.zeros(
+                (self._local_t.shape[0],) + logits.shape[1:], dtype=logits.dtype
             )
-            if override.any() and direction in ("below", "above"):
-                # Evaluate overridden rows against their stamped thresholds
-                # via score(); casting the threshold array to the score dtype
-                # reproduces the weak-scalar comparison should_exit performs
-                # with a live float knob, so a pinned row decides bitwise
-                # identically to an engine whose live threshold equals the pin.
-                scores_all = np.asarray(self.policy.score(cumulative))
-                threshold_array = np.asarray(
-                    [0.0 if t is None else t for t in thresholds],
-                    dtype=scores_all.dtype,
-                )
-                if direction == "below":
-                    stamped_mask = scores_all < threshold_array
-                else:
-                    stamped_mask = scores_all > threshold_array
-                policy_mask = np.where(override, stamped_mask, policy_mask)
-        exit_now = policy_mask | (horizon_used >= horizons)
+        running_sum = self._running_sum[:active]
+        running_sum += logits
+        cumulative = running_sum / elapsed[:, None].astype(running_sum.dtype)
+
+        # The live policy threshold is read ONCE, up front — the PR 5 bug
+        # was reading it again after the decision, so a concurrent
+        # controller nudge landed between the decision and the record.
+        # Slots without a stamped threshold follow it; the score is also
+        # evaluated once, and both the exit mask and the recorded score come
+        # from that one evaluation.  Comparing against a threshold *array*
+        # cast to the score dtype reproduces the weak-scalar comparison
+        # should_exit performs with a float knob, so every row decides
+        # bitwise as should_exit would under its own threshold.
+        live = getattr(self.policy, "threshold", None)
+        thresholds = self._stamped[:active]
+        if live is not None:
+            thresholds = np.where(np.isnan(thresholds), float(live), thresholds)
+        scores = np.asarray(self.policy.score(cumulative))
+        direction = getattr(self.policy, "exit_when", None)
+        if direction == "below":
+            policy_mask = scores < thresholds.astype(scores.dtype, copy=False)
+        elif direction == "above":
+            policy_mask = scores > thresholds.astype(scores.dtype, copy=False)
+        else:
+            # No threshold rule to apply per row (the static baseline).
+            policy_mask = self.policy.should_exit(cumulative)
+        exit_now = policy_mask | (elapsed >= self._horizons[:active])
         self.total_steps += 1
-        self.total_sample_timesteps += len(self._slots)
+        self.total_sample_timesteps += active
+        if not exit_now.any():
+            return []
+        return self._retire(exit_now, cumulative, scores, thresholds)
 
+    def _retire(self, exit_now: np.ndarray, cumulative: np.ndarray,
+                scores: np.ndarray, thresholds: np.ndarray) -> List[CompletedSample]:
+        """Complete the rows in ``exit_now``; move the survivors' state forward.
+
+        ``thresholds`` holds each row's *effective* threshold — stamped, or
+        the live knob as read before the decision; NaN where neither exists
+        — so the recorded value is provably the deciding one.
+        """
+        active = exit_now.shape[0]
+        slots = self._slots
+        # Whole-batch conversions (at most batch_width elements each), then
+        # plain Python indexing per completed row.
+        predictions = cumulative.argmax(axis=-1).tolist()
+        elapsed = self._local_t[:active].tolist()
+        horizons = self._horizons[:active].tolist()
+        scores = scores.tolist()
+        thresholds = thresholds.tolist()
         completed: List[CompletedSample] = []
-        if exit_now.any():
-            exit_rows = np.where(exit_now)[0]
-            predictions = np.argmax(cumulative[exit_rows], axis=-1)
-            scores = np.asarray(self.policy.score(cumulative[exit_rows]), dtype=np.float64)  # dtype-ok: decision-side score bookkeeping is sanctioned float64 (Server contract)
-            for row, prediction, score in zip(exit_rows, predictions, scores):
-                slot = self._slots[row]
-                epoch = slot.request.epoch
-                completed.append(
-                    CompletedSample(
-                        request=slot.request,
-                        response=slot.response,
-                        prediction=int(prediction),
-                        exit_timestep=int(horizon_used[row]),
-                        score=float(score),
-                        threshold=thresholds[row],
-                        start_time=slot.start_time,
-                        epoch=None if epoch is None else epoch.epoch,
-                        brownout=False if epoch is None else epoch.brownout,
-                        horizon=int(horizons[row]),
-                    )
+        for row in exit_now.nonzero()[0].tolist():
+            slot = slots[row]
+            epoch = slot.request.epoch
+            threshold = thresholds[row]
+            completed.append(
+                CompletedSample(
+                    request=slot.request,
+                    response=slot.response,
+                    prediction=predictions[row],
+                    exit_timestep=elapsed[row],
+                    score=scores[row],
+                    threshold=None if threshold != threshold else threshold,
+                    start_time=slot.start_time,
+                    epoch=None if epoch is None else epoch.epoch,
+                    brownout=False if epoch is None else epoch.brownout,
+                    horizon=horizons[row],
                 )
-            keep = ~exit_now
-            self._slots = [slot for slot, k in zip(self._slots, keep) if k]
-            self._running_sum = self._running_sum[keep]
-            if self._executor is not None:
-                self._executor.compact_rows(keep)
-            else:
-                self.model.compact_state(keep)
-
-        for slot in self._slots:
-            slot.local_t += 1
+            )
+        keep = ~exit_now
+        kept = keep.nonzero()[0]
+        self._slots = [slots[row] for row in kept.tolist()]
+        for state in (self._local_t, self._stamped, self._horizons, self._running_sum):
+            state[: kept.size] = state[kept]
+        if self._executor is not None:
+            self._executor.compact_rows(keep)
+        else:
+            self.model.compact_state(keep)
         return completed

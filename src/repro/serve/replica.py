@@ -612,15 +612,21 @@ class ReplicaPool:
             return
         for thread in self._forwarders:
             thread.join(timeout)
-        for process in self.processes:
-            process.join(timeout)
-        if any(thread.is_alive() for thread in self._forwarders) or any(
-            process.is_alive() for process in self.processes
-        ):
+        if any(thread.is_alive() for thread in self._forwarders):
             return  # timed out mid-drain; resources stay live
         if self._monitor is not None:
+            # The monitor is the ONE thread that reaps the processes.  A
+            # second waitpid() racing it makes Process.join() return early
+            # and is_alive() report an already-reaped child as running —
+            # which ended a clean drain right here, "timed out", with the
+            # arena and ring segments still linked in /dev/shm.
             self._monitor.join(timeout)
             if self._monitor.is_alive():
+                return
+        else:
+            for process in self.processes:
+                process.join(timeout)
+            if any(process.is_alive() for process in self.processes):
                 return
         self._finished.set()
         if self._collector is not None:

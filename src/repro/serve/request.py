@@ -306,8 +306,26 @@ class AdmissionQueue:
             self._items.append((request, response))
             self._not_empty.notify()
 
-    def get(self, timeout: Optional[float] = None) -> Optional[Tuple[Request, Response]]:
+    def _take(self, limit: Optional[int]):
+        """Pop the oldest request (``limit`` None) or up to ``limit`` of them,
+        oldest first; ``None`` when the queue is empty.  Lock held."""
+        items = self._items
+        if not items:
+            return None
+        if limit is None:
+            self._not_full.notify()
+            return items.popleft()
+        taken = [items.popleft() for _ in range(min(limit, len(items)))]
+        self._not_full.notify(len(taken))
+        return taken
+
+    def get(self, timeout: Optional[float] = None, limit: Optional[int] = None):
         """Dequeue the oldest request, or None on timeout / closed-and-empty.
+
+        With ``limit`` the call returns a *list* of up to that many requests
+        (still ``None`` when nothing arrived): the batcher's fill round takes
+        everything it has room for in one critical section with one producer
+        wake-up, instead of one of each per request.
 
         The wait is a predicate loop, mirroring :meth:`put`: a spurious
         ``Condition.wait()`` wakeup (or a ``notify`` raced away by another
@@ -325,17 +343,12 @@ class AdmissionQueue:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._not_empty.wait(remaining)
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
+            return self._take(limit)
 
-    def get_nowait(self) -> Optional[Tuple[Request, Response]]:
+    def get_nowait(self, limit: Optional[int] = None):
+        """:meth:`get` without waiting: ``None`` when the queue is empty."""
         with self._lock:
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
+            return self._take(limit)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

@@ -21,6 +21,7 @@ sequential oracle regardless of which worker served it.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import threading
 import time
@@ -48,6 +49,25 @@ from .storm import PRIORITY_NORMAL, StormConfig, StormGuard, StormShedError
 from .telemetry import Telemetry
 
 __all__ = ["Server", "ServerClosedError"]
+
+
+def _release_free_heap() -> None:
+    """Hand the allocator's free pages back to the OS before serving starts.
+
+    A server is usually started right after something allocation-heavy —
+    training, calibration, a checkpoint load — and glibc keeps that freed
+    heap resident (its trim threshold rises with the largest block ever
+    freed).  The small objects a serving loop allocates per request come
+    from separate arenas, so they land *on top of* the idle heap instead of
+    reusing it: measured on the event fixture, the same serve run sits at
+    86 or at 117 MiB resident depending only on whether the allocator
+    happened to trim.  ``malloc_trim`` makes it the former; a no-op where
+    the C library has no such call.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 class Server:
@@ -257,6 +277,7 @@ class Server:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
+        _release_free_heap()
         if self.replicas is not None:
             # Block until the replicas are actually serving: a "started"
             # server accepts traffic at its steady-state latency instead of

@@ -58,13 +58,18 @@ class Telemetry:
     # Recording
     # ------------------------------------------------------------------ #
     def record_completion(self, result: RequestResult) -> None:
+        self.record_completions((result,))
+
+    def record_completions(self, results: Sequence[RequestResult]) -> None:
+        """A batcher round's completions under one lock acquisition."""
         with self._lock:
-            self._results.append(result)
-            self._recent_latencies.append(result.latency)
-            if self._first_arrival is None or result.arrival_time < self._first_arrival:
-                self._first_arrival = result.arrival_time
-            if self._last_finish is None or result.finish_time > self._last_finish:
-                self._last_finish = result.finish_time
+            for result in results:
+                self._results.append(result)
+                self._recent_latencies.append(result.latency)
+                if self._first_arrival is None or result.arrival_time < self._first_arrival:
+                    self._first_arrival = result.arrival_time
+                if self._last_finish is None or result.finish_time > self._last_finish:
+                    self._last_finish = result.finish_time
 
     def record_queue_depth(self, depth: int) -> None:
         with self._lock:

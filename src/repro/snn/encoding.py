@@ -99,10 +99,14 @@ class EventFrameEncoder:
         """Index of the recorded frame emitted at ``timestep``.
 
         Exposes the padding rule (short recordings repeat their last frame)
-        so the serving engine can intern stem-memo keys per request: a
+        to the serving engine, which relies on it twice: it gathers each
+        slot's frame as ``clip[frame_index(...)]`` — one recorded frame per
+        slot per step instead of stacking whole clips through
+        :meth:`__call__` — and it interns stem-memo keys per request, since a
         ``(clip digest, frame_index)`` pair fully determines the emitted
-        frame bytes, and padded tail timesteps collapse onto one key exactly
-        as their identical frame bytes used to.
+        frame bytes and padded tail timesteps collapse onto one key.  An
+        encoder that exposes this rule promises ``__call__`` emits exactly
+        that frame.
         """
         return min(timestep, num_frames - 1)
 

@@ -66,7 +66,7 @@ class FoldedConvNorm:
         self._sources: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
-    def _current_sources(self) -> tuple:
+    def _array_sources(self) -> tuple:
         conv, norm = self.conv, self.norm
         return (
             conv.weight.data,
@@ -75,8 +75,10 @@ class FoldedConvNorm:
             norm.bias.data,
             norm.running_mean,
             norm.running_var,
-            float64_enabled(),
         )
+
+    def _current_sources(self) -> tuple:
+        return self._array_sources() + (float64_enabled(),)
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The folded ``(weight, bias)`` pair, recomputed only when a source
@@ -97,6 +99,18 @@ class FoldedConvNorm:
             self._weight = sources[0] * k.reshape(-1, 1, 1, 1)
             self._bias = bias
             self._sources = sources
+        return self._weight, self._bias
+
+    def plan_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`arrays` for a compiled plan: revalidated on source-array
+        identity only.  Plans are bound to the dtype mode they were lowered
+        under (and never contain a folded op in float64 mode), so the
+        per-timestep hot path does not re-read ``REPRO_FLOAT64``.
+        """
+        if self._weight is None or any(
+            a is not b for a, b in zip(self._array_sources(), self._sources)
+        ):
+            return self.arrays()
         return self._weight, self._bias
 
     @property

@@ -18,6 +18,7 @@ extension, one batched stem GEMM (direct encoding).  The contract is twofold:
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -252,9 +253,9 @@ class TestAdmissionCostRegression:
         batcher.run_once()
 
         assert extension_rounds == [burst]
-        # run_once = one admission-time stem encode for the whole burst plus
-        # one step-time batch encode; per-request admission encodes are gone.
-        assert encoder.calls - encoder_calls_before == 2
+        # run_once = one admission-time stem encode for the whole burst; the
+        # step that follows reads the cached stem rows, not the inputs.
+        assert encoder.calls - encoder_calls_before == 1
 
 
 class TestAlignedStemPrecondition:
@@ -385,3 +386,85 @@ class TestAlignedStemPrecondition:
         assert engine.fast_path
         assert not engine._executor.stem_enabled
         assert engine._executor.memo_enabled
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken (``with`` or ``acquire``)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def acquire(self, *args, **kwargs):
+        acquired = self._lock.acquire(*args, **kwargs)
+        self.acquisitions += bool(acquired)
+        return acquired
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestFillRoundEnvelope:
+    @pytest.mark.parametrize("burst", [1, 5, 8])
+    def test_fill_round_takes_the_queue_lock_once(self, burst):
+        """A fill round drains everything it has room for in ONE critical
+        section (it used to take the queue lock once per request, plus once
+        more to discover the queue had run dry)."""
+        queue = AdmissionQueue(capacity=16)
+        lock = _CountingLock()
+        queue._lock = lock
+        queue._not_full = threading.Condition(lock)
+        queue._not_empty = threading.Condition(lock)
+        inputs = _inputs("direct", batch=burst)
+        for index in range(burst):
+            queue.put(Request(request_id=index, inputs=inputs[index]), Response())
+        engine = InferenceEngine(
+            _build("direct"), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS
+        )
+        batcher = ContinuousBatcher(engine, queue, batch_width=8)
+        before = lock.acquisitions
+        assert batcher._fill_slots() == burst
+        assert lock.acquisitions - before == 1
+        assert engine.active_count == burst
+
+    @pytest.mark.parametrize("encoder_name", ["direct", "event"])
+    def test_serve_step_reads_no_environment(self, encoder_name, monkeypatch):
+        """Plans and executors are mode-bound when they are built: admitting
+        and stepping must not look at ``os.environ`` at all (``REPRO_FLOAT64``
+        used to be re-read once per LIF and once per folded conv, every
+        timestep)."""
+        engine = InferenceEngine(
+            _build(encoder_name), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+            use_runtime=True,
+        )
+        assert engine.fast_path
+        inputs = _inputs(encoder_name, batch=8)
+        stream = [
+            (Request(request_id=index, inputs=inputs[index]), Response(), 0.0)
+            for index in range(8)
+        ]
+        engine.admit_batch(stream[:5])
+        engine.step()
+
+        reads = []
+        environ_type = type(os.environ)
+        original = environ_type.__getitem__
+
+        def counting(self, key):
+            reads.append(key)
+            return original(self, key)
+
+        # Mapping.get() goes through __getitem__, so this sees both spellings.
+        monkeypatch.setattr(environ_type, "__getitem__", counting)
+        os.environ.get("REPRO_FLOAT64")
+        assert reads == ["REPRO_FLOAT64"]  # the counter works
+        reads.clear()
+        engine.admit_batch(stream[5:])
+        while not engine.idle:
+            engine.step()
+        assert reads == []

@@ -21,7 +21,10 @@ import pytest
 
 from repro.core.policies import EntropyExitPolicy
 from repro.serve import (
+    AdmissionQueue,
+    ContinuousBatcher,
     Counter,
+    DeadlineExceededError,
     Gauge,
     Histogram,
     InferenceEngine,
@@ -156,6 +159,60 @@ class TestSpans:
         summary = spans.summary()
         assert summary["total"]["count"] == float(len(xs))
         assert summary["service"]["p95"] >= 0.0
+
+    def test_completion_stage_measures_the_sink_pass(self, monkeypatch):
+        """``completed`` is stamped from a clock read taken after the round's
+        pricing/telemetry pass, so under a ticking clock the ``completion``
+        stage is strictly positive for every request — it used to reuse the
+        ``exited`` reading and always read 0.0 — and each completion stamps
+        its span exactly once."""
+        stamped = []
+        original = SpanTracker.record_result
+
+        def counting(self, result, completed_at):
+            stamped.append(result.request_id)
+            return original(self, result, completed_at)
+
+        monkeypatch.setattr(SpanTracker, "record_result", counting)
+        xs = _inputs(8)
+        spans = SpanTracker()
+        server = Server(
+            _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+            batch_width=3, queue_capacity=len(xs), use_runtime=True,
+            clock=TickingClock(), spans=spans,
+        ).start()
+        try:
+            futures = [server.submit(x) for x in xs]
+            results = [future.result(timeout=60.0) for future in futures]
+        finally:
+            server.shutdown(drain=True)
+        assert sorted(stamped) == sorted(result.request_id for result in results)
+        durations = spans.stage_durations()
+        assert len(durations["completion"]) == len(xs)
+        assert all(duration > 0.0 for duration in durations["completion"])
+        for span in spans.spans():
+            assert span.monotone, span
+            events = span.events
+            assert (events["queued"] < events["admitted"] < events["exited"]
+                    < events["completed"]), span
+
+    def test_deadline_drop_records_the_instant_it_compared(self):
+        """One clock reading decides the drop AND is the recorded drop time:
+        a ticking clock must not be read a second time for the record."""
+        clock = TickingClock(step=1.0)
+        queue = AdmissionQueue(capacity=4, clock=clock)
+        spans = SpanTracker()
+        engine = InferenceEngine(_model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS)
+        batcher = ContinuousBatcher(engine, queue, batch_width=2, clock=clock, spans=spans)
+        response = Response()
+        queue.put(Request(request_id=7, inputs=_inputs(1)[0], deadline=0.5), response)
+        before = clock()
+        batcher.run_once()
+        with pytest.raises(DeadlineExceededError):
+            response.result(timeout=1.0)
+        (span,) = spans.spans()
+        # The fill round's single reading, not a second one taken afterwards.
+        assert span.events == {"completed": before + 1.0}
 
     def test_merge_state_unions_disjoint_request_ids(self):
         parts = [SpanTracker() for _ in range(3)]

@@ -22,9 +22,10 @@ class SlowPolicy(EntropyExitPolicy):
         super().__init__(threshold=threshold)
         self.delay = delay
 
-    def should_exit(self, cumulative_logits):
+    def score(self, cumulative_logits):
+        # score() is the one policy evaluation the engine makes per step.
         time.sleep(self.delay)
-        return super().should_exit(cumulative_logits)
+        return super().score(cumulative_logits)
 
 
 class TestServerLifecycle:
