@@ -9,27 +9,42 @@ conv1+norm1 stem per input, replaying it across the whole horizon.
 
 This benchmark measures the per-timestep forward cost of both paths on the
 same trained model at serving batch widths, plus the no-stem-cache variant
-(what an event-stream encoder pays).  Assertions:
+(what an event-stream encoder pays), the per-op-class split of a fast-path
+step (``REPRO_TRACE_OPS=1``), and a width walk: the batch alternating
+between 8 and 5 rows, the move continuous batching makes every round.
+Everything lands in ``BENCH_runtime_fastpath.json`` (docs/OBSERVABILITY.md).
+Assertions:
 
 1. the compiled plan is at least 2x faster per timestep at the serving batch
    width (the acceptance bar for this subsystem),
 2. the two paths' cumulative logits are bitwise identical on the measured
-   inputs (speed must not buy even one ulp).
+   inputs (speed must not buy even one ulp),
+3. a step after a width change costs what a step at a constant width costs —
+   the ops look a binding up, they do not rebuild one — and an op keeps one
+   binding per width walked.
 """
 
 import gc
+import os
 import time
 
 import numpy as np
 
-from _bench_utils import SMOKE, emit, print_section
+from _bench_utils import SMOKE, emit, emit_bench_json, print_section
 from repro.autograd import no_grad
 from repro.imc import format_table
 from repro.runtime import PlanExecutor, executor_for, plan_for, run_cumulative_logits
 
 BATCH_WIDTHS = (1, 4, 8, 16)
 SERVE_WIDTH = 8  # the serving layer's default batch width
+WALK_WIDTHS = (8, 5)
 ROUNDS = 40
+# Op class -> the group it is reported under (perf/layers.py's grouping).
+OP_GROUPS = {
+    "ConvOp": "conv", "FoldedConvNormOp": "conv", "NormOp": "norm",
+    "LIFOp": "lif", "LinearOp": "linear",
+    "AvgPoolOp": "pool", "MaxPoolOp": "pool", "AdaptiveAvgPoolOp": "pool",
+}
 
 
 def _time_tensor_path(model, x, timesteps):
@@ -50,6 +65,60 @@ def _time_fast_path(model, executor, x, timesteps):
     return (time.perf_counter() - start) / (ROUNDS * timesteps)
 
 
+def _op_split_us(model, x, timesteps):
+    """Per-op-class microseconds of one fast-path step at ``x``'s width, from
+    the executor's own ``REPRO_TRACE_OPS`` profile (the stem runs once per
+    input under direct encoding, so its share is per step, not per call)."""
+    previous = os.environ.get("REPRO_TRACE_OPS")
+    os.environ["REPRO_TRACE_OPS"] = "1"
+    try:
+        executor = executor_for(model)
+    finally:
+        if previous is None:
+            del os.environ["REPRO_TRACE_OPS"]
+        else:
+            os.environ["REPRO_TRACE_OPS"] = previous
+    run_cumulative_logits(model, executor, x, timesteps)  # warmup (binds)
+    warm = {entry["index"]: entry["seconds"] for entry in executor.op_timings()}
+    for _ in range(ROUNDS):
+        run_cumulative_logits(model, executor, x, timesteps)
+    split = {}
+    for entry in executor.op_timings():
+        group = OP_GROUPS.get(entry["op"], "other")
+        seconds = entry["seconds"] - warm[entry["index"]]
+        split[group] = split.get(group, 0.0) + 1e6 * seconds / (ROUNDS * timesteps)
+    return split
+
+
+def _time_steps(executor, steps):
+    start = time.perf_counter()
+    for _ in range(steps):
+        executor.step(None)
+    return (time.perf_counter() - start) / steps
+
+
+def _width_walk(model, frames):
+    """Seconds per step at each constant width of ``WALK_WIDTHS`` and while
+    alternating between them (compaction down, admission back up; only the
+    steps are timed), plus the bindings each op ended up holding."""
+    wide, narrow = WALK_WIDTHS
+    keep = np.arange(wide) < narrow
+    executor = executor_for(model)
+    executor.reset_state()
+    executor.extend_rows(wide, frames[:wide])
+    constant = {wide: _time_steps(executor, 4 * ROUNDS)}
+    executor.compact_rows(keep)
+    constant[narrow] = _time_steps(executor, 4 * ROUNDS)
+    stepping = 0.0
+    for _ in range(2 * ROUNDS):
+        executor.extend_rows(wide - narrow, frames[narrow:wide])
+        stepping += _time_steps(executor, 1)
+        executor.compact_rows(keep)
+        stepping += _time_steps(executor, 1)
+    bindings = max(len(scratch.bindings) for scratch in executor._scratch)
+    return constant, stepping / (4 * ROUNDS), bindings
+
+
 def test_runtime_fastpath_speedup(benchmark, suite):
     experiment = suite.get("vgg", "cifar10")
     model = experiment.model
@@ -63,6 +132,7 @@ def test_runtime_fastpath_speedup(benchmark, suite):
     def run():
         rows = []
         speedups = {}
+        splits = {}
         for width in BATCH_WIDTHS:
             x = experiment.test_dataset.inputs[
                 rng.integers(0, len(experiment.test_dataset), size=width)
@@ -80,6 +150,7 @@ def test_runtime_fastpath_speedup(benchmark, suite):
             assert np.array_equal(reference, fast)
 
             speedups[width] = tensor_s / fast_s
+            splits[width] = _op_split_us(model, x, timesteps)
             rows.append([
                 width,
                 1e6 * tensor_s,
@@ -88,9 +159,14 @@ def test_runtime_fastpath_speedup(benchmark, suite):
                 tensor_s / fast_s,
                 tensor_s / no_stem_s,
             ])
-        return rows, speedups
+        frames = experiment.test_dataset.inputs[
+            rng.integers(0, len(experiment.test_dataset), size=max(WALK_WIDTHS))
+        ]
+        return rows, speedups, splits, _width_walk(model, frames)
 
-    rows, speedups = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, speedups, splits, walk = benchmark.pedantic(run, rounds=1, iterations=1)
+    constant, alternating_s, bindings = walk
+    walk_ratio = alternating_s / (sum(constant.values()) / len(constant))
 
     print_section("Runtime fast path — per-timestep forward cost vs Tensor oracle")
     emit(format_table(
@@ -101,6 +177,45 @@ def test_runtime_fastpath_speedup(benchmark, suite):
          "speedup, bitwise-identical cumulative logits at every width")
     emit("(no-stem = event-stream encoders: the graph-free win without the "
          "cached conv1+norm1 prefix)")
+    groups = sorted({group for split in splits.values() for group in split})
+    emit()
+    emit(format_table(
+        ["batch width"] + [f"{group} (us/step)" for group in groups],
+        [[width] + [splits[width].get(group, 0.0) for group in groups]
+         for width in BATCH_WIDTHS],
+        float_format="{:.2f}"))
+    emit(f"\nwidth walk {WALK_WIDTHS[0]}<->{WALK_WIDTHS[1]}: "
+         f"{1e6 * alternating_s:.1f} us/step alternating vs "
+         + " / ".join(f"{1e6 * constant[w]:.1f} us at a constant {w}" for w in WALK_WIDTHS)
+         + f" ({walk_ratio:.2f}x their mean; {bindings} bindings per op)")
+
+    emit_bench_json("runtime_fastpath", {
+        "timesteps": timesteps,
+        "rounds": ROUNDS,
+        "serve_width": SERVE_WIDTH,
+        "widths": [
+            {
+                "width": row[0],
+                "tensor_us_per_step": row[1],
+                "fast_us_per_step": row[2],
+                "no_stem_us_per_step": row[3],
+                "speedup": row[4],
+                "no_stem_speedup": row[5],
+                "op_us_per_step": splits[row[0]],
+            }
+            for row in rows
+        ],
+        "width_walk": {
+            "widths": list(WALK_WIDTHS),
+            "constant_us_per_step": {str(w): 1e6 * constant[w] for w in WALK_WIDTHS},
+            "alternating_us_per_step": 1e6 * alternating_s,
+            "alternating_over_constant_mean": walk_ratio,
+            "bindings_per_op": bindings,
+        },
+        "acceptance_speedup": 2.0,
+    })
+    # One binding per width walked, however often the width changed.
+    assert bindings == len(WALK_WIDTHS)
 
     # Wall-clock assertions hold on a quiet machine but not on oversubscribed
     # CI runners; smoke mode keeps the (deterministic) bitwise checks above
@@ -114,6 +229,11 @@ def test_runtime_fastpath_speedup(benchmark, suite):
     )
     # And the fast path must never be slower at any measured width.
     assert all(s > 1.0 for s in speedups.values())
+    # A width change is a lookup: rebuilding a step's bindings costs about
+    # as much as the step itself, so a rebuild per change would read ~2x.
+    assert walk_ratio < 1.3, (
+        f"steps after a width change cost {walk_ratio:.2f}x a constant-width step"
+    )
 
 
 def _time_verify_sweep(verify_plan, plans):

@@ -39,6 +39,14 @@ and on instrumented modules (instance-level ``forward`` overrides) — the
 same gates the Tensor path applies in
 :func:`repro.snn.architectures._conv_norm_forward`.
 
+**Gather indices.**  The one derived constant that exists only once an
+input geometry is known — a window op's im2col gather index — is checked
+by :func:`verify_gather_index` where it is built (once per op and input
+geometry, never per step): range, length, and agreement with
+``autograd.ops.im2col`` on a probe.  That proof is what lets the kernels
+gather with a non-raising ``np.take`` mode, i.e. without a per-step bounds
+check.
+
 Violations raise :class:`PlanVerificationError` carrying the op index, the
 register, and the expected-vs-found shape/dtype.
 """
@@ -50,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd.dtypes import float64_enabled
-from ..autograd.ops import conv_output_size
+from ..autograd.ops import conv_output_size, im2col
 from ..runtime.plan import (
     AddOp,
     AdaptiveAvgPoolOp,
@@ -67,7 +75,7 @@ from ..runtime.plan import (
     ReLUOp,
 )
 
-__all__ = ["PlanVerificationError", "verify_plan"]
+__all__ = ["PlanVerificationError", "verify_plan", "verify_gather_index"]
 
 _FLOAT32 = np.dtype(np.float32)
 _FLOAT64 = np.dtype(np.float64)  # dtype-ok: dtype constant used for verification comparisons only, never constructs data
@@ -623,3 +631,56 @@ def verify_plan(
     _check_lif_bookkeeping(plan)
     _check_stem_metadata(plan)
     return plan
+
+
+def verify_gather_index(
+    index: np.ndarray,
+    input_shape: Sequence[int],
+    kernel: int,
+    stride: int,
+    padding: int,
+    op: Optional[PlanOp] = None,
+) -> np.ndarray:
+    """Verify an im2col gather index against its geometry; returns it.
+
+    ``index`` addresses one zero-padded ``(C, H + 2p, W + 2p)`` sample,
+    flattened (:func:`repro.runtime.kernels.gather_index`).  It must hold
+    ``out_h * out_w * C * kernel**2`` entries, each inside the padded
+    sample, and gathering a probe whose every element is distinct must
+    reproduce ``autograd.ops.im2col`` of that probe exactly.  The kernels
+    then gather with a non-raising ``np.take`` mode, which would silently
+    redirect a bad entry — so this runs wherever an index is built (per op
+    and input geometry, not per step), and a failure names ``op``.
+    """
+    channels, height, width = (int(d) for d in input_shape)
+    where = "gather index" if op is None else f"gather index of {op.describe()}"
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    expected = out_h * out_w * channels * kernel * kernel
+    if index.ndim != 1 or index.dtype != np.intp or index.size != expected:
+        raise PlanVerificationError(
+            f"{where} is not a flat intp vector of out_h*out_w*C*k*k entries",
+            expected=(expected, "intp"), found=(index.shape, str(index.dtype)),
+        )
+    padded = channels * (height + 2 * padding) * (width + 2 * padding)
+    if index.size and not (0 <= index.min() and index.max() < padded):
+        raise PlanVerificationError(
+            f"{where} addresses outside the padded sample",
+            expected=f"0..{padded - 1}",
+            found=(int(index.min()), int(index.max())),
+        )
+    # Distinct, non-zero values: a wrong source position cannot hide behind
+    # an equal value, nor behind the zero padding.
+    probe = np.arange(1, channels * height * width + 1, dtype=np.intp)
+    probe = probe.reshape(1, channels, height, width)
+    reference, _, _ = im2col(probe, kernel, stride, padding)
+    border = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    gathered = np.pad(probe, border).reshape(-1)[index]
+    if not np.array_equal(gathered, reference.reshape(-1)):
+        mismatch = int(np.flatnonzero(gathered != reference.reshape(-1))[0])
+        raise PlanVerificationError(
+            f"{where} disagrees with autograd.ops.im2col at entry {mismatch}",
+            expected=int(reference.reshape(-1)[mismatch]),
+            found=int(gathered[mismatch]),
+        )
+    return index

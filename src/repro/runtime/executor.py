@@ -8,13 +8,15 @@ dynamic-timestep loop drive the fast path exactly the way they drove the
 Tensor model — the membrane rows of the plan and the slots of the batcher
 stay in lockstep.
 
-Scratch buffers, membranes and aligned stem rows live in one buffer each,
-sized to the widest batch the session has run (a serving engine's
-``batch_width``), and are reused across timesteps, requests and the whole
-serve session: the live rows are the leading rows, compaction moves the
-survivors forward in place and admission zeroes / fills the rows behind
-them, so the width changes of continuous batching allocate nothing.
-Because every kernel is bitwise-faithful to its autograd counterpart
+Scratch buffers, membranes and aligned stem rows live in one capacity
+buffer each, sized to the widest batch the session has run (a serving
+engine's ``batch_width``), and are reused across timesteps, requests and the
+whole serve session: the live rows are the leading rows, compaction moves
+the survivors forward in place and admission zeroes / fills the rows behind
+them, so the width changes of continuous batching allocate nothing.  A
+membrane lives in its LIF op's scratch (the op rewrites it every step); the
+aligned stem rows live in buffers the executor owns, because no op rewrites
+them.  Because every kernel is bitwise-faithful to its autograd counterpart
 (see :mod:`repro.runtime.kernels`), an executor's logits are *identical* to
 the define-by-run path's logits, not merely close — which is what the
 equivalence test harness asserts.
@@ -24,47 +26,43 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import ensure_buffer
-from .plan import CompiledPlan, StemCache
+from .kernels import Scratch
+from .plan import CompiledPlan, PlanOp, StemCache
 
 __all__ = ["PlanExecutor"]
-
-
-def _with_room(rows: np.ndarray, count: int) -> np.ndarray:
-    """``rows`` followed by ``count`` uninitialized rows.
-
-    In place whenever ``rows`` is the leading view of a buffer with room —
-    the steady state of a serving session, whose buffers were sized by its
-    widest batch; otherwise a grown copy, which becomes the new buffer.
-    Executor row state is only ever an owning array or such a leading view
-    (kernel scratch hands out ``buffer[:n]``, compaction keeps ``rows[:k]``),
-    which is what makes ``rows.base`` the buffer to grow into.
-    """
-    live = rows.shape[0]
-    buffer = rows.base
-    if (
-        not isinstance(buffer, np.ndarray)
-        or buffer.shape[0] < live + count
-        or buffer.shape[1:] != rows.shape[1:]
-        or buffer.dtype != rows.dtype
-    ):
-        buffer = np.empty((live + count,) + rows.shape[1:], dtype=rows.dtype)
-        buffer[:live] = rows
-    return buffer[: live + count]
 
 
 def _trace_ops_enabled() -> bool:
     """``REPRO_TRACE_OPS=1`` turns on per-op wall-clock timing.
 
     Read at executor construction (like ``REPRO_RUNTIME``/``REPRO_FLOAT64``):
-    the hot loop then branches on a bound attribute, so the default-off cost
-    is one attribute check per step, not an environment lookup per op.
+    the executor then puts a :class:`_TimedOp` in each op's place, so the
+    default-off cost is nothing at all.
     """
     return os.environ.get("REPRO_TRACE_OPS", "").strip() in {"1", "true", "yes"}
+
+
+class _TimedOp:
+    """Stands in for one plan op under ``REPRO_TRACE_OPS=1``: same ``run``,
+    timed into the executor's per-op totals."""
+
+    __slots__ = ("op", "index", "seconds", "calls")
+
+    def __init__(self, op: PlanOp, index: int, seconds: List[float], calls: List[int]):
+        self.op = op
+        self.index = index
+        self.seconds = seconds
+        self.calls = calls
+
+    def run(self, regs, scratch, state, stats) -> None:
+        began = time.perf_counter()
+        self.op.run(regs, scratch, state, stats)
+        self.seconds[self.index] += time.perf_counter() - began
+        self.calls[self.index] += 1
 
 
 class PlanExecutor:
@@ -120,20 +118,22 @@ class PlanExecutor:
             )
         self._memo = stem_memo if plan.stem_len > 0 else None
         # Row state.  Every non-None membrane / aligned stem array has
-        # exactly ``_rows`` rows and is either an owning array or the
-        # leading-row view of its capacity buffer (see _with_room).
+        # exactly ``_rows`` rows and is the leading-row view of a capacity
+        # buffer: the membrane role of its LIF op's scratch, or this
+        # executor's own ``_row_scratch`` for the aligned stem registers.
         self._rows = 0
         self._membranes: List[Optional[np.ndarray]] = [None] * plan.num_lif
         self._stem: Optional[Dict[int, np.ndarray]] = None
         self._registers: List[Optional[np.ndarray]] = [None] * plan.num_registers
-        self._scratch: List[Dict[str, np.ndarray]] = [dict() for _ in plan.ops]
-        # A second scratch set for stem runs beside the live batch (the
-        # rows of an admission round, a memo round's misses): reused like
-        # the main one, and never aliased by the aligned stem rows.
-        self._side_scratch: List[Dict[str, np.ndarray]] = [
-            dict() for _ in range(plan.stem_len)
-        ]
-        self._memo_scratch: Dict[str, np.ndarray] = {}
+        self._scratch: List[Scratch] = [Scratch() for _ in plan.ops]
+        # Register rows no op owns, one role per register: the aligned stem
+        # rows (direct encoding) or a memo round's assembled registers
+        # (event streams) — the two stem strategies exclude each other.
+        self._row_scratch = Scratch()
+        self._lif_scratch: Dict[int, Scratch] = {
+            op.state_index: scratch
+            for op, scratch in zip(plan.ops, self._scratch) if op.is_stateful
+        }
         # Whether an op beyond the stem reads the input frame itself: then
         # a cached stem does not make the frame optional.
         self._frame_live = any(
@@ -142,6 +142,15 @@ class PlanExecutor:
         self.trace_ops = _trace_ops_enabled()
         self._op_seconds = [0.0] * len(plan.ops)
         self._op_calls = [0] * len(plan.ops)
+        ops: Sequence = plan.ops
+        if self.trace_ops:
+            ops = [_TimedOp(op, index, self._op_seconds, self._op_calls)
+                   for index, op in enumerate(plan.ops)]
+        # The step program: (op, its scratch) in execution order, split
+        # where a cached stem lets a step start.
+        program = list(zip(ops, self._scratch))
+        self._stem_program = program[: plan.stem_len]
+        self._body_program = program[plan.stem_len:]
 
     # ------------------------------------------------------------------ #
     @property
@@ -221,22 +230,16 @@ class PlanExecutor:
         self._rows = live + count
         for index, membrane in enumerate(self._membranes):
             if membrane is not None:
-                membrane = self._membranes[index] = _with_room(membrane, count)
+                membrane = self._membranes[index] = self._lif_scratch[index].grown(
+                    "membrane", membrane, count
+                )
                 membrane[live:] = 0
         if not self.stem_enabled:
             return
         if frames is None or frames.shape[0] != count or (self._stem is None and live):
             self._stem = None
             return
-        fresh = self._run_stem(frames, self._side_scratch)
-        if self._stem is None:
-            # Nothing live: the round's rows are the whole aligned stem
-            # (copied out of the side scratch the next round reuses).
-            self._stem = {reg: value.copy() for reg, value in fresh.items()}
-            return
-        for reg, value in fresh.items():
-            rows = self._stem[reg] = _with_room(self._stem[reg], count)
-            rows[live:] = value
+        self._append_stem(self._run_stem(frames), live)
 
     def reset_rows(self, rows: np.ndarray) -> None:
         """Zero the membranes of specific batch rows (recycled slots)."""
@@ -247,30 +250,38 @@ class PlanExecutor:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _run_stem(self, frame: np.ndarray,
-                  scratch: List[Dict[str, np.ndarray]]) -> Dict[int, np.ndarray]:
+    def _run(self, program: Sequence[Tuple[PlanOp, Scratch]],
+             registers: List[Optional[np.ndarray]]) -> None:
+        """The one op loop: every op of ``program``, once, in order."""
+        state, stats = self._membranes, self.collect_statistics
+        for op, scratch in program:
+            op.run(registers, scratch, state, stats)
+
+    def _run_stem(self, frame: np.ndarray) -> Dict[int, np.ndarray]:
         """Run the stateless prefix on ``frame``; return the live registers.
 
-        ``scratch`` is the per-op buffer set to run in: the main one for a
-        full-width run, ``_side_scratch`` for rows computed beside the live
-        batch.  The returned arrays alias it.
+        The returned arrays alias the stem ops' scratch: they are valid
+        until the stem next runs, at any width.
         """
         plan = self.plan
         registers: List[Optional[np.ndarray]] = [None] * plan.num_registers
         registers[0] = frame
-        if self.trace_ops:
-            timer = time.perf_counter
-            for index in range(plan.stem_len):
-                began = timer()
-                plan.ops[index].run(registers, scratch[index],
-                                    self._membranes, self.collect_statistics)
-                self._op_seconds[index] += timer() - began
-                self._op_calls[index] += 1
-        else:
-            for index in range(plan.stem_len):
-                plan.ops[index].run(registers, scratch[index],
-                                    self._membranes, self.collect_statistics)
+        self._run(self._stem_program, registers)
         return {reg: registers[reg] for reg in plan.stem_registers}
+
+    def _append_stem(self, fresh: Dict[int, np.ndarray], live: int) -> None:
+        """Copy ``fresh`` stem rows in behind the ``live`` aligned ones."""
+        stem = self._stem if live else {}
+        for reg, value in fresh.items():
+            if live:
+                rows = self._row_scratch.grown(reg, stem[reg], value.shape[0])
+            else:
+                rows = self._row_scratch.rows(
+                    reg, value.shape[0], value.shape[1:], value.dtype
+                )
+            rows[live:] = value
+            stem[reg] = rows
+        self._stem = stem
 
     def _memo_stem(self, frame: np.ndarray, keys: Sequence[bytes]) -> Dict[int, np.ndarray]:
         """Resolve the stem registers for ``frame`` through the keyed memo.
@@ -315,8 +326,7 @@ class PlanExecutor:
             fresh = None
         else:
             cold = len(miss_rows) == rows
-            fresh = self._run_stem(frame if cold else frame[miss_rows],
-                                   self._side_scratch)
+            fresh = self._run_stem(frame if cold else frame[miss_rows])
             self._memo.store_many([
                 (keys[i], tuple(fresh[reg][j].copy() for reg in plan.stem_registers))
                 for j, i in enumerate(miss_rows)
@@ -326,8 +336,7 @@ class PlanExecutor:
         assembled: Dict[int, np.ndarray] = {}
         for position, reg in enumerate(plan.stem_registers):
             template = next(entry for entry in cached if entry is not None)[position]
-            out = ensure_buffer(self._memo_scratch, str(reg),
-                                (rows,) + template.shape, template.dtype)
+            out = self._row_scratch.rows(reg, rows, template.shape, template.dtype)
             if fresh is not None:
                 out[miss_rows] = fresh[reg]
             for i, entry in enumerate(cached):
@@ -379,30 +388,17 @@ class PlanExecutor:
             self._rows = frame.shape[0]
         registers = self._registers
         registers[0] = frame
-        start = 0
         if self.stem_enabled:
             if self._stem is None:
-                self._stem = self._run_stem(frame, self._scratch)
+                self._append_stem(self._run_stem(frame), 0)
             for reg, value in self._stem.items():
                 registers[reg] = value
-            start = plan.stem_len
         elif self._memo is not None and stem_keys is not None:
             for reg, value in self._memo_stem(frame, stem_keys).items():
                 registers[reg] = value
-            start = plan.stem_len
-        if self.trace_ops:
-            timer = time.perf_counter
-            seconds, calls = self._op_seconds, self._op_calls
-            for index in range(start, len(plan.ops)):
-                began = timer()
-                plan.ops[index].run(registers, self._scratch[index],
-                                    self._membranes, self.collect_statistics)
-                seconds[index] += timer() - began
-                calls[index] += 1
         else:
-            for index in range(start, len(plan.ops)):
-                plan.ops[index].run(registers, self._scratch[index],
-                                    self._membranes, self.collect_statistics)
+            self._run(self._stem_program, registers)
+        self._run(self._body_program, registers)
         output = registers[plan.output_register]
         # Uphold the freshness contract when the producing op hands back
         # reused scratch (anything but a Linear head): the next step() would

@@ -3,11 +3,22 @@
 Every kernel in this module is a *bitwise-faithful* re-implementation of the
 forward half of one autograd operator (see :mod:`repro.autograd.functional`
 and :class:`repro.snn.neurons.LIFNeuron`): it performs the exact same NumPy
-operations, on the same shapes, in the same order — it only skips the graph
-bookkeeping (Tensor allocation, parent tuples, backward closures) and reuses
-scratch buffers across timesteps.  That is what makes the compiled-plan
-executor provably equivalent to the define-by-run path: the floating-point
-work is *identical*, not merely close.
+float operations, on the same shapes, in the same order — it only skips the
+graph bookkeeping (Tensor allocation, parent tuples, backward closures) and
+reuses scratch buffers across timesteps.  That is what makes the
+compiled-plan executor provably equivalent to the define-by-run path: the
+floating-point work is *identical*, not merely close.
+
+Bind once, replay
+-----------------
+Each kernel comes as a pair.  ``bind_*`` runs once per (op scratch, input
+shape): it carves every view the kernel will touch out of the op's capacity
+buffers and resolves every result dtype.  ``*_step`` is then a straight
+line of ``np.<ufunc>(..., out=bound)`` calls on that binding — no buffer
+lookup, no dtype derivation, no slicing or reshaping per timestep.  The
+plan ops (:mod:`repro.runtime.plan`) look bindings up by input shape and
+revalidate them by identity against whatever live arrays they captured
+(weights, norm statistics, the input buffer whose taps a pool holds).
 
 Dtype discipline
 ----------------
@@ -19,17 +30,20 @@ kernels already materialized by the plan, at lowering, through the same
 :func:`~repro.autograd.dtypes.scalar_operand` helper — which keeps them
 bitwise-faithful in *either* mode: under ``REPRO_FLOAT64=1`` the helper
 reproduces the seed's float64 0-d scalars and the buffers promote exactly
-like the legacy Tensor path did.  The ``np.result_type`` plumbing is kept
-for that reason: it collapses to float32 everywhere by default and tracks
-the legacy promotion chain under the escape hatch.  No kernel reads the
-environment.
+like the legacy Tensor path did.  Promotion is resolved at bind time, by
+``np.result_type`` over the same operands the Tensor path combines: it
+collapses to float32 everywhere by default and tracks the legacy promotion
+chain under the escape hatch.  No kernel reads the environment.
 
 Buffer discipline
 -----------------
-Kernels receive a per-op ``scratch`` dict owned by the executor.  Each key
-holds ONE buffer sized to the widest batch seen so far; a narrower call gets
-the leading-row view of it, so the width changes of continuous batching
-(early exits compact, admissions grow) never reallocate.
+Kernels receive a per-op :class:`Scratch` owned by the executor.  It keeps
+ONE capacity buffer per role, sized to the widest batch seen so far, and a
+bounded map of bindings; a binding for a narrower batch holds leading-row
+*views* of the same buffers (no data of its own), so the width changes of
+continuous batching (early exits compact, admissions grow) never
+reallocate.  Replacing a buffer — the batch outgrew it, or the input
+geometry or dtype changed — drops every binding carved from it.
 
 In-place NumPy ufuncs (``np.add(a, b, out=buf)``) produce results bitwise
 identical to their allocating forms (``a + b``) as long as ``buf`` has the
@@ -46,90 +60,182 @@ import numpy as np
 from ..autograd.ops import conv_output_size
 
 __all__ = [
-    "ensure_buffer",
-    "im2col_cached",
+    "MAX_BINDINGS",
+    "Scratch",
+    "gather_index",
+    "bind_conv",
     "conv2d_step",
+    "bind_norm",
     "batchnorm_step",
+    "bind_lif",
     "lif_step",
-    "avg_pool_step",
+    "spike_count",
+    "bind_pool_taps",
+    "avg_pool_taps_step",
     "max_pool_step",
+    "bind_avg_pool_cols",
+    "avg_pool_cols_step",
     "linear_step",
+    "bind_relu",
     "relu_step",
+    "bind_add",
     "add_step",
 ]
 
-Scratch = Dict[str, np.ndarray]
+#: Bindings one :class:`Scratch` keeps (oldest dropped first).  A serving
+#: session sees at most ``batch_width`` distinct widths; the cap is what
+#: keeps an offline batch that shrinks through every width from 512 down
+#: from accumulating 512 sets of views per op.
+MAX_BINDINGS = 32
+
+#: ``float32`` represents every integer up to here exactly, so summing that
+#: many 0/1 spikes in float32 (the Tensor path's ``spikes.sum()``) is exact
+#: in any order and ``count_nonzero`` returns the same number.
+_EXACT_FLOAT32_COUNT = 2 ** 24
 
 
-def ensure_buffer(scratch: Scratch, key: str, shape: Tuple[int, ...], dtype,
-                  allocate=np.empty) -> np.ndarray:
-    """The leading ``shape[0]`` rows of the one buffer kept under ``key``.
+class Scratch:
+    """One op's buffers and bindings inside one executor.
 
-    The buffer is replaced (through ``allocate``) only when the per-row shape
-    or dtype changes or the batch outgrows it, so resident scratch is bounded
-    by the widest batch ever run — never by how often the width changed.
+    ``buffers`` maps a role to its capacity buffer; ``bindings`` maps an
+    input shape to the views a kernel bound for it (see the module
+    docstring).  Bindings hold views only, so resident bytes are those of
+    ``buffers`` — bounded by the widest batch ever run.
     """
-    buffer = scratch.get(key)
-    if buffer is not None and buffer.dtype == dtype:
-        if buffer.shape == shape:
-            return buffer
-        if buffer.shape[0] > shape[0] and buffer.shape[1:] == shape[1:]:
-            return buffer[: shape[0]]
-    buffer = allocate(shape, dtype=dtype)
-    scratch[key] = buffer
-    return buffer
+
+    __slots__ = ("buffers", "bindings")
+
+    def __init__(self):
+        self.buffers: Dict[object, np.ndarray] = {}
+        self.bindings: Dict[Tuple[int, ...], object] = {}
+
+    def rows(self, role, n: int, row_shape: Tuple[int, ...], dtype,
+             allocate=np.empty) -> np.ndarray:
+        """The leading ``n`` rows of the one buffer kept under ``role``.
+
+        The buffer is replaced (through ``allocate``) only when the per-row
+        shape or dtype changes or the batch outgrows it; its old contents
+        are not carried over, and every binding goes with it.
+        """
+        buffer = self.buffers.get(role)
+        if (
+            buffer is None
+            or buffer.shape[0] < n
+            or buffer.shape[1:] != row_shape
+            or buffer.dtype != dtype
+        ):
+            self.bindings.clear()
+            buffer = self.buffers[role] = allocate((n,) + row_shape, dtype=dtype)
+        return buffer[:n]
+
+    def grown(self, role, rows: np.ndarray, count: int) -> np.ndarray:
+        """``rows`` followed by ``count`` uninitialized rows, in ``role``'s buffer.
+
+        In place — nothing moves — when ``rows`` already is the leading view
+        of that buffer and it has room: the steady state of a serving
+        session, whose buffers were sized by its widest batch.  Otherwise
+        the live rows are copied into a buffer that has.
+        """
+        live = rows.shape[0]
+        buffer = self.buffers.get(role)
+        if buffer is not None and rows.base is buffer and buffer.shape[0] >= live + count:
+            return buffer[: live + count]
+        grown = self.rows(role, live + count, rows.shape[1:], rows.dtype)
+        grown[:live] = rows
+        return grown
+
+    def bind(self, shape: Tuple[int, ...], binding):
+        """Remember ``binding`` for inputs of ``shape``; returns it."""
+        bindings = self.bindings
+        bindings.pop(shape, None)
+        if len(bindings) >= MAX_BINDINGS:
+            del bindings[next(iter(bindings))]
+        bindings[shape] = binding
+        return binding
 
 
-def _padded_view(images: np.ndarray, padding: int, scratch: Scratch) -> np.ndarray:
-    """Zero-padded copy of ``images`` with a reused border buffer.
+# --------------------------------------------------------------------------- #
+# im2col as one gather
+# --------------------------------------------------------------------------- #
+def gather_index(channels: int, height: int, width: int,
+                 kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Flat im2col gather index for one zero-padded ``(C, Hp, Wp)`` sample.
 
-    ``np.pad`` (the Tensor path) builds a fresh zero array each call; here the
-    border is zeroed once at allocation and only the interior is rewritten, so
-    the values are identical while the allocation amortizes to nothing.
+    ``np.take(padded.reshape(n, -1), index, axis=1)`` is then value-identical
+    to :func:`repro.autograd.ops.im2col` flattened to ``(n, P * C*k*k)``:
+    entries run in its exact ``(out_h, out_w, C, k, k)`` order.  A gather is
+    a pure copy, so the patch matrix is bitwise the Tensor path's.  The
+    index depends on the geometry only — not on the batch width — and costs
+    one ``intp`` per patch-matrix element of a single sample.
     """
-    n, c, h, w = images.shape
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
-    padded = ensure_buffer(scratch, "pad", shape, images.dtype, allocate=np.zeros)
-    padded[:, :, padding : padding + h, padding : padding + w] = images
-    return padded
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    padded_w = width + 2 * padding
+    plane = (height + 2 * padding) * padded_w
+
+    def offsets(count: int, step: int) -> np.ndarray:
+        return np.arange(count, dtype=np.intp) * step
+
+    index = sum(np.ix_(
+        offsets(out_h, stride * padded_w),  # window row
+        offsets(out_w, stride),             # window column
+        offsets(channels, plane),
+        offsets(kernel, padded_w),          # tap row
+        offsets(kernel, 1),                 # tap column
+    ))
+    return index.reshape(-1)
 
 
-def im2col_cached(
-    images: np.ndarray, kernel: int, stride: int, padding: int, scratch: Scratch
-) -> Tuple[np.ndarray, int, int]:
-    """Patch unrolling with reused column/pad buffers.
+class _Cols:
+    """The patch matrix of one input shape and the gather that fills it."""
 
-    Value-identical to :func:`repro.autograd.ops.im2col` (same strided window
-    view, same transpose order); the contiguous copy lands in a reused buffer
-    instead of a fresh ``ascontiguousarray`` allocation.
-    """
-    n, c, h, w = images.shape
-    out_h = conv_output_size(h, kernel, stride, padding)
-    out_w = conv_output_size(w, kernel, stride, padding)
-    if padding > 0:
-        images = _padded_view(images, padding, scratch)
-    cols = ensure_buffer(scratch, "cols", (n, out_h * out_w, c * kernel * kernel), images.dtype)
-    cols_view = cols.reshape(n, out_h, out_w, c, kernel, kernel)
-    # One strided copy per kernel tap instead of a single 6-D gather: the
-    # values land in exactly the im2col layout, but each copy is a simple 4-D
-    # slice NumPy moves far faster than the tiny-inner-loop window view.
-    for i in range(kernel):
-        for j in range(kernel):
-            tap = images[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-            cols_view[:, :, :, :, i, j] = tap.transpose(0, 2, 3, 1)
-    return cols, out_h, out_w
+    __slots__ = ("interior", "flat", "index", "flat_cols", "cols")
+
+    def __init__(self, scratch: Scratch, x: np.ndarray, index: np.ndarray,
+                 kernel: int, padding: int):
+        n, c, h, w = x.shape
+        if padding > 0:
+            # np.pad (the Tensor path) builds a fresh zero array each call;
+            # here the border is zeroed once, at allocation, and only the
+            # interior is ever rewritten.
+            padded = scratch.rows(
+                "pad", n, (c, h + 2 * padding, w + 2 * padding), x.dtype, np.zeros
+            )
+            self.interior = padded[:, :, padding : padding + h, padding : padding + w]
+            self.flat = padded.reshape(n, -1)
+        else:
+            self.interior = self.flat = None
+        self.index = index
+        width = c * kernel * kernel
+        cols = scratch.rows("cols", n, (index.size // width, width), x.dtype)
+        self.flat_cols = cols.reshape(n, -1)
+        self.cols = cols
+
+    def fill(self, x: np.ndarray) -> None:
+        if self.interior is None:
+            flat = x.reshape(x.shape[0], -1)
+        else:
+            np.copyto(self.interior, x)
+            flat = self.flat
+        # planverify proved every entry in range when the index was built,
+        # so no mode ever fires; "wrap" is simply the cheapest one (this
+        # 8x16x5x5 gather: 17 us, "clip" 22 us, "raise" — which checks and
+        # buffers ``out`` — 30 us).
+        np.take(flat, self.index, axis=1, out=self.flat_cols, mode="wrap")
 
 
-def conv2d_step(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    kernel: int,
-    stride: int,
-    padding: int,
-    scratch: Scratch,
-) -> np.ndarray:
-    """Forward of ``functional.conv2d``: im2col + batched GEMM, buffers reused.
+# --------------------------------------------------------------------------- #
+# Convolution
+# --------------------------------------------------------------------------- #
+class ConvBinding:
+    __slots__ = ("dtype", "weight", "bias", "patches", "weight_t", "gemm",
+                 "bias_row", "gemm_t", "flat_out", "out")
+
+
+def bind_conv(scratch: Scratch, x: np.ndarray, weight: np.ndarray,
+              bias: Optional[np.ndarray], index: np.ndarray,
+              kernel: int, stride: int, padding: int) -> ConvBinding:
+    """Bind ``functional.conv2d``'s forward for inputs shaped like ``x``.
 
     The GEMM keeps the Tensor path's exact ``(N, P, CKK) @ (CKK, O)`` shape —
     a stack of per-sample matrix products — so every sample's result is
@@ -137,29 +243,64 @@ def conv2d_step(
     splicing and the stem cache both rely on).  The result is cast to the
     input dtype, mirroring the Tensor path's trailing ``astype``.
     """
-    n = x.shape[0]
+    n, _, h, w = x.shape
     out_channels = weight.shape[0]
-    cols, out_h, out_w = im2col_cached(x, kernel, stride, padding, scratch)
-    flat_weight = weight.reshape(out_channels, -1)
-    gemm_dtype = np.result_type(cols.dtype, flat_weight.dtype)
-    gemm = ensure_buffer(scratch, "gemm", (n, out_h * out_w, out_channels), gemm_dtype)
-    np.matmul(cols, flat_weight.T, out=gemm)
-    if bias is not None:
-        np.add(gemm, bias.reshape(1, 1, -1), out=gemm)
-    out = ensure_buffer(scratch, "out", (n, out_channels, out_h, out_w), x.dtype)
-    np.copyto(out.reshape(n, out_channels, out_h * out_w), gemm.transpose(0, 2, 1))
-    return out
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    bound = ConvBinding()
+    bound.dtype = x.dtype
+    bound.weight, bound.bias = weight, bias
+    bound.patches = _Cols(scratch, x, index, kernel, padding)
+    bound.weight_t = weight.reshape(out_channels, -1).T
+    bound.gemm = scratch.rows(
+        "gemm", n, (out_h * out_w, out_channels), np.result_type(x.dtype, weight.dtype)
+    )
+    bound.bias_row = None if bias is None else bias.reshape(1, 1, -1)
+    bound.gemm_t = bound.gemm.transpose(0, 2, 1)
+    bound.out = scratch.rows("out", n, (out_channels, out_h, out_w), x.dtype)
+    bound.flat_out = bound.out.reshape(n, out_channels, out_h * out_w)
+    return scratch.bind(x.shape, bound)
 
 
-def batchnorm_step(
-    x: np.ndarray,
-    mean: np.ndarray,
-    std: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    scale: Optional[np.ndarray],
-    scratch: Scratch,
-) -> np.ndarray:
+def conv2d_step(bound: ConvBinding, x: np.ndarray) -> np.ndarray:
+    """Forward of ``functional.conv2d``: gather + batched GEMM, all bound."""
+    bound.patches.fill(x)
+    gemm = bound.gemm
+    np.matmul(bound.patches.cols, bound.weight_t, out=gemm)
+    if bound.bias_row is not None:
+        np.add(gemm, bound.bias_row, out=gemm)
+    np.copyto(bound.flat_out, bound.gemm_t)
+    return bound.out
+
+
+# --------------------------------------------------------------------------- #
+# Batch norm
+# --------------------------------------------------------------------------- #
+class NormBinding:
+    __slots__ = ("dtype", "sources", "mean", "std", "gamma", "beta", "sub", "out")
+
+
+def bind_norm(scratch: Scratch, x: np.ndarray, running_mean: np.ndarray,
+              std: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> NormBinding:
+    """Bind eval-mode (temporal) batch norm for inputs shaped like ``x``.
+
+    ``std`` is the ``sqrt(var + eps)`` denominator, already ``(1, C, 1, 1)``.
+    """
+    n, row = x.shape[0], x.shape[1:]
+    bound = NormBinding()
+    bound.dtype = x.dtype
+    bound.sources = (running_mean, std, gamma, beta)
+    bound.mean = running_mean.reshape(1, -1, 1, 1)
+    bound.std = std
+    bound.gamma = gamma.reshape(1, -1, 1, 1)
+    bound.beta = beta.reshape(1, -1, 1, 1)
+    bound.sub = scratch.rows("sub", n, row, np.result_type(x.dtype, running_mean.dtype))
+    bound.out = scratch.rows("out", n, row, np.result_type(bound.sub.dtype, std.dtype))
+    return scratch.bind(x.shape, bound)
+
+
+def batchnorm_step(bound: NormBinding, x: np.ndarray,
+                   scale: Optional[np.ndarray]) -> np.ndarray:
     """Eval-mode (temporal) batch norm as one fused elementwise chain.
 
     Mirrors the Tensor op order *and dtype promotion* exactly — subtract in
@@ -172,139 +313,216 @@ def batchnorm_step(
     ``REPRO_FLOAT64=1`` folding is disabled and block norms run through
     this kernel too, reproducing the legacy promotion chain.
     """
-    sub = ensure_buffer(scratch, "sub", x.shape, np.result_type(x.dtype, mean.dtype))
-    np.subtract(x, mean, out=sub)
-    out = ensure_buffer(scratch, "out", x.shape, np.result_type(sub.dtype, std.dtype))
-    np.divide(sub, std, out=out)
-    np.multiply(out, gamma, out=out)
+    out = bound.out
+    np.subtract(x, bound.mean, out=bound.sub)
+    np.divide(bound.sub, bound.std, out=out)
+    np.multiply(out, bound.gamma, out=out)
     if scale is not None:
         np.multiply(out, scale, out=out)
-    np.add(out, beta, out=out)
+    np.add(out, bound.beta, out=out)
     return out
 
 
-def lif_step(
-    current: np.ndarray,
-    membrane: Optional[np.ndarray],
-    tau: np.ndarray,
-    v_threshold: float,
-    v_th_scalar: np.ndarray,
-    reset: str,
-    scratch: Scratch,
-) -> Tuple[np.ndarray, np.ndarray, float]:
+# --------------------------------------------------------------------------- #
+# LIF
+# --------------------------------------------------------------------------- #
+class LIFBinding:
+    """Buffers of one LIF update whose integrated potential has one dtype.
+
+    ``fresh`` is the binding a step without a membrane runs in: this one
+    when the input current already has the steady-state dtype (always, under
+    the default policy), else a second chain resolved from the current's own
+    dtype — under ``REPRO_FLOAT64=1`` a float32 current promotes only from
+    its second timestep on, exactly like the Tensor path.
+    """
+
+    __slots__ = ("dtype", "reset", "u", "fired", "spikes", "tmp", "membrane",
+                 "count_exact", "fresh")
+
+
+def _lif_chain(scratch: Scratch, shape: Tuple[int, ...], u_dtype,
+               v_th_scalar: np.ndarray, reset: str, prefix: str) -> LIFBinding:
+    n, row = shape[0], shape[1:]
+    bound = LIFBinding()
+    bound.reset = reset
+    bound.u = scratch.rows(prefix + "u", n, row, u_dtype)
+    bound.fired = scratch.rows(prefix + "fired", n, row, np.bool_)
+    bound.spikes = scratch.rows(prefix + "spikes", n, row, u_dtype)
+    # Hard reset, membrane * (ones_like(spikes) - spikes): stays in the
+    # spike dtype.  Soft reset, membrane - spikes * V_th: the scalar adopts
+    # the spike dtype (or promotes it under the legacy escape hatch).
+    tmp_dtype = u_dtype if reset == "hard" else np.result_type(u_dtype, v_th_scalar.dtype)
+    bound.tmp = scratch.rows(prefix + "tmp", n, row, tmp_dtype)
+    bound.membrane = scratch.rows(
+        prefix + "membrane", n, row, np.result_type(u_dtype, tmp_dtype)
+    )
+    bound.count_exact = bound.spikes.size <= _EXACT_FLOAT32_COUNT
+    bound.fresh = bound
+    return bound
+
+
+def bind_lif(scratch: Scratch, current: np.ndarray, tau: np.ndarray,
+             v_th_scalar: np.ndarray, reset: str) -> LIFBinding:
+    """Bind one LIF timestep for currents shaped (and typed) like ``current``.
+
+    The steady-state potential ``u = m*tau + I`` has the dtype
+    ``result_type(I, tau)``: the membrane itself is an earlier ``u`` combined
+    with ``V_th``, which is materialized at ``tau``'s dtype.
+    """
+    steady = _lif_chain(
+        scratch, current.shape, np.result_type(current.dtype, tau.dtype),
+        v_th_scalar, reset, "",
+    )
+    if steady.u.dtype != current.dtype:
+        steady.fresh = _lif_chain(
+            scratch, current.shape, current.dtype, v_th_scalar, reset, "fresh_"
+        )
+    steady.dtype = current.dtype
+    return scratch.bind(current.shape, steady)
+
+
+def lif_step(bound: LIFBinding, current: np.ndarray, membrane: Optional[np.ndarray],
+             tau: np.ndarray, v_threshold: float, v_th_scalar: np.ndarray) -> LIFBinding:
     """One LIF timestep fused into a single kernel: charge, fire, reset.
 
     Replicates :meth:`LIFNeuron.forward` op for op — ``u = m*tau + I``, hard
-    reset ``u * (1 - s)`` or soft reset ``u - s*V_th`` — and returns
-    ``(spikes, new_membrane, spike_count)``.  A ``membrane`` of ``None`` (or
-    of a stale shape) is a fresh state, matching the layer's semantics.
-    ``tau`` and ``v_th_scalar`` arrive as the 0-d arrays ``as_tensor`` gives
-    those scalars on the Tensor path (float32 under the default policy,
-    float64 under ``REPRO_FLOAT64=1``): the plan materializes them once at
-    lowering (:class:`~repro.runtime.plan.LIFOp`), because plans are
-    mode-bound and the dtype mode must not be re-read per timestep.
+    reset ``u * (1 - s)`` or soft reset ``u - s*V_th`` — and returns the
+    binding whose ``spikes`` / ``membrane`` now hold the results.  A
+    ``membrane`` of ``None`` is a fresh state.  ``tau`` and ``v_th_scalar``
+    arrive as the 0-d arrays ``as_tensor`` gives those scalars on the Tensor
+    path (float32 under the default policy, float64 under
+    ``REPRO_FLOAT64=1``): the plan materializes them once at lowering
+    (:class:`~repro.runtime.plan.LIFOp`), because plans are mode-bound and
+    the dtype mode must not be re-read per timestep.
     """
-    if membrane is not None and membrane.shape != current.shape:
-        membrane = None
     if membrane is None:
+        bound = bound.fresh
         u = current
     else:
-        u = ensure_buffer(
-            scratch, "u", current.shape,
-            np.result_type(membrane.dtype, tau.dtype, current.dtype),
-        )
+        u = bound.u
         np.multiply(membrane, tau, out=u)
         np.add(u, current, out=u)
-
-    fired = ensure_buffer(scratch, "fired", u.shape, np.bool_)
-    np.greater(u, v_threshold, out=fired)
-    spikes = ensure_buffer(scratch, "spikes", u.shape, u.dtype)
-    np.copyto(spikes, fired)
-
-    if reset == "hard":
-        # membrane * (ones_like(spikes) - spikes): stays in the spike dtype,
-        # then promotes against u.
-        tmp = ensure_buffer(scratch, "tmp", u.shape, spikes.dtype)
+    spikes, tmp = bound.spikes, bound.tmp
+    np.greater(u, v_threshold, out=bound.fired)
+    np.copyto(spikes, bound.fired)
+    if bound.reset == "hard":
         np.subtract(1.0, spikes, out=tmp)  # dtype-ok: NEP-50 weak scalar: 1.0 adopts the spikes dtype, same as the Tensor path's ones_like
+        np.multiply(u, tmp, out=bound.membrane)
     else:
-        # membrane - spikes * V_th: the scalar adopts the spike dtype (or
-        # promotes to float64 under the legacy escape hatch).
-        tmp = ensure_buffer(
-            scratch, "tmp", u.shape, np.result_type(spikes.dtype, v_th_scalar.dtype)
-        )
         np.multiply(spikes, v_th_scalar, out=tmp)
-    new_membrane = ensure_buffer(
-        scratch, "membrane", u.shape, np.result_type(u.dtype, tmp.dtype)
-    )
-    if reset == "hard":
-        np.multiply(u, tmp, out=new_membrane)
-    else:
-        np.subtract(u, tmp, out=new_membrane)
-    spike_count = float(spikes.sum())
-    return spikes, new_membrane, spike_count
+        np.subtract(u, tmp, out=bound.membrane)
+    return bound
 
 
-def _pool_taps(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
-    """The ``kernel**2`` strided slices of ``x``, in im2col column order."""
-    for i in range(kernel):
-        for j in range(kernel):
-            yield x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+def spike_count(bound: LIFBinding) -> float:
+    """``float(spikes.sum())`` of the last step — the layer's bookkeeping.
 
-
-def avg_pool_step(x: np.ndarray, kernel: int, stride: int, scratch: Scratch) -> np.ndarray:
-    """Forward of ``functional.avg_pool2d`` with reused buffers.
-
-    For small windows (``kernel**2 <= 8``, i.e. the ubiquitous 2x2 pool) the
-    window mean is accumulated directly from strided slices: NumPy's pairwise
-    summation degenerates to a plain sequential loop for reductions of at
-    most eight elements, so adding the taps in im2col column order produces
-    the exact same float grouping as ``cols.mean(axis=3)`` — without
-    materializing the patch matrix at all.  Larger windows (the ResNet global
-    pool) keep the faithful im2col + ``mean`` path.
+    Counting the boolean fire mask is exact; so is the Tensor path's sum of
+    0/1 values while the tensor has at most 2**24 elements.  Beyond that a
+    float32 sum rounds, and the same sum is taken here to round with it.
     """
+    if bound.count_exact:
+        return float(np.count_nonzero(bound.fired))
+    return float(np.sum(bound.spikes))
+
+
+# --------------------------------------------------------------------------- #
+# Pooling
+# --------------------------------------------------------------------------- #
+class PoolTapsBinding:
+    """The ``kernel**2`` strided slices of one input buffer, im2col order."""
+
+    __slots__ = ("source", "first", "second", "rest", "window", "out")
+
+
+def bind_pool_taps(scratch: Scratch, x: np.ndarray, kernel: int,
+                   stride: int) -> PoolTapsBinding:
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
-    if kernel * kernel <= 8:
-        acc = ensure_buffer(scratch, "acc", (n, c, out_h, out_w), x.dtype)
-        first = True
-        for tap in _pool_taps(x, kernel, stride, out_h, out_w):
-            if first:
-                np.copyto(acc, tap)
-                first = False
-            else:
-                np.add(acc, tap, out=acc)
-        np.divide(acc, kernel * kernel, out=acc)
-        return acc
-    cols, out_h, out_w = im2col_cached(x, kernel, stride, 0, scratch)
-    cols4 = cols.reshape(n, out_h * out_w, c, kernel * kernel)
-    pooled = ensure_buffer(scratch, "pooled", (n, out_h * out_w, c), x.dtype)
-    cols4.mean(axis=3, out=pooled)
-    out = ensure_buffer(scratch, "out", (n, c, out_h, out_w), x.dtype)
-    np.copyto(out.reshape(n, c, out_h * out_w), pooled.transpose(0, 2, 1))
+    taps = [
+        x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        for i in range(kernel)
+        for j in range(kernel)
+    ]
+    bound = PoolTapsBinding()
+    bound.source = x
+    bound.first = taps[0]
+    bound.second = taps[1] if len(taps) > 1 else None
+    bound.rest = tuple(taps[2:])
+    bound.window = kernel * kernel
+    bound.out = scratch.rows("out", n, (c, out_h, out_w), x.dtype)
+    return scratch.bind(x.shape, bound)
+
+
+def avg_pool_taps_step(bound: PoolTapsBinding) -> np.ndarray:
+    """Forward of ``functional.avg_pool2d`` for windows of at most 8 taps.
+
+    NumPy's pairwise summation degenerates to a plain sequential loop for
+    reductions of at most eight elements, so adding the taps in im2col
+    column order — ``((a + b) + c) + d`` — produces the exact same float
+    grouping as ``cols.mean(axis=3)``, without materializing the patch
+    matrix at all.
+    """
+    out = bound.out
+    if bound.second is None:
+        np.copyto(out, bound.first)
+    else:
+        np.add(bound.first, bound.second, out=out)
+        for tap in bound.rest:
+            np.add(out, tap, out=out)
+    np.divide(out, bound.window, out=out)
     return out
 
 
-def max_pool_step(x: np.ndarray, kernel: int, stride: int, scratch: Scratch) -> np.ndarray:
+def max_pool_step(bound: PoolTapsBinding) -> np.ndarray:
     """Forward of ``functional.max_pool2d`` (values only; no argmax needed).
 
     ``max`` is an order-invariant reduction, so the strided-slice form is
     exact for every window size.
     """
+    out = bound.out
+    if bound.second is None:
+        np.copyto(out, bound.first)
+    else:
+        np.maximum(bound.first, bound.second, out=out)
+        for tap in bound.rest:
+            np.maximum(out, tap, out=out)
+    return out
+
+
+class PoolColsBinding:
+    __slots__ = ("dtype", "patches", "windows", "pooled", "pooled_t", "flat_out", "out")
+
+
+def bind_avg_pool_cols(scratch: Scratch, x: np.ndarray, index: np.ndarray,
+                       kernel: int, stride: int) -> PoolColsBinding:
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
-    acc = ensure_buffer(scratch, "acc", (n, c, out_h, out_w), x.dtype)
-    first = True
-    for tap in _pool_taps(x, kernel, stride, out_h, out_w):
-        if first:
-            np.copyto(acc, tap)
-            first = False
-        else:
-            np.maximum(acc, tap, out=acc)
-    return acc
+    bound = PoolColsBinding()
+    bound.dtype = x.dtype
+    bound.patches = _Cols(scratch, x, index, kernel, 0)
+    bound.windows = bound.patches.cols.reshape(n, out_h * out_w, c, kernel * kernel)
+    bound.pooled = scratch.rows("pooled", n, (out_h * out_w, c), x.dtype)
+    bound.pooled_t = bound.pooled.transpose(0, 2, 1)
+    bound.out = scratch.rows("out", n, (c, out_h, out_w), x.dtype)
+    bound.flat_out = bound.out.reshape(n, c, out_h * out_w)
+    return scratch.bind(x.shape, bound)
 
 
+def avg_pool_cols_step(bound: PoolColsBinding, x: np.ndarray) -> np.ndarray:
+    """Forward of ``functional.avg_pool2d`` for larger windows (the ResNet
+    global pool): the faithful im2col + ``mean`` form."""
+    bound.patches.fill(x)
+    bound.windows.mean(axis=3, out=bound.pooled)
+    np.copyto(bound.flat_out, bound.pooled_t)
+    return bound.out
+
+
+# --------------------------------------------------------------------------- #
+# Linear / ReLU / residual add
+# --------------------------------------------------------------------------- #
 def linear_step(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]) -> np.ndarray:
     """Forward of ``functional.linear``.
 
@@ -318,17 +536,38 @@ def linear_step(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]) -
     return out
 
 
-def relu_step(x: np.ndarray, scratch: Scratch) -> np.ndarray:
+class ReLUBinding:
+    __slots__ = ("dtype", "mask", "out")
+
+
+def bind_relu(scratch: Scratch, x: np.ndarray) -> ReLUBinding:
+    n, row = x.shape[0], x.shape[1:]
+    bound = ReLUBinding()
+    bound.dtype = x.dtype
+    bound.mask = scratch.rows("mask", n, row, np.bool_)
+    bound.out = scratch.rows("out", n, row, x.dtype)
+    return scratch.bind(x.shape, bound)
+
+
+def relu_step(bound: ReLUBinding, x: np.ndarray) -> np.ndarray:
     """Forward of ``Tensor.relu`` (``x * (x > 0)``)."""
-    mask = ensure_buffer(scratch, "mask", x.shape, np.bool_)
-    np.greater(x, 0, out=mask)
-    out = ensure_buffer(scratch, "out", x.shape, x.dtype)
-    np.multiply(x, mask, out=out)
-    return out
+    np.greater(x, 0, out=bound.mask)
+    np.multiply(x, bound.mask, out=bound.out)
+    return bound.out
 
 
-def add_step(a: np.ndarray, b: np.ndarray, scratch: Scratch) -> np.ndarray:
+class AddBinding:
+    __slots__ = ("dtype", "dtype2", "out")
+
+
+def bind_add(scratch: Scratch, a: np.ndarray, b: np.ndarray) -> AddBinding:
+    bound = AddBinding()
+    bound.dtype, bound.dtype2 = a.dtype, b.dtype
+    bound.out = scratch.rows("out", a.shape[0], a.shape[1:], np.result_type(a.dtype, b.dtype))
+    return scratch.bind(a.shape, bound)
+
+
+def add_step(bound: AddBinding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Residual sum (``Tensor.__add__`` forward)."""
-    out = ensure_buffer(scratch, "out", a.shape, np.result_type(a.dtype, b.dtype))
-    np.add(a, b, out=out)
-    return out
+    np.add(a, b, out=bound.out)
+    return bound.out

@@ -117,6 +117,13 @@ class PlanOp:
     worker threads), so all per-session knobs — scratch buffers, membrane
     state, the ``stats`` statistics toggle — travel through :meth:`run`'s
     arguments instead of op attributes.
+
+    :meth:`run` is *bind once, replay* (:mod:`repro.runtime.kernels`): it
+    looks the binding for its input's shape up in ``scratch`` (a
+    :class:`~repro.runtime.kernels.Scratch`), rebinds when there is none or
+    when a live array the binding captured — a weight, a norm statistic,
+    the input buffer a pool holds taps of — is no longer the same object,
+    and replays the bound kernel.
     """
 
     __slots__ = ("src", "dst")
@@ -140,7 +147,67 @@ class PlanOp:
         return f"{type(self).__name__}(r{self.src} -> r{self.dst})"
 
 
-class ConvOp(PlanOp):
+class _WindowOp(PlanOp):
+    """An op that unrolls input patches (conv, large-window pooling).
+
+    It owns the im2col gather index of the input geometry it last ran on
+    (:func:`repro.runtime.kernels.gather_index`): a derived constant like
+    :class:`NormOp`'s denominator — built once per geometry, checked where
+    it is built (:func:`repro.analysis.planverify.verify_gather_index`),
+    independent of the batch width and shared by every executor of the plan.
+    """
+
+    __slots__ = ("_gather",)
+
+    def __init__(self, src: int, dst: int):
+        super().__init__(src, dst)
+        self._gather: Optional[Tuple[tuple, np.ndarray]] = None
+
+    def _gather_index(self, x: np.ndarray, kernel: int, stride: int,
+                      padding: int) -> np.ndarray:
+        geometry = (x.shape[1:], kernel, stride, padding)
+        cached = self._gather
+        if cached is None or cached[0] != geometry:
+            from ..analysis.planverify import verify_gather_index
+
+            index = kernels.gather_index(*x.shape[1:], kernel, stride, padding)
+            verify_gather_index(index, *geometry, op=self)
+            cached = self._gather = (geometry, index)
+        return cached[1]
+
+    def _conv(self, regs, scratch, conv: Conv2d, weight: np.ndarray,
+              bias: Optional[np.ndarray]) -> None:
+        x = regs[self.src]
+        bound = scratch.bindings.get(x.shape)
+        if (
+            bound is None
+            or bound.weight is not weight
+            or bound.bias is not bias
+            or bound.dtype != x.dtype
+        ):
+            geometry = (conv.kernel_size, conv.stride, conv.padding)
+            bound = kernels.bind_conv(
+                scratch, x, weight, bias, self._gather_index(x, *geometry), *geometry
+            )
+        regs[self.dst] = kernels.conv2d_step(bound, x)
+
+    def _avg_pool(self, regs, scratch, kernel: int, stride: int) -> None:
+        x = regs[self.src]
+        bound = scratch.bindings.get(x.shape)
+        if kernel * kernel <= 8:
+            # The ubiquitous 2x2 pool: summed straight from the taps.
+            if bound is None or bound.source is not x:
+                bound = kernels.bind_pool_taps(scratch, x, kernel, stride)
+            regs[self.dst] = kernels.avg_pool_taps_step(bound)
+            return
+        if bound is None or bound.dtype != x.dtype:
+            bound = kernels.bind_avg_pool_cols(
+                scratch, x, self._gather_index(x, kernel, stride, 0), kernel, stride
+            )
+        regs[self.dst] = kernels.avg_pool_cols_step(bound, x)
+
+
+class ConvOp(_WindowOp):
     __slots__ = ("module",)
 
     def __init__(self, src: int, dst: int, module: Conv2d):
@@ -149,10 +216,8 @@ class ConvOp(PlanOp):
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
         m = self.module
-        bias = None if m.bias is None else m.bias.data
-        regs[self.dst] = kernels.conv2d_step(
-            regs[self.src], m.weight.data, bias, m.kernel_size, m.stride, m.padding, scratch
-        )
+        self._conv(regs, scratch, m, m.weight.data,
+                   None if m.bias is None else m.bias.data)
 
 
 class NormOp(PlanOp):
@@ -186,20 +251,20 @@ class NormOp(PlanOp):
         return self._std
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
+        x = regs[self.src]
         m = self.module
-        channels = m.num_features
-        regs[self.dst] = kernels.batchnorm_step(
-            regs[self.src],
-            m.running_mean.reshape(1, -1, 1, 1),
-            self._denominator(),
-            m.weight.data.reshape(1, channels, 1, 1),
-            m.bias.data.reshape(1, channels, 1, 1),
-            self.scale,
-            scratch,
-        )
+        sources = (m.running_mean, self._denominator(), m.weight.data, m.bias.data)
+        bound = scratch.bindings.get(x.shape)
+        if (
+            bound is None
+            or bound.dtype != x.dtype
+            or any(a is not b for a, b in zip(sources, bound.sources))
+        ):
+            bound = kernels.bind_norm(scratch, x, *sources)
+        regs[self.dst] = kernels.batchnorm_step(bound, x, self.scale)
 
 
-class FoldedConvNormOp(PlanOp):
+class FoldedConvNormOp(_WindowOp):
     """A conv→norm pair executed as one GEMM with the norm folded in.
 
     The folded ``(weight, bias)`` arrays come from the *shared*
@@ -220,17 +285,14 @@ class FoldedConvNormOp(PlanOp):
         self.folded = folded
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        weight, bias = self.folded.plan_arrays()
-        regs[self.dst] = kernels.conv2d_step(
-            regs[self.src], weight, bias,
-            self.conv.kernel_size, self.conv.stride, self.conv.padding, scratch,
-        )
+        self._conv(regs, scratch, self.conv, *self.folded.plan_arrays())
 
 
 class LIFOp(PlanOp):
     """Fused LIF update.  ``tau`` / ``V_th`` are materialized here, once, as
     the 0-d arrays ``as_tensor`` gives them on the Tensor path under the
-    mode the plan is lowered in (the :class:`NormOp` ``scale`` idiom)."""
+    mode the plan is lowered in (the :class:`NormOp` ``scale`` idiom); the
+    module's ``v_threshold`` and ``reset`` are read live, every step."""
 
     __slots__ = ("module", "state_index", "tau", "v_th_scalar")
 
@@ -246,27 +308,29 @@ class LIFOp(PlanOp):
         return True
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
+        x = regs[self.src]
         m = self.module
-        spikes, membrane, spike_count = kernels.lif_step(
-            regs[self.src],
-            state[self.state_index],
-            self.tau,
-            m.v_threshold,
-            self.v_th_scalar,
-            m.reset,
-            scratch,
+        membrane = state[self.state_index]
+        if membrane is not None and membrane.shape != x.shape:
+            membrane = None  # stale state of another shape is fresh state
+        bound = scratch.bindings.get(x.shape)
+        if bound is None or bound.dtype != x.dtype or bound.reset != m.reset:
+            bound = kernels.bind_lif(scratch, x, self.tau, self.v_th_scalar, m.reset)
+        bound = kernels.lif_step(
+            bound, x, membrane, self.tau, m.v_threshold, self.v_th_scalar
         )
-        state[self.state_index] = membrane
+        state[self.state_index] = bound.membrane
         if stats:
             # Same bookkeeping (and float accumulation order) as the layer.
-            size = float(spikes.size)
+            spike_count = kernels.spike_count(bound)
+            size = float(bound.spikes.size)
             m.last_spike_rate = spike_count / size
             m.total_spikes += spike_count
             m.total_neuron_updates += size
-        regs[self.dst] = spikes
+        regs[self.dst] = bound.spikes
 
 
-class AvgPoolOp(PlanOp):
+class AvgPoolOp(_WindowOp):
     __slots__ = ("kernel", "stride")
 
     def __init__(self, src: int, dst: int, kernel: int, stride: int):
@@ -275,7 +339,7 @@ class AvgPoolOp(PlanOp):
         self.stride = stride
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        regs[self.dst] = kernels.avg_pool_step(regs[self.src], self.kernel, self.stride, scratch)
+        self._avg_pool(regs, scratch, self.kernel, self.stride)
 
 
 class MaxPoolOp(PlanOp):
@@ -287,10 +351,14 @@ class MaxPoolOp(PlanOp):
         self.stride = stride
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        regs[self.dst] = kernels.max_pool_step(regs[self.src], self.kernel, self.stride, scratch)
+        x = regs[self.src]
+        bound = scratch.bindings.get(x.shape)
+        if bound is None or bound.source is not x:
+            bound = kernels.bind_pool_taps(scratch, x, self.kernel, self.stride)
+        regs[self.dst] = kernels.max_pool_step(bound)
 
 
-class AdaptiveAvgPoolOp(PlanOp):
+class AdaptiveAvgPoolOp(_WindowOp):
     __slots__ = ("output_size",)
 
     def __init__(self, src: int, dst: int, output_size: int):
@@ -298,12 +366,11 @@ class AdaptiveAvgPoolOp(PlanOp):
         self.output_size = output_size
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        x = regs[self.src]
-        h, w = x.shape[2], x.shape[3]
+        h, w = regs[self.src].shape[2:]
         if h % self.output_size or w % self.output_size:
             raise ValueError("adaptive_avg_pool2d requires divisible spatial dims")
         kernel = h // self.output_size
-        regs[self.dst] = kernels.avg_pool_step(x, kernel, kernel, scratch)
+        self._avg_pool(regs, scratch, kernel, kernel)
 
 
 class FlattenOp(PlanOp):
@@ -331,7 +398,11 @@ class ReLUOp(PlanOp):
     __slots__ = ()
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        regs[self.dst] = kernels.relu_step(regs[self.src], scratch)
+        x = regs[self.src]
+        bound = scratch.bindings.get(x.shape)
+        if bound is None or bound.dtype != x.dtype:
+            bound = kernels.bind_relu(scratch, x)
+        regs[self.dst] = kernels.relu_step(bound, x)
 
 
 class AddOp(PlanOp):
@@ -346,7 +417,11 @@ class AddOp(PlanOp):
         return (self.src, self.src2)
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        regs[self.dst] = kernels.add_step(regs[self.src], regs[self.src2], scratch)
+        a, b = regs[self.src], regs[self.src2]
+        bound = scratch.bindings.get(a.shape)
+        if bound is None or bound.dtype != a.dtype or bound.dtype2 != b.dtype:
+            bound = kernels.bind_add(scratch, a, b)
+        regs[self.dst] = kernels.add_step(bound, a, b)
 
 
 # --------------------------------------------------------------------------- #

@@ -10,9 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.planverify import PlanVerificationError, verify_plan
+from repro.analysis.planverify import (
+    PlanVerificationError,
+    verify_gather_index,
+    verify_plan,
+)
 from repro.autograd import float64_enabled
-from repro.runtime import compile_network
+from repro.runtime import PlanExecutor, compile_network, kernels
+from repro.runtime.kernels import gather_index
 from repro.runtime.plan import FoldedConvNormOp, LIFOp, LinearOp
 from repro.snn import spiking_resnet, spiking_vgg
 from repro.utils import seed_everything
@@ -241,3 +246,65 @@ class TestCompileIntegration:
         message = str(info.value)
         assert message.startswith("plan verification failed: op[2]")
         assert f"r{plan.ops[0].dst}" in message
+
+
+class TestGatherIndex:
+    """The im2col gather index is checked where it is built: the kernels
+    gather with a non-raising ``np.take`` mode, so a wrong entry would read
+    the wrong pixel silently."""
+
+    GEOMETRY = dict(input_shape=(3, 6, 5), kernel=3, stride=2, padding=1)
+
+    def _index(self):
+        channels, height, width = self.GEOMETRY["input_shape"]
+        return gather_index(channels, height, width, 3, 2, 1)
+
+    def test_built_index_verifies_and_is_returned(self):
+        index = self._index()
+        assert verify_gather_index(index, **self.GEOMETRY) is index
+
+    def test_out_of_range_entry_rejected(self):
+        index = self._index()
+        index[7] = 3 * (6 + 2) * (5 + 2)  # one past the padded sample
+        with pytest.raises(PlanVerificationError, match="outside the padded sample"):
+            verify_gather_index(index, **self.GEOMETRY)
+        index[7] = -1
+        with pytest.raises(PlanVerificationError, match="outside the padded sample"):
+            verify_gather_index(index, **self.GEOMETRY)
+
+    def test_wrong_length_or_dtype_rejected(self):
+        index = self._index()
+        with pytest.raises(PlanVerificationError, match="out_h\\*out_w\\*C\\*k\\*k"):
+            verify_gather_index(index[:-1], **self.GEOMETRY)
+        with pytest.raises(PlanVerificationError, match="intp"):
+            verify_gather_index(index.astype(np.int32), **self.GEOMETRY)
+
+    def test_in_range_but_misplaced_entry_names_the_position(self):
+        index = self._index()
+        middle = index.size // 2  # a window over real pixels, not padding
+        index[[middle, middle + 1]] = index[[middle + 1, middle]]  # in range, wrong order
+        with pytest.raises(PlanVerificationError) as info:
+            verify_gather_index(index, **self.GEOMETRY)
+        assert f"disagrees with autograd.ops.im2col at entry {middle}" in str(info.value)
+
+    def test_doctored_index_fails_the_first_step_and_names_the_op(self, monkeypatch):
+        """End to end: an executor whose conv would gather through a bad
+        index never runs it — building it raises, naming the op."""
+        plan = _vgg_plan()
+        executor = PlanExecutor(plan)
+        real = kernels.gather_index
+
+        def doctored(*geometry):
+            index = real(*geometry)
+            middle = index.size // 2
+            index[[middle, middle + 1]] = index[[middle + 1, middle]]
+            return index
+
+        monkeypatch.setattr(kernels, "gather_index", doctored)
+        frame = np.zeros((2, 3, 8, 8), dtype=np.float32)
+        with pytest.raises(PlanVerificationError) as info:
+            executor.step(frame)
+        assert plan.ops[0].describe() in str(info.value)
+        assert plan.ops[0]._gather is None  # nothing cached, nothing bound
+        monkeypatch.undo()
+        assert executor.step(frame).shape == (2, 5)

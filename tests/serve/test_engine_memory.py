@@ -56,12 +56,16 @@ def _leading_rows(engine: InferenceEngine):
     arrays = [engine._local_t, engine._stamped, engine._horizons]
     if engine._running_sum is not None:
         arrays.append(engine._running_sum)
-    for scratch in executor._scratch + executor._side_scratch + [executor._memo_scratch]:
-        arrays.extend(scratch.values())
+    widths = []
+    for scratch in executor._scratch + [executor._row_scratch]:
+        # The capacity buffers are the only bytes an op's scratch owns; its
+        # bindings are views of them, keyed by the input shape they serve.
+        arrays.extend(scratch.buffers.values())
+        widths.extend(shape[0] for shape in scratch.bindings)
     for membrane in executor._membranes:
         if membrane is not None:
             arrays.append(membrane if membrane.base is None else membrane.base)
-    return [array.shape[0] for array in arrays]
+    return widths + [array.shape[0] for array in arrays]
 
 
 def test_resident_memory_is_bounded_by_batch_width_and_memo_capacity():

@@ -133,8 +133,10 @@ def test_executor_internals_are_float32():
     for register in executor._registers:
         if register is not None:
             _assert_float32("executor register", register)
-    for op_scratch in executor._scratch:
-        for key, buffer in op_scratch.items():
+    scratches = executor._scratch + [executor._row_scratch]
+    assert any(op_scratch.buffers for op_scratch in scratches)
+    for op_scratch in scratches:
+        for key, buffer in op_scratch.buffers.items():
             if buffer.dtype == np.bool_:  # fire/relu masks are boolean
                 continue
             _assert_float32(f"scratch buffer {key!r}", buffer)
