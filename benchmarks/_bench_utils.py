@@ -45,7 +45,7 @@ from repro.training import (  # noqa: E402
     collect_cumulative_logits,
     evaluate_per_timestep_accuracy,
 )
-from repro.utils import seed_everything  # noqa: E402
+from repro.utils import env_flag, seed_everything  # noqa: E402
 
 # --------------------------------------------------------------------------- #
 # Benchmark-scale experiment configuration
@@ -66,7 +66,7 @@ IMAGE_SIZE = 10
 # exits actually firing, accuracy orderings); shrinking only the sample
 # count keeps those properties while cutting training cost.  Absolute
 # numbers in smoke reports are NOT comparable to full runs.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in ("1", "true", "on", "yes")
+SMOKE = env_flag("REPRO_BENCH_SMOKE", False)
 
 
 def _smoke_samples(full: int) -> int:
@@ -303,7 +303,9 @@ def machine_info() -> Dict[str, object]:
 
 
 def emit_bench_json(name: str, payload: Dict[str, object]) -> Path:
-    """Write ``BENCH_<name>.json`` at the repository root.
+    """Write ``BENCH_<name>.json`` at the repository root
+    (``BENCH_<name>.smoke.json`` under smoke, so a smoke run never overwrites
+    the committed trajectory).
 
     The machine-readable twin of the prose report: every ``bench_serve_*``
     script calls this with its headline numbers (req/s, percentiles,
@@ -315,7 +317,8 @@ def emit_bench_json(name: str, payload: Dict[str, object]) -> Path:
     import json
     import time as _time
 
-    path = Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
+    suffix = ".smoke.json" if SMOKE else ".json"
+    path = Path(__file__).resolve().parent.parent / f"BENCH_{name}{suffix}"
     document = {
         "bench": name,
         "schema_version": 1,

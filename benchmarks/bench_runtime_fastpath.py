@@ -41,7 +41,7 @@ WALK_WIDTHS = (8, 5)
 ROUNDS = 40
 # Op class -> the group it is reported under (perf/layers.py's grouping).
 OP_GROUPS = {
-    "ConvOp": "conv", "FoldedConvNormOp": "conv", "NormOp": "norm",
+    "ConvOp": "conv", "FoldedConvNormOp": "conv",
     "LIFOp": "lif", "LinearOp": "linear",
     "AvgPoolOp": "pool", "MaxPoolOp": "pool", "AdaptiveAvgPoolOp": "pool",
 }

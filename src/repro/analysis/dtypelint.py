@@ -16,8 +16,9 @@ module, ``repro.autograd.dtypes`` — but nothing stopped the *next* bare
     ``np.asarray``/``np.array`` without an explicit ``dtype=`` in the
     kernel modules (``runtime/kernels.py``, ``runtime/executor.py``,
     ``runtime/plan.py``, ``runtime/arena.py``), where operand coercion must
-    go through ``repro.autograd.dtypes.coerce_array`` so the legacy
-    ``REPRO_FLOAT64`` mode keeps reproducing the seed bit-for-bit.
+    go through ``repro.autograd.dtypes.coerce_array``: a bare
+    ``np.asarray(scalar)`` is a float64 0-d array that promotes everything
+    it touches.
 
 ``float-literal-operand``
     A Python ``float`` literal passed positionally to a ``np.*`` callable
@@ -132,8 +133,8 @@ class _DtypeVisitor(ast.NodeVisitor):
                 self._flag(
                     node, "naked-coercion",
                     f"np.{func.attr} without dtype in a kernel module — "
-                    "operand coercion must go through coerce_array so the "
-                    "REPRO_FLOAT64 legacy mode stays bit-exact",
+                    "operand coercion must go through coerce_array so no "
+                    "float64 0-d scalar leaks into the float32 chain",
                 )
         if self.in_hot_module and _is_numpy_call(node):
             for arg in node.args:

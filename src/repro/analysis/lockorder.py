@@ -39,6 +39,8 @@ import threading
 import traceback
 from typing import Dict, List, Optional, Union
 
+from ..utils.validation import env_flag
+
 __all__ = [
     "LockOrderError",
     "NamedLock",
@@ -51,16 +53,13 @@ __all__ = [
     "dump_graph",
 ]
 
-_TRUTHY = ("1", "true", "on", "yes")
-
-
 def lock_check_enabled() -> bool:
     """Whether ``REPRO_LOCK_CHECK`` asks for tracked locks.
 
     Read at *lock construction* time, never per-acquisition: flipping the
     variable mid-process only affects locks created afterwards.
     """
-    return os.environ.get("REPRO_LOCK_CHECK", "").strip().lower() in _TRUTHY
+    return env_flag("REPRO_LOCK_CHECK", False)
 
 
 class LockOrderError(RuntimeError):

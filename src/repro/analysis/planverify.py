@@ -11,19 +11,18 @@ written; every other register is written exactly once, before any read; the
 output register is written; every index is in ``[0, num_registers)``.
 
 **Shape propagation.**  Symbolic ``(C, H, W)`` shapes (batch elided, unknown
-dims ``None``) flow through ``ConvOp → NormOp/FoldedConvNormOp → LIFOp →
+dims ``None``) flow through ``ConvOp/FoldedConvNormOp → LIFOp →
 pool → LinearOp → AddOp`` and are checked against each op's stored
-constants: conv weight geometry vs the module's kernel/stride/padding, norm
-feature counts vs incoming channels, linear fan-in vs the flattened width,
-residual-add operand compatibility.  Passing ``input_shape`` makes the
+constants: conv weight geometry vs the module's kernel/stride/padding,
+linear fan-in vs the flattened width, residual-add operand compatibility.  Passing ``input_shape`` makes the
 spatial dims concrete; without it, channel/feature bookkeeping is still
 exact (convs pin the channel count) and spatial checks degrade gracefully.
 
-**Dtype propagation.**  Under the default weak-scalar float32 policy
-(docs/NUMERICS.md) the verifier proves the whole plan is float32-closed:
-every stored constant and every register dtype must be float32.  Under the
-``REPRO_FLOAT64=1`` escape hatch scalars deliberately promote, so constants
-may be float32 or float64 and register dtypes are not pinned.
+**Dtype propagation.**  The stack is weak-scalar float32
+(docs/NUMERICS.md) and the verifier proves the whole plan float32-closed:
+every stored constant and every lowered scalar must be float32.  Register 0
+is float32 (every encoder emits it) and every op keeps its input's dtype
+next to float32 constants, so every register is float32 by induction.
 
 **Stem/liveness metadata.**  ``stem_len``, ``stem_registers`` and
 ``output_needs_copy`` are recomputed from the op list and compared — these
@@ -33,10 +32,9 @@ value silently corrupts results.  The liveness half: any register read
 the input — otherwise a cached-stem replay would read a register nobody
 restored.
 
-**Mode invariants.**  Folded conv+norm ops are forbidden under training
-mode, under ``REPRO_FLOAT64`` (``float64_mode`` plans and inactive folds),
-and on instrumented modules (instance-level ``forward`` overrides) — the
-same gates the Tensor path applies in
+**Fold invariants.**  Folded conv+norm ops are forbidden under training
+mode and on instrumented modules (instance-level ``forward`` overrides) —
+the same gates the Tensor path applies in
 :func:`repro.snn.architectures._conv_norm_forward`.
 
 **Gather indices.**  The one derived constant that exists only once an
@@ -57,7 +55,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd.dtypes import float64_enabled
 from ..autograd.ops import conv_output_size, im2col
 from ..runtime.plan import (
     AddOp,
@@ -70,7 +67,6 @@ from ..runtime.plan import (
     LIFOp,
     LinearOp,
     MaxPoolOp,
-    NormOp,
     PlanOp,
     ReLUOp,
 )
@@ -78,7 +74,6 @@ from ..runtime.plan import (
 __all__ = ["PlanVerificationError", "verify_plan", "verify_gather_index"]
 
 _FLOAT32 = np.dtype(np.float32)
-_FLOAT64 = np.dtype(np.float64)  # dtype-ok: dtype constant used for verification comparisons only, never constructs data
 
 # A register's abstract shape: ("chw", C, H, W) for feature maps or
 # ("flat", F) for flattened rows; dims are ints or None (unknown).  The
@@ -131,17 +126,9 @@ def _merge_dims(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return a if b is None else b
 
 
-def _check_constant_dtype(
-    array: np.ndarray, what: str, index: int, float64_mode: bool
-) -> None:
+def _check_constant_dtype(array: np.ndarray, what: str, index: int) -> None:
     dtype = np.asarray(array).dtype
-    if float64_mode:
-        if dtype not in (_FLOAT32, _FLOAT64):
-            raise PlanVerificationError(
-                f"{what} must be float32/float64 under REPRO_FLOAT64",
-                op_index=index, expected="float32|float64", found=str(dtype),
-            )
-    elif dtype != _FLOAT32:
+    if dtype != _FLOAT32:
         raise PlanVerificationError(
             f"{what} violates the weak-scalar float32 policy",
             op_index=index, expected="float32", found=str(dtype),
@@ -153,10 +140,6 @@ class _Interp:
 
     def __init__(self, plan: CompiledPlan, input_shape: Optional[Sequence[int]]):
         self.plan = plan
-        self.float64_mode = bool(plan.float64_mode)
-        # One env read per pass: ``FoldedConvNorm.active`` re-reads the
-        # environment on every call, which dominates the verifier's cost.
-        self.env_float64 = float64_enabled()
         if input_shape is None:
             frame: Shape = ("chw", None, None, None)
         else:
@@ -168,7 +151,6 @@ class _Interp:
             frame = ("chw",) + tuple(int(d) for d in input_shape)
         # Register 0 is the input frame, encoded float32 by every encoder.
         self.shapes = {0: frame}
-        self.dtypes = {0: _FLOAT32}
         self.written_at = {0: -1}
 
     # ------------------------------------------------------------------ #
@@ -206,7 +188,7 @@ class _Interp:
             )
 
     # ------------------------------------------------------------------ #
-    # Per-op transfer functions: constants, shape, dtype
+    # Per-op transfer functions: constants and shape
     # ------------------------------------------------------------------ #
     def _require_chw(self, index: int, op: PlanOp) -> Shape:
         shape = self.shapes[op.src]
@@ -246,9 +228,9 @@ class _Interp:
                 "conv bias shape disagrees with the weight fan-out",
                 op_index=index, expected=(out_channels,), found=bias.shape,
             )
-        _check_constant_dtype(weight, "conv weight", index, self.float64_mode)
+        _check_constant_dtype(weight, "conv weight", index)
         if bias is not None:
-            _check_constant_dtype(bias, "conv bias", index, self.float64_mode)
+            _check_constant_dtype(bias, "conv bias", index)
         stride, padding = conv_module.stride, conv_module.padding
 
         def spatial(size: Optional[int]) -> Optional[int]:
@@ -278,8 +260,8 @@ class _Interp:
 
         return ("chw", shape[1], spatial(shape[2]), spatial(shape[3]))
 
-    def transfer(self, index: int, op: PlanOp) -> Tuple[Shape, np.dtype]:
-        """Output (shape, dtype) of ``op``; raises on any contract breach."""
+    def transfer(self, index: int, op: PlanOp) -> Shape:
+        """Output shape of ``op``; raises on any contract breach."""
         handler = _TRANSFER.get(type(op))
         if handler is None:
             # Subclasses of known op types resolve once and are memoized.
@@ -293,52 +275,42 @@ class _Interp:
                 )
         return handler(self, index, op)
 
-    def _t_conv(self, index: int, op: ConvOp) -> Tuple[Shape, np.dtype]:
+    def _t_conv(self, index: int, op: ConvOp) -> Shape:
         module = op.module
         bias = None if module.bias is None else np.asarray(module.bias.data)
         shape = self._conv_like(
             index, op, np.asarray(module.weight.data), bias, module
         )
-        return shape, self.dtypes[op.src]
+        return shape
 
-    def _t_fold(self, index: int, op: FoldedConvNormOp) -> Tuple[Shape, np.dtype]:
-        self._check_fold_mode(index, op)
+    def _t_fold(self, index: int, op: FoldedConvNormOp) -> Shape:
+        self._check_fold_gates(index, op)
         weight, bias = op.folded.arrays()
         shape = self._conv_like(
             index, op, np.asarray(weight), np.asarray(bias), op.conv
         )
-        return shape, self.dtypes[op.src]
+        return shape
 
-    def _t_lif(self, index: int, op: LIFOp) -> Tuple[Shape, np.dtype]:
+    def _t_lif(self, index: int, op: LIFOp) -> Shape:
         module = op.module
         for attr in ("tau", "v_threshold", "reset"):
             if not hasattr(module, attr):
                 raise PlanVerificationError(
                     f"LIF module is missing {attr!r}", op_index=index
                 )
-        # The scalars are materialized at lowering and never revisited, so
-        # they must carry the dtype of the mode the plan claims.
-        scalar_dtype = _FLOAT64 if self.float64_mode else _FLOAT32
+        # The scalars are materialized at lowering and never revisited; a
+        # float64 one would promote the membrane (and hence the spikes).
         for attr in ("tau", "v_th_scalar"):
-            found = getattr(op, attr).dtype
-            if found != scalar_dtype:
-                raise PlanVerificationError(
-                    f"LIF constant {attr!r} was lowered under another dtype mode",
-                    op_index=index, expected=str(scalar_dtype), found=str(found),
-                )
-        # Elementwise: shape passes through.  Under the legacy mode the
-        # float64 tau/threshold scalars promote the membrane (and hence
-        # the spikes); under the default policy they stay weak.
-        out = self.dtypes[op.src] if not self.float64_mode else _FLOAT64
-        return self.shapes[op.src], out
+            _check_constant_dtype(getattr(op, attr), f"LIF constant {attr!r}", index)
+        return self.shapes[op.src]
 
-    def _t_pool(self, index: int, op: PlanOp) -> Tuple[Shape, np.dtype]:
+    def _t_pool(self, index: int, op: PlanOp) -> Shape:
         shape = self._pool(index, op, op.kernel, op.stride)
-        return shape, self.dtypes[op.src]
+        return shape
 
     def _t_adaptive(
         self, index: int, op: AdaptiveAvgPoolOp
-    ) -> Tuple[Shape, np.dtype]:
+    ) -> Shape:
         shape = self._require_chw(index, op)
         target = int(op.output_size)
         for size in (shape[2], shape[3]):
@@ -349,61 +321,22 @@ class _Interp:
                     op_index=index, register=op.src,
                     expected=f"multiple of {target}", found=size,
                 )
-        return ("chw", shape[1], target, target), self.dtypes[op.src]
+        return ("chw", shape[1], target, target)
 
-    def _t_flatten(self, index: int, op: FlattenOp) -> Tuple[Shape, np.dtype]:
+    def _t_flatten(self, index: int, op: FlattenOp) -> Shape:
         shape = self.shapes[op.src]
         if shape[0] == "flat":
-            return shape, self.dtypes[op.src]
+            return shape
         dims = shape[1:]
         width = None
         if all(d is not None for d in dims):
             width = int(np.prod([int(d) for d in dims]))
-        return ("flat", width), self.dtypes[op.src]
+        return ("flat", width)
 
-    def _t_relu(self, index: int, op: ReLUOp) -> Tuple[Shape, np.dtype]:
-        return self.shapes[op.src], self.dtypes[op.src]
+    def _t_relu(self, index: int, op: ReLUOp) -> Shape:
+        return self.shapes[op.src]
 
-    def _norm(self, index: int, op: NormOp) -> Tuple[Shape, np.dtype]:
-        shape = self._require_chw(index, op)
-        module = op.module
-        features = int(module.num_features)
-        if shape[1] is not None and shape[1] != features:
-            raise PlanVerificationError(
-                "norm num_features disagrees with incoming channels",
-                op_index=index, register=op.src,
-                expected=features, found=shape[1],
-            )
-        for name in ("running_mean", "running_var"):
-            stat = np.asarray(getattr(module, name))
-            if stat.shape != (features,):
-                raise PlanVerificationError(
-                    f"norm {name} shape disagrees with num_features",
-                    op_index=index, expected=(features,), found=stat.shape,
-                )
-            _check_constant_dtype(stat, f"norm {name}", index, self.float64_mode)
-        for name in ("weight", "bias"):
-            param = np.asarray(getattr(module, name).data)
-            if param.shape != (features,):
-                raise PlanVerificationError(
-                    f"norm {name} shape disagrees with num_features",
-                    op_index=index, expected=(features,), found=param.shape,
-                )
-            _check_constant_dtype(param, f"norm {name}", index, self.float64_mode)
-        if op.scale is not None:
-            scale_dtype = np.asarray(op.scale).dtype
-            expected = _FLOAT64 if self.float64_mode else _FLOAT32
-            if scale_dtype != expected:
-                raise PlanVerificationError(
-                    "norm scale scalar materialized at the wrong dtype",
-                    op_index=index, expected=str(expected), found=str(scale_dtype),
-                )
-        # The eps scalar (and under tdBN the alpha*v_th scale) promotes the
-        # register to float64 under the legacy mode; stays weak by default.
-        out = self.dtypes[op.src] if not self.float64_mode else _FLOAT64
-        return ("chw", features, shape[2], shape[3]), out
-
-    def _linear(self, index: int, op: LinearOp) -> Tuple[Shape, np.dtype]:
+    def _linear(self, index: int, op: LinearOp) -> Shape:
         shape = self.shapes[op.src]
         if shape[0] != "flat":
             raise PlanVerificationError(
@@ -425,7 +358,7 @@ class _Interp:
                 op_index=index, register=op.src,
                 expected=in_features, found=shape[1],
             )
-        _check_constant_dtype(weight, "linear weight", index, self.float64_mode)
+        _check_constant_dtype(weight, "linear weight", index)
         if module.bias is not None:
             bias = np.asarray(module.bias.data)
             if bias.shape != (out_features,):
@@ -433,10 +366,10 @@ class _Interp:
                     "linear bias shape disagrees with the fan-out",
                     op_index=index, expected=(out_features,), found=bias.shape,
                 )
-            _check_constant_dtype(bias, "linear bias", index, self.float64_mode)
-        return ("flat", out_features), self.dtypes[op.src]
+            _check_constant_dtype(bias, "linear bias", index)
+        return ("flat", out_features)
 
-    def _add(self, index: int, op: AddOp) -> Tuple[Shape, np.dtype]:
+    def _add(self, index: int, op: AddOp) -> Shape:
         left, right = self.shapes[op.src], self.shapes[op.src2]
         if left[0] != right[0]:
             raise PlanVerificationError(
@@ -453,25 +386,12 @@ class _Interp:
                     expected=_fmt_shape(left), found=_fmt_shape(right),
                 )
             merged[axis] = _merge_dims(a, b)
-        dtype = np.result_type(self.dtypes[op.src], self.dtypes[op.src2])
-        return (left[0], *merged), np.dtype(dtype)
+        return (left[0], *merged)
 
     # ------------------------------------------------------------------ #
-    # Mode invariants for folded ops
+    # Gates for folded ops
     # ------------------------------------------------------------------ #
-    def _check_fold_mode(self, index: int, op: FoldedConvNormOp) -> None:
-        if self.float64_mode:
-            raise PlanVerificationError(
-                "folded conv+norm op in a REPRO_FLOAT64 plan — legacy mode "
-                "must run the unfused op sequence",
-                op_index=index,
-            )
-        if self.env_float64:  # == ``not op.folded.active``, without the env read
-            raise PlanVerificationError(
-                "folded conv+norm op whose fold cache is inactive (dtype "
-                "mode changed after lowering?)",
-                op_index=index,
-            )
+    def _check_fold_gates(self, index: int, op: FoldedConvNormOp) -> None:
         model = self.plan.model
         if model is not None and getattr(model, "training", False):
             raise PlanVerificationError(
@@ -488,16 +408,8 @@ class _Interp:
             )
 
     # ------------------------------------------------------------------ #
-    def record(self, op: PlanOp, index: int, shape: Shape, dtype: np.dtype) -> None:
-        dtype = np.dtype(dtype)
-        if not self.float64_mode and dtype != _FLOAT32:
-            raise PlanVerificationError(
-                "register dtype violates the weak-scalar float32 policy",
-                op_index=index, register=op.dst,
-                expected="float32", found=str(dtype),
-            )
+    def record(self, op: PlanOp, index: int, shape: Shape) -> None:
         self.shapes[op.dst] = shape
-        self.dtypes[op.dst] = dtype
         self.written_at[op.dst] = index
 
 
@@ -506,7 +418,6 @@ class _Interp:
 _TRANSFER = {
     ConvOp: _Interp._t_conv,
     FoldedConvNormOp: _Interp._t_fold,
-    NormOp: _Interp._norm,
     LIFOp: _Interp._t_lif,
     AvgPoolOp: _Interp._t_pool,
     MaxPoolOp: _Interp._t_pool,
@@ -621,8 +532,7 @@ def verify_plan(
     interp = _Interp(plan, input_shape)
     for index, op in enumerate(plan.ops):
         interp.check_registers(index, op)
-        shape, dtype = interp.transfer(index, op)
-        interp.record(op, index, shape, dtype)
+        interp.record(op, index, interp.transfer(index, op))
     if plan.output_register not in interp.written_at:
         raise PlanVerificationError(
             "output register is never written",

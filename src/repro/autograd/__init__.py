@@ -4,17 +4,11 @@ This subpackage is the tensor substrate that replaces PyTorch in this
 reproduction: a dynamic-graph autodiff engine (:mod:`repro.autograd.tensor`),
 raw im2col kernels (:mod:`repro.autograd.ops`), differentiable functional
 operators (:mod:`repro.autograd.functional`), and the stack-wide dtype
-policy (:mod:`repro.autograd.dtypes`): weak-scalar float32, with
-``REPRO_FLOAT64=1`` as the legacy-promotion escape hatch (docs/NUMERICS.md).
+policy (:mod:`repro.autograd.dtypes`): weak-scalar float32
+(docs/NUMERICS.md).
 """
 
-from .dtypes import (
-    DEFAULT_DTYPE,
-    coerce_array,
-    float64_enabled,
-    scalar_dtype,
-    scalar_operand,
-)
+from .dtypes import DEFAULT_DTYPE, coerce_array, scalar_operand
 from .functional import (
     adaptive_avg_pool2d,
     avg_pool2d,
@@ -34,8 +28,6 @@ from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, st
 __all__ = [
     "DEFAULT_DTYPE",
     "coerce_array",
-    "float64_enabled",
-    "scalar_dtype",
     "scalar_operand",
     "Tensor",
     "as_tensor",

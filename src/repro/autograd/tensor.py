@@ -14,9 +14,7 @@ Design notes
 * ``Tensor.data`` is always a ``numpy.ndarray`` with dtype ``float32``: the
   stack is *weak-scalar float32* (see :mod:`repro.autograd.dtypes` and
   ``docs/NUMERICS.md``), so Python scalars entering an op adopt float32
-  instead of promoting the computation to float64.  Setting
-  ``REPRO_FLOAT64=1`` restores the legacy behaviour (scalars materialize as
-  float64 0-d arrays and float64 inputs pass through construction).
+  instead of promoting the computation to float64.
 * Gradients are accumulated into ``Tensor.grad`` (a NumPy array of the same
   shape) by :meth:`Tensor.backward`.
 * Graph nodes record their parents and a backward closure.  ``backward``
@@ -90,10 +88,9 @@ def as_tensor(value: ArrayLike, requires_grad: bool = False) -> "Tensor":
 
     This is the single chokepoint every scalar operand of a Tensor op flows
     through: construction routes the value to
-    :func:`repro.autograd.dtypes.coerce_array`, so under the default policy
-    a Python scalar becomes a float32 0-d array (weak-scalar float32) and
-    under ``REPRO_FLOAT64=1`` it becomes the legacy float64 0-d array that
-    promotes everything downstream.
+    :func:`repro.autograd.dtypes.coerce_array`, so a Python scalar becomes
+    a float32 0-d array (weak-scalar float32) instead of the float64 one
+    ``np.asarray`` would make, which promotes everything downstream.
     """
     if isinstance(value, Tensor):
         return value
@@ -118,8 +115,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         # Dtype policy (docs/NUMERICS.md): float32 storage for everything,
-        # including float64 inputs, which the seed silently passed through;
-        # REPRO_FLOAT64=1 restores that legacy passthrough.
+        # including float64 inputs, which the seed silently passed through.
         self.data: np.ndarray = coerce_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)

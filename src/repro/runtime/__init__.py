@@ -23,10 +23,8 @@ constant factor while keeping the results **bitwise identical**:
   clips skip the stem too.
 
 The whole pipeline runs weak-scalar float32 (docs/NUMERICS.md): plans,
-scratch buffers and membrane state never contain a float64 array unless the
-``REPRO_FLOAT64=1`` legacy escape hatch is set, in which case the kernels
-reproduce the seed's float64 scalar promotion bit for bit and conv/norm
-folding is disabled.
+scratch buffers and membrane state never contain a float64 array, and the
+plan verifier proves it at every compile.
 
 The Tensor path stays available everywhere as the *reference oracle*: pass
 ``use_runtime=False`` (or set ``REPRO_RUNTIME=0``) to
@@ -39,7 +37,6 @@ accumulated logits across architectures, encoders and batch compositions.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -47,6 +44,7 @@ import numpy as np
 from ..autograd.dtypes import scalar_operand
 from ..snn.encoding import DirectEncoder
 from ..snn.network import SpikingNetwork
+from ..utils.validation import env_flag
 from .arena import ArenaAttachment, ArenaSpec, PlanArena, attach_arena
 from .executor import PlanExecutor
 from .rings import (
@@ -94,12 +92,7 @@ def runtime_enabled(override: Optional[bool] = None) -> bool:
     ``REPRO_RUNTIME`` environment variable (default: enabled)."""
     if override is not None:
         return bool(override)
-    return os.environ.get("REPRO_RUNTIME", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
+    return env_flag("REPRO_RUNTIME", True)
 
 
 def plan_for(model: SpikingNetwork) -> Optional[CompiledPlan]:
@@ -110,10 +103,7 @@ def plan_for(model: SpikingNetwork) -> Optional[CompiledPlan]:
 
     Plans live in the process-wide :data:`plan_registry`, so N engines /
     workers serving the same model instance share one plan (each with its
-    own :class:`PlanExecutor` state).  A cached plan is reused only when it
-    was compiled under the current ``REPRO_FLOAT64`` dtype-policy mode;
-    flipping the mode (legacy float64 promotion vs weak-scalar float32 +
-    conv/norm folding) invalidates it and recompiles.
+    own :class:`PlanExecutor` state).
     """
     return plan_registry.get(model)
 
@@ -175,6 +165,6 @@ def run_cumulative_logits(
         logits = executor.step(frame)
         running = logits if running is None else running + logits
         # The reciprocal adopts the logits dtype exactly like as_tensor does
-        # on the Tensor path (float64 under the legacy escape hatch).
+        # on the Tensor path.
         levels.append(running * scalar_operand(1.0 / (t + 1), running.dtype))
     return np.stack(levels, axis=0)

@@ -24,9 +24,9 @@ The pieces:
   in where the arrays were, and compile a private plan/executor over them.
 * :meth:`PlanArena.refresh` (parent) + :meth:`ArenaAttachment.reattach`
   (child) — in-place weight reload propagation.  The repo-wide staleness
-  convention is that arrays are *replaced, never mutated* (folded caches,
-  ``NormOp``, :meth:`CompiledPlan.stem_signature` all key on array object
-  identity), and a shared segment cannot replace objects across a process
+  convention is that arrays are *replaced, never mutated* (folded caches
+  and :meth:`CompiledPlan.stem_signature` key on array object identity),
+  and a shared segment cannot replace objects across a process
   boundary.  The segment holds TWO full constant generations: ``refresh``
   copies the new values into the *inactive* generation, flips the
   active-generation header word, and bumps the version counter — a
@@ -132,7 +132,7 @@ def _constant_slots(model: Module) -> List[Tuple[str, object, str]]:
     for module_name, module in model.named_modules():
         for attr in _FOLDED_ATTRS:
             folded = getattr(module, attr, None)
-            if isinstance(folded, FoldedConvNorm) and folded.active:
+            if isinstance(folded, FoldedConvNorm):
                 # Folded arrays are derived constants, but they are the
                 # arrays the serving hot path actually reads (both the
                 # Tensor path and FoldedConvNormOp); exporting them spares
@@ -552,7 +552,7 @@ class ArenaAttachment:
         The refresh wrote the *other* generation and flipped the header, so
         rebinding serves two purposes at once: the fresh views point at the
         newly-flipped (complete) generation, and the new object identities
-        invalidate ``NormOp``'s cached denominator and change
+        invalidate the folded caches and change
         :meth:`CompiledPlan.stem_signature`, so the shared stem memo and the
         executor's aligned stem rows computed under the old weights can
         never be served again.
@@ -573,7 +573,7 @@ class ArenaAttachment:
         # remembered source identities match the new views and arrays()
         # serves the arena copies instead of recomputing private ones.
         for fold in folded:
-            fold._sources = fold._current_sources()
+            fold._sources = fold._array_sources()
 
     def close(self) -> None:
         """Release the mapping (the model's views die with the process)."""

@@ -24,12 +24,12 @@ equivalence test harness asserts.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..utils.validation import env_flag
 from .kernels import Scratch
 from .plan import CompiledPlan, PlanOp, StemCache
 
@@ -39,11 +39,11 @@ __all__ = ["PlanExecutor"]
 def _trace_ops_enabled() -> bool:
     """``REPRO_TRACE_OPS=1`` turns on per-op wall-clock timing.
 
-    Read at executor construction (like ``REPRO_RUNTIME``/``REPRO_FLOAT64``):
-    the executor then puts a :class:`_TimedOp` in each op's place, so the
-    default-off cost is nothing at all.
+    Read at executor construction (like ``REPRO_RUNTIME``): the executor
+    then puts a :class:`_TimedOp` in each op's place, so the default-off
+    cost is nothing at all.
     """
-    return os.environ.get("REPRO_TRACE_OPS", "").strip() in {"1", "true", "yes"}
+    return env_flag("REPRO_TRACE_OPS", False)
 
 
 class _TimedOp:
@@ -94,15 +94,12 @@ class PlanExecutor:
 
     Dtype guarantees
     ----------------
-    Under the default weak-scalar float32 policy (docs/NUMERICS.md) every
-    array an executor owns — registers, scratch buffers, membranes, stem
-    rows, returned logits — is float32 (boolean fire/relu masks aside), and
-    the results are bitwise-identical to the define-by-run Tensor oracle
+    The stack is weak-scalar float32 (docs/NUMERICS.md): every array an
+    executor owns — registers, scratch buffers, membranes, stem rows,
+    returned logits — is float32 (boolean fire/relu masks aside), and the
+    results are bitwise-identical to the define-by-run Tensor oracle
     (``use_runtime=False`` / ``REPRO_RUNTIME=0``), which remains available
-    everywhere as the reference.  Under ``REPRO_FLOAT64=1`` the same
-    bitwise contract holds against the legacy float64-promoting Tensor
-    path.  Executors are mode-bound at construction: flip the flag, then
-    build a fresh executor (``plan_for`` recompiles automatically).
+    everywhere as the reference.
     """
 
     def __init__(self, plan: CompiledPlan, stem_cache: bool = False,

@@ -25,15 +25,12 @@ Dtype discipline
 The stack is weak-scalar float32 (:mod:`repro.autograd.dtypes`,
 docs/NUMERICS.md): scalars that the Tensor path routes through
 ``as_tensor`` adopt the dtype of the array they combine with, so every
-buffer here is float32 under the default policy.  Scalar constants reach the
-kernels already materialized by the plan, at lowering, through the same
-:func:`~repro.autograd.dtypes.scalar_operand` helper — which keeps them
-bitwise-faithful in *either* mode: under ``REPRO_FLOAT64=1`` the helper
-reproduces the seed's float64 0-d scalars and the buffers promote exactly
-like the legacy Tensor path did.  Promotion is resolved at bind time, by
-``np.result_type`` over the same operands the Tensor path combines: it
-collapses to float32 everywhere by default and tracks the legacy promotion
-chain under the escape hatch.  No kernel reads the environment.
+buffer here is float32.  Scalar constants reach the kernels already
+materialized by the plan, at lowering, through the same
+:func:`~repro.autograd.dtypes.scalar_operand` helper, and the plan verifier
+(:mod:`repro.analysis.planverify`) proves every stored constant float32, so
+each result buffer simply takes its input's dtype.  No kernel reads the
+environment.
 
 Buffer discipline
 -----------------
@@ -47,7 +44,7 @@ geometry or dtype changed — drops every binding carved from it.
 
 In-place NumPy ufuncs (``np.add(a, b, out=buf)``) produce results bitwise
 identical to their allocating forms (``a + b``) as long as ``buf`` has the
-promoted result dtype, so buffer reuse never perturbs the equivalence
+result dtype, so buffer reuse never perturbs the equivalence
 contract.
 """
 
@@ -65,8 +62,6 @@ __all__ = [
     "gather_index",
     "bind_conv",
     "conv2d_step",
-    "bind_norm",
-    "batchnorm_step",
     "bind_lif",
     "lif_step",
     "spike_count",
@@ -253,7 +248,7 @@ def bind_conv(scratch: Scratch, x: np.ndarray, weight: np.ndarray,
     bound.patches = _Cols(scratch, x, index, kernel, padding)
     bound.weight_t = weight.reshape(out_channels, -1).T
     bound.gemm = scratch.rows(
-        "gemm", n, (out_h * out_w, out_channels), np.result_type(x.dtype, weight.dtype)
+        "gemm", n, (out_h * out_w, out_channels), x.dtype
     )
     bound.bias_row = None if bias is None else bias.reshape(1, 1, -1)
     bound.gemm_t = bound.gemm.transpose(0, 2, 1)
@@ -274,129 +269,45 @@ def conv2d_step(bound: ConvBinding, x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Batch norm
-# --------------------------------------------------------------------------- #
-class NormBinding:
-    __slots__ = ("dtype", "sources", "mean", "std", "gamma", "beta", "sub", "out")
-
-
-def bind_norm(scratch: Scratch, x: np.ndarray, running_mean: np.ndarray,
-              std: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> NormBinding:
-    """Bind eval-mode (temporal) batch norm for inputs shaped like ``x``.
-
-    ``std`` is the ``sqrt(var + eps)`` denominator, already ``(1, C, 1, 1)``.
-    """
-    n, row = x.shape[0], x.shape[1:]
-    bound = NormBinding()
-    bound.dtype = x.dtype
-    bound.sources = (running_mean, std, gamma, beta)
-    bound.mean = running_mean.reshape(1, -1, 1, 1)
-    bound.std = std
-    bound.gamma = gamma.reshape(1, -1, 1, 1)
-    bound.beta = beta.reshape(1, -1, 1, 1)
-    bound.sub = scratch.rows("sub", n, row, np.result_type(x.dtype, running_mean.dtype))
-    bound.out = scratch.rows("out", n, row, np.result_type(bound.sub.dtype, std.dtype))
-    return scratch.bind(x.shape, bound)
-
-
-def batchnorm_step(bound: NormBinding, x: np.ndarray,
-                   scale: Optional[np.ndarray]) -> np.ndarray:
-    """Eval-mode (temporal) batch norm as one fused elementwise chain.
-
-    Mirrors the Tensor op order *and dtype promotion* exactly — subtract in
-    the input dtype, divide by the ``sqrt(var + eps)`` denominator, scale by
-    gamma, (tdBN threshold scale,) add beta.  Regrouping the constants here
-    would change float rounding relative to the unfused Tensor modules, so
-    this kernel stays op-faithful.  Under the default policy it runs only
-    for norm layers standing *outside* a conv→norm block pair (those fold
-    into the conv GEMM via :mod:`repro.snn.folding` on both paths); under
-    ``REPRO_FLOAT64=1`` folding is disabled and block norms run through
-    this kernel too, reproducing the legacy promotion chain.
-    """
-    out = bound.out
-    np.subtract(x, bound.mean, out=bound.sub)
-    np.divide(bound.sub, bound.std, out=out)
-    np.multiply(out, bound.gamma, out=out)
-    if scale is not None:
-        np.multiply(out, scale, out=out)
-    np.add(out, bound.beta, out=out)
-    return out
-
-
-# --------------------------------------------------------------------------- #
 # LIF
 # --------------------------------------------------------------------------- #
 class LIFBinding:
-    """Buffers of one LIF update whose integrated potential has one dtype.
-
-    ``fresh`` is the binding a step without a membrane runs in: this one
-    when the input current already has the steady-state dtype (always, under
-    the default policy), else a second chain resolved from the current's own
-    dtype — under ``REPRO_FLOAT64=1`` a float32 current promotes only from
-    its second timestep on, exactly like the Tensor path.
-    """
-
     __slots__ = ("dtype", "reset", "u", "fired", "spikes", "tmp", "membrane",
-                 "count_exact", "fresh")
+                 "count_exact")
 
 
-def _lif_chain(scratch: Scratch, shape: Tuple[int, ...], u_dtype,
-               v_th_scalar: np.ndarray, reset: str, prefix: str) -> LIFBinding:
-    n, row = shape[0], shape[1:]
-    bound = LIFBinding()
-    bound.reset = reset
-    bound.u = scratch.rows(prefix + "u", n, row, u_dtype)
-    bound.fired = scratch.rows(prefix + "fired", n, row, np.bool_)
-    bound.spikes = scratch.rows(prefix + "spikes", n, row, u_dtype)
-    # Hard reset, membrane * (ones_like(spikes) - spikes): stays in the
-    # spike dtype.  Soft reset, membrane - spikes * V_th: the scalar adopts
-    # the spike dtype (or promotes it under the legacy escape hatch).
-    tmp_dtype = u_dtype if reset == "hard" else np.result_type(u_dtype, v_th_scalar.dtype)
-    bound.tmp = scratch.rows(prefix + "tmp", n, row, tmp_dtype)
-    bound.membrane = scratch.rows(
-        prefix + "membrane", n, row, np.result_type(u_dtype, tmp_dtype)
-    )
-    bound.count_exact = bound.spikes.size <= _EXACT_FLOAT32_COUNT
-    bound.fresh = bound
-    return bound
-
-
-def bind_lif(scratch: Scratch, current: np.ndarray, tau: np.ndarray,
-             v_th_scalar: np.ndarray, reset: str) -> LIFBinding:
+def bind_lif(scratch: Scratch, current: np.ndarray, reset: str) -> LIFBinding:
     """Bind one LIF timestep for currents shaped (and typed) like ``current``.
 
-    The steady-state potential ``u = m*tau + I`` has the dtype
-    ``result_type(I, tau)``: the membrane itself is an earlier ``u`` combined
-    with ``V_th``, which is materialized at ``tau``'s dtype.
+    ``tau`` and ``V_th`` are weak scalars, so the potential, the spikes, the
+    reset term and the membrane all keep the current's dtype.
     """
-    steady = _lif_chain(
-        scratch, current.shape, np.result_type(current.dtype, tau.dtype),
-        v_th_scalar, reset, "",
-    )
-    if steady.u.dtype != current.dtype:
-        steady.fresh = _lif_chain(
-            scratch, current.shape, current.dtype, v_th_scalar, reset, "fresh_"
-        )
-    steady.dtype = current.dtype
-    return scratch.bind(current.shape, steady)
+    n, row, dtype = current.shape[0], current.shape[1:], current.dtype
+    bound = LIFBinding()
+    bound.dtype = dtype
+    bound.reset = reset
+    bound.u = scratch.rows("u", n, row, dtype)
+    bound.fired = scratch.rows("fired", n, row, np.bool_)
+    bound.spikes = scratch.rows("spikes", n, row, dtype)
+    bound.tmp = scratch.rows("tmp", n, row, dtype)
+    bound.membrane = scratch.rows("membrane", n, row, dtype)
+    bound.count_exact = bound.spikes.size <= _EXACT_FLOAT32_COUNT
+    return scratch.bind(current.shape, bound)
 
 
 def lif_step(bound: LIFBinding, current: np.ndarray, membrane: Optional[np.ndarray],
-             tau: np.ndarray, v_threshold: float, v_th_scalar: np.ndarray) -> LIFBinding:
+             tau: np.ndarray, v_threshold: float, v_th_scalar: np.ndarray) -> None:
     """One LIF timestep fused into a single kernel: charge, fire, reset.
 
     Replicates :meth:`LIFNeuron.forward` op for op — ``u = m*tau + I``, hard
-    reset ``u * (1 - s)`` or soft reset ``u - s*V_th`` — and returns the
-    binding whose ``spikes`` / ``membrane`` now hold the results.  A
-    ``membrane`` of ``None`` is a fresh state.  ``tau`` and ``v_th_scalar``
-    arrive as the 0-d arrays ``as_tensor`` gives those scalars on the Tensor
-    path (float32 under the default policy, float64 under
-    ``REPRO_FLOAT64=1``): the plan materializes them once at lowering
-    (:class:`~repro.runtime.plan.LIFOp`), because plans are mode-bound and
-    the dtype mode must not be re-read per timestep.
+    reset ``u * (1 - s)`` or soft reset ``u - s*V_th`` — and leaves the
+    results in ``bound.spikes`` / ``bound.membrane``.  A ``membrane`` of
+    ``None`` is a fresh state.  ``tau`` and ``v_th_scalar`` arrive as the
+    float32 0-d arrays ``as_tensor`` gives those scalars on the Tensor path;
+    the plan materializes them once at lowering
+    (:class:`~repro.runtime.plan.LIFOp`).
     """
     if membrane is None:
-        bound = bound.fresh
         u = current
     else:
         u = bound.u
@@ -411,7 +322,6 @@ def lif_step(bound: LIFBinding, current: np.ndarray, membrane: Optional[np.ndarr
     else:
         np.multiply(spikes, v_th_scalar, out=tmp)
         np.subtract(u, tmp, out=bound.membrane)
-    return bound
 
 
 def spike_count(bound: LIFBinding) -> float:
@@ -557,13 +467,13 @@ def relu_step(bound: ReLUBinding, x: np.ndarray) -> np.ndarray:
 
 
 class AddBinding:
-    __slots__ = ("dtype", "dtype2", "out")
+    __slots__ = ("dtype", "out")
 
 
 def bind_add(scratch: Scratch, a: np.ndarray, b: np.ndarray) -> AddBinding:
     bound = AddBinding()
-    bound.dtype, bound.dtype2 = a.dtype, b.dtype
-    bound.out = scratch.rows("out", a.shape[0], a.shape[1:], np.result_type(a.dtype, b.dtype))
+    bound.dtype = a.dtype
+    bound.out = scratch.rows("out", a.shape[0], a.shape[1:], a.dtype)
     return scratch.bind(a.shape, bound)
 
 

@@ -16,18 +16,16 @@ point (the whole pre-spike prefix is cached, not just the patches).
 
 Ops capture live references to :class:`Parameter` objects and norm modules,
 not copies of their arrays, so a plan survives ``load_state_dict`` and
-in-place optimizer updates; derived constants (the BN denominator, the
-folded conv+norm weights) are cached and refresh automatically when a
-source parameter/buffer array object is replaced.
+in-place optimizer updates; the folded conv+norm weights are cached and
+refresh automatically when a source parameter/buffer array object is
+replaced.
 
 Inside :class:`~repro.snn.architectures.ConvSpikeBlock` and
 ``SpikingResidualBlock``, the conv→norm pair lowers to a *single* GEMM with
 the norm folded into the weights (:mod:`repro.snn.folding`) — the same
 folded arrays the Tensor path consumes during frozen inference, which is
-what keeps the two paths bitwise-identical.  Under ``REPRO_FLOAT64=1`` the
-plan reverts to the seed's unfused, float64-promoting op sequence
-(:mod:`repro.autograd.dtypes`), and :func:`repro.runtime.plan_for`
-recompiles cached plans whenever that mode flag changes.
+what keeps the two paths bitwise-identical.  There is no unfused norm op: a
+norm layer placed outside such a pair does not lower.
 
 Plans are **immutable after lowering** and shared: the process-wide
 :data:`plan_registry` hands every consumer of a model instance — including N
@@ -53,11 +51,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.lockorder import named_lock
-from ..autograd.dtypes import float64_enabled, scalar_operand
+from ..autograd.dtypes import scalar_operand
 from ..nn.layers import (
     AdaptiveAvgPool2d,
     AvgPool2d,
-    BatchNorm2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -69,7 +66,6 @@ from ..nn.module import Identity, Module, Sequential
 from ..snn.architectures import ConvSpikeBlock, SpikingResidualBlock
 from ..snn.network import SpikingNetwork
 from ..snn.neurons import LIFNeuron
-from ..snn.tdbn import TemporalBatchNorm2d
 from . import kernels
 
 __all__ = [
@@ -151,9 +147,8 @@ class _WindowOp(PlanOp):
     """An op that unrolls input patches (conv, large-window pooling).
 
     It owns the im2col gather index of the input geometry it last ran on
-    (:func:`repro.runtime.kernels.gather_index`): a derived constant like
-    :class:`NormOp`'s denominator — built once per geometry, checked where
-    it is built (:func:`repro.analysis.planverify.verify_gather_index`),
+    (:func:`repro.runtime.kernels.gather_index`): a derived constant —
+    built once per geometry, checked where it is built (:func:`repro.analysis.planverify.verify_gather_index`),
     independent of the batch width and shared by every executor of the plan.
     """
 
@@ -220,50 +215,6 @@ class ConvOp(_WindowOp):
                    None if m.bias is None else m.bias.data)
 
 
-class NormOp(PlanOp):
-    """Eval-mode BatchNorm2d / TemporalBatchNorm2d.
-
-    The reciprocal-free denominator ``sqrt(var + eps)`` is cached and
-    refreshed whenever the module's ``running_var`` buffer object changes
-    (``update_buffer`` replaces the array rather than mutating it).
-    """
-
-    __slots__ = ("module", "scale", "_std", "_std_src")
-
-    def __init__(self, src: int, dst: int, module: Module, scale: Optional[float]):
-        super().__init__(src, dst)
-        self.module = module
-        # The scalar adopts the parameter dtype (weak-scalar float32), or
-        # float64 under the legacy escape hatch — exactly what as_tensor
-        # gives it on the Tensor path.
-        self.scale = None if scale is None else scalar_operand(scale, np.float32)
-        self._std: Optional[np.ndarray] = None
-        self._std_src: Optional[np.ndarray] = None
-
-    def _denominator(self) -> np.ndarray:
-        running_var = self.module.running_var
-        if self._std is None or self._std_src is not running_var:
-            # Exactly the Tensor path: Tensor(var.reshape(1,C,1,1)) + eps,
-            # sqrt — with eps materialized at the policy scalar dtype.
-            var = running_var.reshape(1, -1, 1, 1)
-            self._std = np.sqrt(var + scalar_operand(self.module.eps, var.dtype))
-            self._std_src = running_var
-        return self._std
-
-    def run(self, regs, scratch, state, stats: bool = True) -> None:
-        x = regs[self.src]
-        m = self.module
-        sources = (m.running_mean, self._denominator(), m.weight.data, m.bias.data)
-        bound = scratch.bindings.get(x.shape)
-        if (
-            bound is None
-            or bound.dtype != x.dtype
-            or any(a is not b for a, b in zip(sources, bound.sources))
-        ):
-            bound = kernels.bind_norm(scratch, x, *sources)
-        regs[self.dst] = kernels.batchnorm_step(bound, x, self.scale)
-
-
 class FoldedConvNormOp(_WindowOp):
     """A conv→norm pair executed as one GEMM with the norm folded in.
 
@@ -272,9 +223,7 @@ class FoldedConvNormOp(_WindowOp):
     block — the same object the Tensor path reads during frozen inference —
     so both execution paths consume identical constants and the bitwise
     path-vs-path contract survives folding.  The cache refreshes itself when
-    any source parameter/buffer array object is replaced; the dtype mode is
-    *not* re-read per step (``plan_arrays``): a folded op cannot exist in a
-    float64 plan, and plans are recompiled on a mode flip.
+    any source parameter/buffer array object is replaced.
     """
 
     __slots__ = ("conv", "folded")
@@ -285,13 +234,12 @@ class FoldedConvNormOp(_WindowOp):
         self.folded = folded
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        self._conv(regs, scratch, self.conv, *self.folded.plan_arrays())
+        self._conv(regs, scratch, self.conv, *self.folded.arrays())
 
 
 class LIFOp(PlanOp):
     """Fused LIF update.  ``tau`` / ``V_th`` are materialized here, once, as
-    the 0-d arrays ``as_tensor`` gives them on the Tensor path under the
-    mode the plan is lowered in (the :class:`NormOp` ``scale`` idiom); the
+    the float32 0-d arrays ``as_tensor`` gives them on the Tensor path; the
     module's ``v_threshold`` and ``reset`` are read live, every step."""
 
     __slots__ = ("module", "state_index", "tau", "v_th_scalar")
@@ -315,10 +263,8 @@ class LIFOp(PlanOp):
             membrane = None  # stale state of another shape is fresh state
         bound = scratch.bindings.get(x.shape)
         if bound is None or bound.dtype != x.dtype or bound.reset != m.reset:
-            bound = kernels.bind_lif(scratch, x, self.tau, self.v_th_scalar, m.reset)
-        bound = kernels.lif_step(
-            bound, x, membrane, self.tau, m.v_threshold, self.v_th_scalar
-        )
+            bound = kernels.bind_lif(scratch, x, m.reset)
+        kernels.lif_step(bound, x, membrane, self.tau, m.v_threshold, self.v_th_scalar)
         state[self.state_index] = bound.membrane
         if stats:
             # Same bookkeeping (and float accumulation order) as the layer.
@@ -419,7 +365,7 @@ class AddOp(PlanOp):
     def run(self, regs, scratch, state, stats: bool = True) -> None:
         a, b = regs[self.src], regs[self.src2]
         bound = scratch.bindings.get(a.shape)
-        if bound is None or bound.dtype != a.dtype or bound.dtype2 != b.dtype:
+        if bound is None or bound.dtype != a.dtype:
             bound = kernels.bind_add(scratch, a, b)
         regs[self.dst] = kernels.add_step(bound, a, b)
 
@@ -442,9 +388,9 @@ class _Lowering:
 
     # ------------------------------------------------------------------ #
     def _lower_conv_norm(self, conv: Module, norm: Module, folded, src: int) -> int:
-        """Lower a block's conv→norm pair, folded into one GEMM when the
-        Tensor path folds it too (same gate, same shared cache)."""
-        if folded is not None and folded.active:
+        """Lower a block's conv→norm pair as the one folded GEMM the Tensor
+        path runs during frozen inference (same shared cache)."""
+        if folded is not None:
             dst = self.new_register()
             self.ops.append(FoldedConvNormOp(src, dst, conv, folded))
             return dst
@@ -474,14 +420,6 @@ class _Lowering:
         if isinstance(module, Conv2d):
             dst = self.new_register()
             self.ops.append(ConvOp(src, dst, module))
-            return dst
-        if isinstance(module, TemporalBatchNorm2d):
-            dst = self.new_register()
-            self.ops.append(NormOp(src, dst, module, scale=module.alpha * module.v_threshold))
-            return dst
-        if isinstance(module, BatchNorm2d):
-            dst = self.new_register()
-            self.ops.append(NormOp(src, dst, module, scale=None))
             return dst
         if isinstance(module, LIFNeuron):
             dst = self.new_register()
@@ -544,9 +482,7 @@ class StemCache:
     and ``fail_active`` aborts; nothing ever needs row-surgery here.  The
     cache is therefore shared by every executor of a plan (it lives on the
     :class:`CompiledPlan`) and guarded by a lock for multi-worker serving.
-    Dtype-mode flips invalidate it indirectly (:class:`PlanRegistry`
-    consumers compile a fresh plan, which carries a fresh cache); *weight
-    updates* invalidate it directly: executors revalidate the cache against
+    *Weight updates* invalidate it: executors revalidate the cache against
     :meth:`CompiledPlan.stem_signature` — the identity tuple of every source
     array the stem reads — before each keyed lookup round, and a changed
     signature flushes the entries (arrays are replaced, never mutated, by
@@ -687,10 +623,6 @@ class CompiledPlan:
         self.num_registers = num_registers
         self.output_register = output_register
         self.num_lif = num_lif
-        # Dtype-policy mode this plan was lowered under: folding decisions
-        # and scalar constants are mode-dependent, so plan_for() recompiles
-        # when REPRO_FLOAT64 changes between compilation and use.
-        self.float64_mode = float64_enabled()
         self.stem_len = next(
             (i for i, op in enumerate(self.ops) if op.is_stateful), 0
         )
@@ -707,8 +639,7 @@ class CompiledPlan:
         self.output_needs_copy = not isinstance(producer, LinearOp)
         # Shared content-keyed stem memo for time-varying deterministic
         # encoders (event streams).  One cache per plan: every executor of a
-        # shared plan reads and fills the same memo; a recompiled plan
-        # (dtype-mode flip) starts from an empty one, and in-place weight
+        # shared plan reads and fills the same memo; in-place weight
         # reloads flush it through the stem_signature check.  Capacity 0
         # (via REPRO_STEM_CACHE_CAPACITY) disables the memo entirely.
         capacity = _stem_cache_capacity()
@@ -727,12 +658,6 @@ class CompiledPlan:
         for op in self.ops[: self.stem_len]:
             if isinstance(op, FoldedConvNormOp):
                 sources.extend(op.folded._array_sources())
-            elif isinstance(op, NormOp):
-                module = op.module
-                sources.extend(
-                    (module.weight.data, module.bias.data,
-                     module.running_mean, module.running_var)
-                )
             elif isinstance(op, (ConvOp, LinearOp)):
                 module = op.module
                 sources.append(module.weight.data)
@@ -768,30 +693,24 @@ def compile_network(model: SpikingNetwork) -> CompiledPlan:
     produced an IR that breaks an executor contract — that is a compiler
     bug, so it deliberately does *not* trigger the oracle fallback.
 
-    Dtype guarantees: under the default weak-scalar float32 policy
-    (docs/NUMERICS.md) every register, scratch buffer and membrane the plan
-    touches is float32, and block-level conv→norm pairs are folded into
-    single GEMMs exactly as the Tensor path folds them during frozen
-    inference.  Under ``REPRO_FLOAT64=1`` the plan instead reproduces the
-    seed's unfused ops and float64 scalar promotion, bit for bit.  The plan
-    records the mode it was compiled under (:attr:`CompiledPlan.float64_mode`);
-    :func:`repro.runtime.plan_for` recompiles on a mode mismatch.
+    Dtype guarantees (docs/NUMERICS.md): every register, scratch buffer and
+    membrane the plan touches is float32, and block-level conv→norm pairs
+    are folded into single GEMMs exactly as the Tensor path folds them
+    during frozen inference.  A norm layer standing outside such a pair has
+    no folded form and raises :exc:`UnsupportedModuleError`.
     """
     lowering = _Lowering()
     features_out = lowering.lower(model.features, 0)
     output_register = lowering.lower(model.classifier, features_out)
-    # Warm every op's lazily-derived constants (folded conv+norm arrays, BN
-    # denominators) while the plan is still private to this thread: N shared-
-    # plan workers would otherwise race the first-touch initialization of
-    # FoldedConvNorm.arrays() / NormOp._denominator() at cold start.  After
+    # Warm the folded conv+norm arrays while the plan is still private to
+    # this thread: N shared-plan workers would otherwise race the first-touch
+    # initialization of FoldedConvNorm.arrays() at cold start.  After
     # warming, concurrent refreshes only happen if a source array object is
     # replaced mid-serve (unsupported while serving), and are idempotent
     # recomputes from the same sources anyway.
     for op in lowering.ops:
         if isinstance(op, FoldedConvNormOp):
             op.folded.arrays()
-        elif isinstance(op, NormOp):
-            op._denominator()
     plan = CompiledPlan(
         model=model,
         ops=lowering.ops,
@@ -801,7 +720,7 @@ def compile_network(model: SpikingNetwork) -> CompiledPlan:
     )
     # Every compile goes through the plan-IR verifier (docs/ANALYSIS.md):
     # register SSA, shape/dtype propagation against the stored constants,
-    # stem/liveness metadata, and the fold-mode invariants.  O(#ops), no
+    # stem/liveness metadata, and the fold invariants.  O(#ops), no
     # array math — per-compile cost, never per-step.  The import is deferred
     # because repro.analysis.planverify imports this module.
     from ..analysis.planverify import verify_plan
@@ -823,11 +742,8 @@ class PlanRegistry:
     membranes, scratch and the aligned stem rows are per-session state.
 
     Lookups are keyed on the model instance (weakly, so a dropped model frees
-    its plan and parameters) and validated against the current
-    ``REPRO_FLOAT64`` dtype-policy mode: folding decisions and scalar
-    constants are mode-dependent, so a mode flip *invalidates* the cached
-    plan and the next lookup recompiles.  Models that fail to lower are
-    negatively cached until :meth:`invalidate`.  All operations take the
+    its plan and parameters).  Models that fail to lower are negatively
+    cached until :meth:`invalidate`.  All operations take the
     registry lock — multi-worker servers race their first lookups.
     """
 
@@ -846,7 +762,7 @@ class PlanRegistry:
             cached = self._plans.get(model)
             if cached is self._UNSUPPORTED:
                 return None
-            if cached is not None and cached.float64_mode == float64_enabled():
+            if cached is not None:
                 return cached
             try:
                 plan = compile_network(model)
@@ -859,7 +775,7 @@ class PlanRegistry:
     def invalidate(self, model: SpikingNetwork) -> bool:
         """Drop the cached plan (or negative entry) for ``model``.
 
-        Executors built on the old plan keep running it (they are mode- and
+        Executors built on the old plan keep running it (they are
         plan-bound at construction); only *new* lookups recompile.  Returns
         whether an entry existed.
         """

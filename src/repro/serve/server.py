@@ -138,9 +138,7 @@ class Server:
     frames are encoded to float32, every activation / membrane / logit the
     workers produce is float32, and frozen conv+norm pairs execute as folded
     single GEMMs on both paths.  Only decision-side score bookkeeping
-    (entropy values reported in telemetry) uses float64.  Setting
-    ``REPRO_FLOAT64=1`` before constructing the server restores the legacy
-    float64-promoting numerics on both paths at once.
+    (entropy values reported in telemetry) uses float64.
     """
 
     def __init__(

@@ -73,10 +73,9 @@ def _make_norm(norm: str, channels: int, v_threshold: float) -> Module:
 def _conv_norm_forward(conv: Module, norm: Module, folded, x, training: bool):
     """Run a conv→norm pair, using the folded single-GEMM form when frozen.
 
-    Folding applies only during frozen inference — eval mode with gradient
-    recording off — and only under the default float32 dtype policy; every
-    other situation (training-mode statistics, surrogate-gradient backward,
-    ``REPRO_FLOAT64=1`` legacy numerics) runs the unfused modules.  The
+    Folding applies during frozen inference — eval mode with gradient
+    recording off; every other situation (training-mode statistics,
+    surrogate-gradient backward) runs the unfused modules.  The
     compiled plan folds the *same* pairs from the *same* cache, so the
     define-by-run oracle and the runtime fast path stay bitwise-identical
     (see :mod:`repro.snn.folding` and docs/NUMERICS.md).
@@ -91,7 +90,6 @@ def _conv_norm_forward(conv: Module, norm: Module, folded, x, training: bool):
         and not training
         and not instrumented
         and not is_grad_enabled()
-        and folded.active
     ):
         weight, bias = folded.arrays()
         return F.conv2d(

@@ -22,11 +22,10 @@ and the compiled plan's ``FoldedConvNormOp`` share the **same**
 :class:`FoldedConvNorm` instance, so both execution paths consume literally
 the same folded arrays and run the same im2col+GEMM+bias forward on them.
 
-Folding engages only when the block runs frozen inference — eval mode, no
-gradient recording — and never under ``REPRO_FLOAT64=1`` (the legacy-
-numerics escape hatch reproduces the seed's unfused op sequence exactly).
-Training-mode forwards, and eval forwards that record a graph (e.g.
-fine-tuning with frozen statistics), keep the unfused conv→norm ops.
+Folding engages whenever the block runs frozen inference — eval mode, no
+gradient recording.  Training-mode forwards, and eval forwards that record a
+graph (e.g. fine-tuning with frozen statistics), keep the unfused conv→norm
+ops.
 
 The folded arrays are cached and refreshed by identity: every source array
 (conv weight/bias, norm gamma/beta, running mean/var) is replaced — never
@@ -40,7 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autograd.dtypes import float64_enabled, scalar_operand
+from ..autograd.dtypes import scalar_operand
 from ..nn.layers import BatchNorm2d, Conv2d
 from ..nn.module import Module
 from .tdbn import TemporalBatchNorm2d
@@ -65,7 +64,6 @@ class FoldedConvNorm:
         self._bias: Optional[np.ndarray] = None
         self._sources: Optional[tuple] = None
 
-    # ------------------------------------------------------------------ #
     def _array_sources(self) -> tuple:
         conv, norm = self.conv, self.norm
         return (
@@ -77,13 +75,10 @@ class FoldedConvNorm:
             norm.running_var,
         )
 
-    def _current_sources(self) -> tuple:
-        return self._array_sources() + (float64_enabled(),)
-
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The folded ``(weight, bias)`` pair, recomputed only when a source
-        array object (or the dtype-policy mode) changed."""
-        sources = self._current_sources()
+        array object changed."""
+        sources = self._array_sources()
         if self._weight is None or any(
             a is not b for a, b in zip(sources, self._sources)
         ):
@@ -100,23 +95,3 @@ class FoldedConvNorm:
             self._bias = bias
             self._sources = sources
         return self._weight, self._bias
-
-    def plan_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`arrays` for a compiled plan: revalidated on source-array
-        identity only.  Plans are bound to the dtype mode they were lowered
-        under (and never contain a folded op in float64 mode), so the
-        per-timestep hot path does not re-read ``REPRO_FLOAT64``.
-        """
-        if self._weight is None or any(
-            a is not b for a, b in zip(self._array_sources(), self._sources)
-        ):
-            return self.arrays()
-        return self._weight, self._bias
-
-    @property
-    def active(self) -> bool:
-        """Whether the dtype policy permits folding (always false under the
-        ``REPRO_FLOAT64=1`` legacy mode, which reproduces the seed's unfused
-        op sequence).  Callers add the eval / no-grad conditions themselves.
-        """
-        return not float64_enabled()

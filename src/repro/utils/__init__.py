@@ -10,6 +10,7 @@ from .validation import (
     check_non_negative,
     check_positive,
     check_probability,
+    env_flag,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "check_probability",
     "check_in_choices",
     "check_ndim",
+    "env_flag",
 ]

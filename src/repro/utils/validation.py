@@ -8,17 +8,44 @@ numbers.
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "env_flag",
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_in_choices",
     "check_ndim",
 ]
+
+
+_TRUTHY = ("1", "true", "on", "yes")
+_FALSY = ("0", "false", "off", "no")
+
+
+def env_flag(name: str, default: bool) -> bool:
+    """The boolean environment variable ``name``; ``default`` when unset/empty.
+
+    The one parser of every boolean ``REPRO_*`` switch: case- and
+    whitespace-insensitive ``1/true/on/yes`` and ``0/false/off/no``.
+    Anything else raises ``ValueError`` — a typo must not silently pick a
+    side.  Callers read it at construction time, never per step.
+    """
+    value = os.environ.get(name, "").strip().lower()
+    if not value:
+        return default
+    if value in _TRUTHY:
+        return True
+    if value in _FALSY:
+        return False
+    raise ValueError(
+        f"{name} must be one of {'/'.join(_TRUTHY)} or {'/'.join(_FALSY)}, "
+        f"got {os.environ[name]!r}"
+    )
 
 
 def check_positive(name: str, value: float) -> float:

@@ -15,16 +15,11 @@ from repro.analysis.planverify import (
     verify_gather_index,
     verify_plan,
 )
-from repro.autograd import float64_enabled
 from repro.runtime import PlanExecutor, compile_network, kernels
 from repro.runtime.kernels import gather_index
 from repro.runtime.plan import FoldedConvNormOp, LIFOp, LinearOp
 from repro.snn import spiking_resnet, spiking_vgg
 from repro.utils import seed_everything
-
-requires_default_policy = pytest.mark.skipif(
-    float64_enabled(), reason="suite is running under REPRO_FLOAT64=1"
-)
 
 
 def _vgg_plan():
@@ -134,7 +129,6 @@ class TestShapeAndDtypePropagation:
         # The 2x2 pool over a 1x1 map is the eventual contradiction.
         assert info.value.op_index is not None
 
-    @requires_default_policy
     def test_float64_constant_violates_weak_scalar_policy(self):
         plan = _vgg_plan()
         linear = next(op for op in plan.ops if isinstance(op, LinearOp))
@@ -147,8 +141,7 @@ class TestShapeAndDtypePropagation:
             verify_plan(plan)
 
 
-class TestModeInvariants:
-    @requires_default_policy
+class TestFoldInvariants:
     def test_folded_op_in_training_mode(self):
         plan = _vgg_plan()
         fold_index = next(
@@ -162,14 +155,30 @@ class TestModeInvariants:
             verify_plan(plan)
         assert info.value.op_index == fold_index
 
-    @requires_default_policy
-    def test_folded_op_in_float64_plan(self):
+    @pytest.mark.parametrize("smuggled", ["conv weight", "conv bias", "LIF constant 'tau'"])
+    def test_float64_smuggled_into_a_compiled_plan_names_the_op(self, smuggled):
+        """The float32 closure is unconditional: a float64 conv weight,
+        folded bias or LIF scalar is refused at the op that holds it."""
         plan = _vgg_plan()
-        plan.float64_mode = True
-        with pytest.raises(PlanVerificationError, match="REPRO_FLOAT64"):
+        wide = np.float64  # dtype-ok: deliberately corrupting a constant to exercise the verifier
+        fold_index, fold = next(
+            (i, op) for i, op in enumerate(plan.ops) if isinstance(op, FoldedConvNormOp)
+        )
+        lif_index, lif = next(
+            (i, op) for i, op in enumerate(plan.ops) if isinstance(op, LIFOp)
+        )
+        if smuggled == "conv weight":
+            fold.conv.weight.data = fold.conv.weight.data.astype(wide)
+        elif smuggled == "conv bias":
+            # Only the fold's bias term promotes; its weight stays float32.
+            fold.folded.norm.bias.data = fold.folded.norm.bias.data.astype(wide)
+        else:
+            lif.tau = lif.tau.astype(wide)
+        with pytest.raises(PlanVerificationError, match=smuggled) as info:
             verify_plan(plan)
+        assert info.value.op_index == (lif_index if "LIF" in smuggled else fold_index)
+        assert info.value.found == "float64"
 
-    @requires_default_policy
     def test_folded_op_over_instrumented_module(self):
         plan = _vgg_plan()
         fold = next(op for op in plan.ops if isinstance(op, FoldedConvNormOp))
@@ -184,7 +193,6 @@ class TestModeInvariants:
 
 
 class TestStemAndStateMetadata:
-    @requires_default_policy
     def test_tampered_stem_len(self):
         plan = _vgg_plan()
         assert plan.stem_len > 0
@@ -192,7 +200,6 @@ class TestStemAndStateMetadata:
         with pytest.raises(PlanVerificationError, match="stem_len disagrees"):
             verify_plan(plan)
 
-    @requires_default_policy
     def test_dropped_stem_register_is_a_liveness_violation(self):
         plan = _vgg_plan()
         assert plan.stem_registers

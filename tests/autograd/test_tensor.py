@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, concatenate, float64_enabled, no_grad, stack, where
-
-# Default-policy assertions do not apply when the whole suite runs under the
-# REPRO_FLOAT64=1 legacy-numerics CI job.
-requires_default_policy = pytest.mark.skipif(
-    float64_enabled(), reason="suite is running under REPRO_FLOAT64=1"
-)
+from repro.autograd import Tensor, concatenate, no_grad, stack, where
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-2) -> np.ndarray:
@@ -40,35 +34,22 @@ class TestBasics:
         assert t.dtype == np.float32
         assert t.shape == (2, 2)
 
-    @requires_default_policy
     def test_float64_input_is_coerced_to_float32(self):
         """The documented dtype policy: construction normalizes to float32 —
         including float64 arrays, which the seed silently passed through."""
         t = Tensor(np.arange(4, dtype=np.float64))
         assert t.dtype == np.float32
 
-    @requires_default_policy
     def test_python_scalar_wraps_as_float32(self):
         # np.asarray(0.5) alone would be a float64 0-d array (the old leak).
         assert Tensor(0.5).dtype == np.float32
         assert Tensor([0.5, 1.5]).dtype == np.float32
 
-    @requires_default_policy
     def test_scalar_operand_does_not_promote(self):
         """Weak-scalar policy: ops with Python scalars stay in the array dtype."""
         t = Tensor(np.ones(3, dtype=np.float32))
         for result in (t * 0.5, t + 0.1, t - 0.1, t / 2.0, 2.0 * t, 1.0 - t):
             assert result.dtype == np.float32
-
-    def test_float64_passthrough_under_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOAT64", "1")
-        kept = Tensor(np.arange(4, dtype=np.float64))
-        assert kept.dtype == np.float64
-        assert Tensor(0.5).dtype == np.float64
-        # Non-float inputs still normalize to float32, as the seed did.
-        assert Tensor(np.arange(4, dtype=np.int32)).dtype == np.float32
-        # And the 0-d float64 scalar promotes the op result (the legacy leak).
-        assert (Tensor(np.ones(3, dtype=np.float32)) * 0.5).dtype == np.float64
 
     def test_tensor_from_tensor_shares_data(self):
         a = Tensor([1.0, 2.0])

@@ -30,8 +30,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import float64_enabled
-
 from repro.core import EntropyExitPolicy
 from repro.serve import LoadGenerator, Server, request_stream
 
@@ -117,10 +115,6 @@ def test_golden_serve_stream_is_pinned(trained_model, tiny_dataset):
     assert accuracy == pytest.approx(GOLDEN_ACCURACY, abs=0.0)
 
 
-@pytest.mark.skipif(
-    float64_enabled(),
-    reason="float32 logit pins describe the default policy, not legacy numerics",
-)
 def test_golden_cumulative_logits_bitwise_pinned(trained_model, tiny_dataset):
     """The exact float32 logit bits are pinned, on both execution paths.
 

@@ -2,7 +2,7 @@
 
 Two layers of coverage:
 
-* an exhaustive sweep over (family, norm, encoder, dtype mode) — the
+* an exhaustive sweep over (family, norm, encoder) — the
   combinations the paper's pipelines actually instantiate — asserting that
   ``compile_network`` (which runs :func:`verify_plan` internally) produces
   a plan that also verifies against the concrete input shape;
@@ -11,8 +11,6 @@ Two layers of coverage:
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +27,6 @@ _ENCODERS = {
     "poisson": PoissonEncoder,
     "event": EventFrameEncoder,
 }
-_MODES = {"default": None, "legacy": "1"}
 
 
 def _compile_and_verify(family, norm, encoder, input_size=8, **kwargs):
@@ -46,34 +43,11 @@ def _compile_and_verify(family, norm, encoder, input_size=8, **kwargs):
     return plan
 
 
-class _dtype_mode:
-    """Temporarily pin REPRO_FLOAT64 for one compile+verify round."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __enter__(self):
-        self.previous = os.environ.get("REPRO_FLOAT64")
-        if self.value is None:
-            os.environ.pop("REPRO_FLOAT64", None)
-        else:
-            os.environ["REPRO_FLOAT64"] = self.value
-
-    def __exit__(self, *exc_info):
-        if self.previous is None:
-            os.environ.pop("REPRO_FLOAT64", None)
-        else:
-            os.environ["REPRO_FLOAT64"] = self.previous
-
-
-@pytest.mark.parametrize("mode", sorted(_MODES))
 @pytest.mark.parametrize("encoder", sorted(_ENCODERS))
 @pytest.mark.parametrize("norm", ["bn", "tdbn", "none"])
 @pytest.mark.parametrize("family", sorted(_BUILDERS))
-def test_every_supported_combo_verifies_clean(family, norm, encoder, mode):
-    with _dtype_mode(_MODES[mode]):
-        plan = _compile_and_verify(family, norm, encoder)
-    assert plan.float64_mode is (mode == "legacy")
+def test_every_supported_combo_verifies_clean(family, norm, encoder):
+    _compile_and_verify(family, norm, encoder)
 
 
 @settings(max_examples=25, deadline=None)

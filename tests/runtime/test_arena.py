@@ -16,7 +16,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.autograd.dtypes import float64_enabled
 from repro.runtime import executor_for, plan_for, run_cumulative_logits
 from repro.runtime.arena import PlanArena, _constant_slots, attach_arena
 from repro.snn import spiking_resnet, spiking_vgg
@@ -80,15 +79,12 @@ class TestExportAttach:
             assert not parameter.data.flags.writeable, name
             assert not parameter.data.flags.owndata, name
         # The folded conv+norm caches must serve arena views too, not
-        # recompute private per-process copies of every conv weight.  (No
-        # folded slots exist under REPRO_FLOAT64=1 — the legacy escape
-        # hatch disables folding, and the arena mirrors that.)
+        # recompute private per-process copies of every conv weight.
         folded_slots = [
             (kind, owner) for kind, owner, _ in _constant_slots(clone)
             if kind == "folded_weight"
         ]
-        if not float64_enabled():
-            assert folded_slots, "expected foldable conv+norm pairs in the model"
+        assert folded_slots, "expected foldable conv+norm pairs in the model"
         for _, folded in folded_slots:
             weight, bias = folded.arrays()
             assert not weight.flags.writeable and not bias.flags.writeable

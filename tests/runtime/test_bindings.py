@@ -20,9 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, float64_enabled, no_grad
+from repro.autograd import Tensor, no_grad
 from repro.nn import Conv2d
-from repro.runtime import executor_for, plan_for
+from repro.runtime import executor_for
 from repro.runtime import kernels
 from repro.runtime.plan import LIFOp
 from repro.snn import spiking_resnet, spiking_vgg
@@ -31,10 +31,6 @@ from repro.utils import seed_everything
 
 IMAGE_SIZE = 10
 NUM_CLASSES = 6
-
-requires_default_policy = pytest.mark.skipif(
-    float64_enabled(), reason="suite is running under REPRO_FLOAT64=1"
-)
 
 BUILDERS = {
     "vgg-bn": lambda: spiking_vgg(
@@ -102,17 +98,10 @@ def _assert_same_state(executor, oracle: _Oracle, live: np.ndarray, where: str):
     assert np.array_equal(executor._stem[register], expected), f"{where}: stem rows"
 
 
-@pytest.mark.parametrize("float64", [False, True], ids=["float32", "REPRO_FLOAT64"])
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_width_walk_is_bitwise_on_the_oracle(kind, float64, monkeypatch):
+def test_width_walk_is_bitwise_on_the_oracle(kind):
     """8 -> 3 -> 8 -> 1 -> 6 rows by compaction and admission, two steps at
-    each width, a conv weight and a running_var replaced on the way — under
-    the default policy (folded conv+norm GEMMs) and the legacy float64
-    promotion chain (unfused ConvOp + NormOp, dtypes resolved at bind time)."""
-    if float64:
-        monkeypatch.setenv("REPRO_FLOAT64", "1")
-    else:
-        monkeypatch.delenv("REPRO_FLOAT64", raising=False)
+    each width, a conv weight and a running_var replaced on the way."""
     model, twin = _build(kind), _build(kind)
     executor = executor_for(model)
     assert executor.stem_enabled
@@ -182,7 +171,6 @@ def test_width_walk_is_bitwise_on_the_oracle(kind, float64, monkeypatch):
     live = admit(5)
     for step in range(2):
         both_step(f"width 6, step {step}")
-    assert plan_for(model).float64_mode is float64
     assert all(layer.total_spikes > 0.0 for layer in model.lif_layers())
     assert all(np.any(membrane != 0.0) for membrane in executor._membranes)
 
@@ -227,8 +215,8 @@ def test_spike_count_matches_the_float32_sum_and_keeps_it_beyond_2_24(monkeypatc
     current = np.linspace(0.0, 2.0, 4 * 3 * 5 * 5, dtype=np.float32).reshape(4, 3, 5, 5)
     tau = np.asarray(0.5, dtype=np.float32)
     v_th = np.asarray(1.0, dtype=np.float32)
-    bound = kernels.bind_lif(scratch, current, tau, v_th, "hard")
-    bound = kernels.lif_step(bound, current, None, tau, 1.0, v_th)
+    bound = kernels.bind_lif(scratch, current, "hard")
+    kernels.lif_step(bound, current, None, tau, 1.0, v_th)
     assert bound.count_exact
     assert kernels.spike_count(bound) == float(bound.spikes.sum()) > 0.0
     # Past 2**24 elements a float32 sum of 0/1 rounds; the kernel then takes
@@ -238,7 +226,6 @@ def test_spike_count_matches_the_float32_sum_and_keeps_it_beyond_2_24(monkeypatc
     assert kernels.spike_count(bound) == float(bound.spikes.sum())
 
 
-@requires_default_policy
 def test_steady_state_step_allocates_only_its_logits():
     """200 steps at a constant width, every returned array kept (callers
     build running sums from them): traced memory grows by those arrays and

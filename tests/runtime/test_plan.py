@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicTimestepInference, EntropyExitPolicy
-from repro.nn import Conv2d, Flatten, Linear, Sequential
+from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear, Sequential
 from repro.nn.module import Module
 from repro.runtime import (
     PlanExecutor,
@@ -14,20 +14,16 @@ from repro.runtime import (
     compile_network,
     executor_for,
     plan_for,
+    plan_registry,
     run_cumulative_logits,
     runtime_enabled,
 )
-from repro.runtime.plan import ConvOp, FoldedConvNormOp, LIFOp, LinearOp, NormOp
-from repro.serve import InferenceEngine
+from repro.runtime.plan import FoldedConvNormOp, LIFOp, LinearOp
+from repro.serve import InferenceEngine, Request, Response
 from repro.snn import SpikingNetwork, spiking_resnet, spiking_vgg
 from repro.snn.encoding import EventFrameEncoder, PoissonEncoder
 from repro.snn.neurons import LIFNeuron
-from repro.autograd import float64_enabled
 from repro.utils import seed_everything
-
-requires_default_policy = pytest.mark.skipif(
-    float64_enabled(), reason="suite is running under REPRO_FLOAT64=1"
-)
 
 
 def _tiny_vgg():
@@ -50,7 +46,6 @@ class _Opaque(Module):
 
 
 class TestLowering:
-    @requires_default_policy
     def test_vgg_op_sequence_and_stem(self):
         plan = compile_network(_tiny_vgg())
         kinds = [type(op).__name__ for op in plan.ops]
@@ -72,29 +67,6 @@ class TestLowering:
         assert plan.num_lif == 2
         assert "FoldedConvNormOp" in plan.describe()
 
-    def test_vgg_unfused_lowering_under_float64_mode(self, monkeypatch):
-        """The legacy escape hatch restores the seed's unfused op sequence."""
-        monkeypatch.setenv("REPRO_FLOAT64", "1")
-        plan = compile_network(_tiny_vgg())
-        kinds = [type(op).__name__ for op in plan.ops]
-        assert kinds == [
-            "ConvOp", "NormOp", "LIFOp", "AvgPoolOp",
-            "ConvOp", "NormOp", "LIFOp", "AvgPoolOp",
-            "FlattenOp", "LinearOp",
-        ]
-        assert plan.stem_len == 2
-        assert plan.float64_mode is True
-
-    def test_plan_cache_recompiles_on_mode_flip(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOAT64", raising=False)
-        model = _tiny_vgg()
-        default_plan = plan_for(model)
-        assert default_plan.float64_mode is False
-        monkeypatch.setenv("REPRO_FLOAT64", "1")
-        legacy_plan = plan_for(model)
-        assert legacy_plan is not default_plan
-        assert legacy_plan.float64_mode is True
-
     def test_resnet_residual_lowering(self):
         seed_everything(2)
         model = spiking_resnet("tiny", num_classes=5, input_size=8).eval()
@@ -115,6 +87,39 @@ class TestLowering:
         # the convenience wrappers report "use the Tensor path" instead
         assert plan_for(model) is None
         assert executor_for(model) is None
+
+    @pytest.mark.parametrize("use_runtime", [None, True])
+    def test_bare_norm_takes_the_oracle_fallback(self, use_runtime):
+        """There is no unfused norm op: a norm layer outside a conv→norm
+        block does not lower, and the model serves through the oracle."""
+        seed_everything(4)
+        model = SpikingNetwork(
+            Sequential(Conv2d(3, 4, 3, padding=1), BatchNorm2d(4), LIFNeuron()),
+            Sequential(Flatten(), Linear(4 * 8 * 8, 5)),
+            default_timesteps=3,
+        ).eval()
+        model.features[0].weight.data = model.features[0].weight.data * np.float32(4.0)
+        with pytest.raises(UnsupportedModuleError, match="BatchNorm2d"):
+            compile_network(model)
+        assert plan_for(model) is None
+        assert plan_registry.invalidate(model) is True  # negatively cached
+        x = np.random.default_rng(6).random((5, 3, 8, 8)).astype(np.float32)
+
+        def decisions(flag):
+            engine = InferenceEngine(model, EntropyExitPolicy(0.9), use_runtime=flag)
+            assert engine.fast_path is False
+            for index, row in enumerate(x):
+                engine.admit(Request(request_id=index, inputs=row), Response(), 0.0)
+            done = []
+            while not engine.idle:
+                done.extend(engine.step())
+            return sorted(
+                (c.request.request_id, c.prediction, c.exit_timestep) for c in done
+            )
+
+        found = decisions(use_runtime)
+        assert found == decisions(False)
+        assert len({t for _, _, t in found}) > 1  # exits actually differ
 
     def test_plan_cache_returns_same_object(self):
         model = _tiny_vgg()

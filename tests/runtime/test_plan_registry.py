@@ -4,10 +4,9 @@ Plans are immutable after lowering (ops hold only parameter references and
 idempotent derived-constant caches), so N executors — including N serving
 workers on N threads — share one :class:`CompiledPlan` through the
 process-wide :data:`repro.runtime.plan_registry`.  These tests pin the
-registry contract (identity, negative caching, mode invalidation, thread
-safety), the immutability property that makes sharing safe (per-executor
-statistics toggles no longer mutate plan ops), and the :class:`StemCache`
-memo semantics (bitwise assembly from mixed hit/miss batches, LRU bounds).
+registry contract (identity, negative caching, thread safety), the
+immutability property that makes sharing safe (per-executor statistics
+toggles no longer mutate plan ops), and the :class:`StemCache` memo semantics (bitwise assembly from mixed hit/miss batches, LRU bounds).
 """
 
 from __future__ import annotations
@@ -64,20 +63,6 @@ class TestPlanRegistry:
         assert plan_registry.invalidate(model) is False  # already gone
         second = plan_registry.get(model)
         assert second is not first
-
-    def test_mode_flip_invalidates(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOAT64", raising=False)
-        registry = PlanRegistry()
-        model = _tiny_vgg()
-        default_plan = registry.get(model)
-        assert default_plan.float64_mode is False
-        monkeypatch.setenv("REPRO_FLOAT64", "1")
-        legacy_plan = registry.get(model)
-        assert legacy_plan is not default_plan
-        assert legacy_plan.float64_mode is True
-        if default_plan.stem_cache is not None:
-            # A recompiled plan starts with a fresh (empty) stem memo.
-            assert legacy_plan.stem_cache is not default_plan.stem_cache
 
     def test_unsupported_model_negative_cached(self):
         model = SpikingNetwork(

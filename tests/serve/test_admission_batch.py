@@ -432,17 +432,17 @@ class TestFillRoundEnvelope:
         assert lock.acquisitions - before == 1
         assert engine.active_count == burst
 
+    @pytest.mark.parametrize("use_runtime", [True, False], ids=["plan", "oracle"])
     @pytest.mark.parametrize("encoder_name", ["direct", "event"])
-    def test_serve_step_reads_no_environment(self, encoder_name, monkeypatch):
-        """Plans and executors are mode-bound when they are built: admitting
-        and stepping must not look at ``os.environ`` at all (``REPRO_FLOAT64``
-        used to be re-read once per LIF and once per folded conv, every
-        timestep)."""
+    def test_serve_step_reads_no_environment(self, encoder_name, use_runtime, monkeypatch):
+        """Every environment switch is resolved when an engine is built:
+        admitting and stepping must not look at ``os.environ`` at all, on
+        the compiled plan or on the Tensor oracle."""
         engine = InferenceEngine(
             _build(encoder_name), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
-            use_runtime=True,
+            use_runtime=use_runtime,
         )
-        assert engine.fast_path
+        assert engine.fast_path is use_runtime
         inputs = _inputs(encoder_name, batch=8)
         stream = [
             (Request(request_id=index, inputs=inputs[index]), Response(), 0.0)
@@ -461,8 +461,8 @@ class TestFillRoundEnvelope:
 
         # Mapping.get() goes through __getitem__, so this sees both spellings.
         monkeypatch.setattr(environ_type, "__getitem__", counting)
-        os.environ.get("REPRO_FLOAT64")
-        assert reads == ["REPRO_FLOAT64"]  # the counter works
+        os.environ.get("HOME")
+        assert reads == ["HOME"]  # the counter works
         reads.clear()
         engine.admit_batch(stream[5:])
         while not engine.idle:

@@ -8,17 +8,21 @@ the recorded autograd graph), every parameter, buffer and membrane, and
 every scratch buffer / register / stem row inside a compiled-plan executor —
 and assert float32 throughout.
 
-The ``REPRO_FLOAT64=1`` escape hatch must keep working too: under it the
-seed's float64 promotion reappears (asserted below, so the flag cannot rot
-into a no-op) and the runtime kernels still mirror the Tensor path bitwise.
+The seed-era ``REPRO_FLOAT64=1`` mode is gone; setting it must fail the
+import loudly rather than silently compute float32 (asserted below).
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, float64_enabled, no_grad
+import repro
+from repro.autograd import Tensor, no_grad
 from repro.core import DynamicTimestepInference, EntropyExitPolicy
 from repro.runtime import executor_for, run_cumulative_logits
 from repro.serve import InferenceEngine, Request, Response
@@ -29,12 +33,6 @@ from repro.utils import seed_everything
 
 IMAGE_SIZE = 8
 TIMESTEPS = 3
-
-# The float32 assertions describe the *default* policy; when the whole suite
-# runs under the escape hatch (the CI REPRO_FLOAT64 job) they do not apply.
-requires_default_policy = pytest.mark.skipif(
-    float64_enabled(), reason="suite is running under REPRO_FLOAT64=1"
-)
 
 
 def _build(kind: str) -> SpikingNetwork:
@@ -82,7 +80,6 @@ def _assert_model_state_float32(model: SpikingNetwork) -> None:
             _assert_float32("LIF membrane", layer.membrane.data)
 
 
-@requires_default_policy
 @pytest.mark.parametrize("kind", ["vgg-bn", "resnet-tdbn"])
 def test_training_forward_backward_is_float32(kind):
     """Every op output and every gradient of a train-mode pass is float32."""
@@ -101,7 +98,6 @@ def test_training_forward_backward_is_float32(kind):
     _assert_model_state_float32(model)
 
 
-@requires_default_policy
 @pytest.mark.parametrize("kind", ["vgg-bn", "resnet-tdbn"])
 def test_eval_forward_is_float32_on_both_paths(kind):
     """Frozen inference (folded conv+norm) stays float32, Tensor and plan."""
@@ -120,7 +116,6 @@ def test_eval_forward_is_float32_on_both_paths(kind):
     _assert_float32("fast-path cumulative logits", logits)
 
 
-@requires_default_policy
 def test_executor_internals_are_float32():
     """Scratch buffers, registers, membranes and stem rows stay float32."""
     model = _build("vgg-bn").eval()
@@ -145,7 +140,6 @@ def test_executor_internals_are_float32():
             _assert_float32(f"stem register r{register}", value)
 
 
-@requires_default_policy
 def test_serve_engine_running_state_is_float32():
     model = _build("vgg-bn").eval()
     engine = InferenceEngine(model, EntropyExitPolicy(0.2), max_timesteps=TIMESTEPS)
@@ -158,7 +152,6 @@ def test_serve_engine_running_state_is_float32():
             _assert_float32("engine running sum", engine._running_sum)
 
 
-@requires_default_policy
 def test_sequential_inference_is_float32():
     model = _build("vgg-bn").eval()
     engine = DynamicTimestepInference(model, EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS)
@@ -170,39 +163,28 @@ def test_sequential_inference_is_float32():
 
 
 # --------------------------------------------------------------------------- #
-# The REPRO_FLOAT64 escape hatch
+# The removed REPRO_FLOAT64 mode
 # --------------------------------------------------------------------------- #
-def test_escape_hatch_restores_float64_promotion(monkeypatch):
-    """Under REPRO_FLOAT64=1 the legacy leak reappears: eval logits promote
-    to float64 downstream of the first norm layer."""
-    monkeypatch.setenv("REPRO_FLOAT64", "1")
-    assert float64_enabled()
-    model = _build("vgg-bn").eval()
-    with no_grad():
-        output = model.forward(_inputs(), TIMESTEPS)
-    assert output.per_timestep[0].data.dtype == np.float64
-    # Scalars wrap as float64 0-d arrays again, and float64 data passes
-    # through construction untouched.
-    assert Tensor(0.5).dtype == np.float64
-    assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
+@pytest.mark.parametrize("value, ok", [(None, True), ("0", True), ("1", False)])
+def test_removed_float64_mode_fails_the_import(value, ok):
+    """A removed numerics mode must fail loudly, not compute something else."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_FLOAT64"}
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if value is not None:
+        env["REPRO_FLOAT64"] = value
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    if ok:
+        assert done.returncode == 0, done.stderr
+    else:
+        assert done.returncode != 0
+        assert "RemovedNumericsModeError" in done.stderr
+        assert "5a6e8495aec799ea966ed475b7d8f84024968229" in done.stderr
 
 
-def test_escape_hatch_keeps_paths_bitwise_equivalent(monkeypatch):
-    """Legacy mode also upholds the path-vs-path bitwise contract (the
-    kernels mirror the float64 promotion they were born with)."""
-    monkeypatch.setenv("REPRO_FLOAT64", "1")
-    model = _build("vgg-bn").eval()
-    x = _inputs()
-    with no_grad():
-        reference = model.forward(x, TIMESTEPS).cumulative_numpy()
-    assert reference.dtype == np.float64
-    executor = executor_for(model, use_runtime=True)
-    fast = run_cumulative_logits(model, executor, x, TIMESTEPS)
-    assert fast.dtype == reference.dtype
-    assert np.array_equal(reference, fast)
-
-
-@requires_default_policy
 def test_float64_checkpoint_buffers_are_coerced_and_paths_agree():
     """A checkpoint whose buffers arrive as float64 must not smuggle float64
     into the dataflow: register/update_buffer coerce to the policy dtype, so
@@ -226,7 +208,6 @@ def test_float64_checkpoint_buffers_are_coerced_and_paths_agree():
     assert np.array_equal(reference, fast)
 
 
-@requires_default_policy
 def test_lif_membrane_stays_float32_across_timesteps():
     """The membrane trajectory itself (the paper's Eq. 2 state) is float32."""
     layer = LIFNeuron(tau=0.5, v_threshold=1.0)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.lockorder import lock_check_enabled
+from repro.runtime import runtime_enabled
+from repro.runtime.executor import _trace_ops_enabled
 from repro.utils import (
     MetricLogger,
     Registry,
@@ -153,3 +156,30 @@ class TestValidation:
         assert array.shape == (1, 2)
         with pytest.raises(ValueError):
             check_ndim("x", [1, 2], 2)
+
+
+# The three boolean REPRO_* switches, each through the function that reads it.
+_ENV_SWITCHES = {
+    "REPRO_RUNTIME": (runtime_enabled, True),
+    "REPRO_TRACE_OPS": (_trace_ops_enabled, False),
+    "REPRO_LOCK_CHECK": (lock_check_enabled, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENV_SWITCHES))
+@pytest.mark.parametrize(
+    "raw, expected",
+    [(None, "default"), ("1", True), ("TRUE", True), (" on ", True),
+     ("0", False), ("No", False), ("garbage", ValueError)],
+)
+def test_boolean_switches_share_one_vocabulary(name, raw, expected, monkeypatch):
+    read, default = _ENV_SWITCHES[name]
+    if raw is None:
+        monkeypatch.delenv(name, raising=False)
+    else:
+        monkeypatch.setenv(name, raw)
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=name):
+            read()
+    else:
+        assert read() is (default if expected == "default" else expected)
