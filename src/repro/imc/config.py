@@ -33,13 +33,18 @@ ENERGY_BREAKDOWN_TARGETS: Dict[str, float] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyConstants:
     """Per-event dynamic energies in picojoules.
 
     Every architectural event the simulator counts is priced by one of these
     constants.  They are grouped by the Fig. 1(A) component they belong to so
     the calibrator can rescale a whole component at once.
+
+    Frozen (like :class:`LatencyConstants` and :class:`HardwareConfig`): the
+    energy/latency models price a mapping once and remember the result, so a
+    different operating point is a new object (:meth:`scaled`,
+    :meth:`HardwareConfig.with_energy`), never an edit of this one.
     """
 
     # -- crossbar + ADC ------------------------------------------------- #
@@ -100,7 +105,7 @@ COMPONENT_FIELDS: Dict[str, tuple] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencyConstants:
     """Per-event latencies in nanoseconds."""
 
@@ -114,7 +119,7 @@ class LatencyConstants:
     input_load_ns: float = 0.0         # overlapped with compute (paper: latency ∝ T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HardwareConfig:
     """Full chip configuration (Table I parameters + analytical-model constants)."""
 

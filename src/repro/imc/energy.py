@@ -28,7 +28,7 @@ from .mapping import ChipMapping
 __all__ = ["EnergyBreakdown", "EnergyModel", "EnergyCalibrator"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyBreakdown:
     """Per-component energy of one timestep (picojoules)."""
 
@@ -65,15 +65,32 @@ class EnergyBreakdown:
 
 
 class EnergyModel:
-    """Prices the event counts of a :class:`ChipMapping`."""
+    """Prices the event counts of a :class:`ChipMapping`.
+
+    The mapping is priced once, at construction: ``E(T)`` is affine in ``T``,
+    so the serving path's per-request ``energy(T)`` is two remembered floats
+    and one multiply-add, not a re-summation of every layer's events.  The
+    constants the memo read are frozen (:mod:`repro.imc.config`), so it
+    cannot go stale behind a caller's back.
+    """
 
     def __init__(self, mapping: ChipMapping, config: Optional[HardwareConfig] = None):
         self.mapping = mapping
         self.config = (config or mapping.config).validate()
+        constants = self.config.energy
+        self._breakdown = self._price_events()
+        self._per_timestep = self._breakdown.total()
+        self._static = (
+            mapping.input_pixels * constants.input_load_pj_per_pixel
+            + constants.control_setup_pj
+        )
 
     # ------------------------------------------------------------------ #
     def per_timestep_breakdown(self) -> EnergyBreakdown:
         """Dynamic energy of one timestep, split by Fig. 1(A) component."""
+        return self._breakdown
+
+    def _price_events(self) -> EnergyBreakdown:
         events = self.mapping.event_totals()
         constants = self.config.energy
         size = self.config.crossbar_size
@@ -102,15 +119,11 @@ class EnergyModel:
 
     def per_timestep_energy(self) -> float:
         """Total dynamic energy of one timestep (pJ)."""
-        return self.per_timestep_breakdown().total()
+        return self._per_timestep
 
     def static_energy(self) -> float:
         """Per-inference energy independent of the number of timesteps (pJ)."""
-        constants = self.config.energy
-        return (
-            self.mapping.input_pixels * constants.input_load_pj_per_pixel
-            + constants.control_setup_pj
-        )
+        return self._static
 
     def energy(self, timesteps: int) -> float:
         """Total energy of one inference with ``timesteps`` timesteps (pJ)."""

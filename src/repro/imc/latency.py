@@ -36,6 +36,9 @@ class LatencyModel:
         self.mapping = mapping
         self.config = (config or mapping.config).validate()
         self.pipelined = pipelined
+        # per_timestep_latency() by the ``pipelined`` flag it was computed
+        # under — the one input that is not frozen (see EnergyModel).
+        self._per_timestep: Dict[bool, float] = {}
 
     # ------------------------------------------------------------------ #
     def layer_latency(self, layer: LayerMapping) -> float:
@@ -56,12 +59,19 @@ class LatencyModel:
         return positions * (read_time + accumulate + transfer + lif)
 
     def per_timestep_latency(self) -> float:
-        """Latency of one timestep: the serial sum over layers (ns)."""
-        layer_latencies = [self.layer_latency(layer) for layer in self.mapping.layers]
-        if self.pipelined:
+        """Latency of one timestep: the serial sum over layers (ns).
+
+        Summed over the layers once per instance; every later call, and so
+        every ``latency(T)``, reads the remembered float.
+        """
+        pipelined = bool(self.pipelined)
+        if pipelined not in self._per_timestep:
+            layer_latencies = [self.layer_latency(layer) for layer in self.mapping.layers]
             # A perfectly balanced pipeline is limited by its slowest stage.
-            return max(layer_latencies)
-        return sum(layer_latencies)
+            self._per_timestep[pipelined] = (
+                max(layer_latencies) if pipelined else sum(layer_latencies)
+            )
+        return self._per_timestep[pipelined]
 
     def sigma_e_latency(self) -> float:
         """Latency of one entropy-module exit check (ns)."""

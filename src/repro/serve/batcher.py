@@ -13,47 +13,97 @@ DT-SNN's average-timestep reduction turns into requests/second.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..core.accounting import InferenceCostModel
 from .controller import AdaptiveThresholdController
-from .engine import AdmissionRejectedError, InferenceEngine
+from .engine import AdmissionRejectedError, CompletedSample, InferenceEngine
 from .request import AdmissionQueue, RequestResult
 from .storm import DeadlineExceededError
 from .telemetry import Telemetry
 
-__all__ = ["ContinuousBatcher", "finalize_result", "price_request"]
+__all__ = ["ContinuousBatcher", "complete_round", "price_request"]
 
 
 def price_request(
     cost_model: Optional[InferenceCostModel], exit_timestep: int
 ) -> tuple:
     """Energy / EDP for one completed request (``(None, None)`` without a
-    cost model) — the single pricing rule for every completion path (thread
-    batcher and replica collector)."""
+    cost model) — the single pricing rule, for :func:`complete_round` and
+    the backtester alike."""
     if cost_model is None:
         return None, None
     energy = float(cost_model.energy(exit_timestep))
     return energy, energy * float(cost_model.latency(exit_timestep))
 
 
-def finalize_result(
-    result: RequestResult,
-    response,
+def complete_round(
+    finished: Sequence[CompletedSample],
+    clock: Callable[[], float],
     telemetry: Telemetry,
-    controller: Optional[AdaptiveThresholdController],
-) -> None:
-    """Record, steer, then resolve ONE completion (the replica collector's
-    path; a batcher round does the same for all its completions at once in
-    :meth:`ContinuousBatcher._complete`).
+    cost_model: Optional[InferenceCostModel] = None,
+    controller: Optional[AdaptiveThresholdController] = None,
+    trace=None,
+    spans=None,
+) -> List[RequestResult]:
+    """Price, record and resolve one round of completions — THE completion
+    chain, called by a thread batcher with the samples one ``engine.step()``
+    retired and by the replica collector with one completion-ring read.
 
-    The future is resolved LAST so a waiting client observes telemetry that
-    already includes its own request.
+    The order is fixed here and nowhere else: price → one ``finish`` clock
+    read → results → WAL lines → ONE WAL flush → telemetry (one lock) →
+    controller → ``completed_at`` clock read → spans → futures LAST.  Hence
+    the rule every consumer may lean on: *a resolved future's telemetry,
+    span and (flushed) WAL line already exist* — and a crash loses at most
+    the round in flight, none of whose futures had resolved.  ``completed``
+    is read after the sinks ran, so the span's ``completion`` stage measures
+    them.  A sink that is ``None`` costs nothing: the bare round is one
+    clock read, one telemetry lock and the futures.
     """
-    telemetry.record_completion(result)
+    if not finished:
+        return []
+    priced = [price_request(cost_model, sample.exit_timestep) for sample in finished]
+    now = clock()
+    results: List[RequestResult] = []
+    for sample, (energy, edp) in zip(finished, priced):
+        request = sample.request
+        start_time = sample.start_time
+        if sample.finish_time is not None:
+            # Retired on another process's clock: only the service duration
+            # crosses the boundary; ``now`` is the honest finish, since no
+            # client can observe the result before this round resolves it.
+            start_time = now - max(0.0, sample.finish_time - start_time)
+        results.append(RequestResult(
+            request_id=request.request_id,
+            prediction=sample.prediction,
+            exit_timestep=sample.exit_timestep,
+            score=sample.score,
+            label=request.label,
+            threshold=sample.threshold,
+            arrival_time=request.arrival_time,
+            start_time=start_time,
+            finish_time=now,
+            energy=energy,
+            edp=edp,
+            epoch=sample.epoch,
+            brownout=sample.brownout,
+            horizon=sample.horizon,
+        ))
+    if trace is not None:
+        for sample, result in zip(finished, results):
+            trace.record_request(sample.request, result)
+        trace.flush()
+    telemetry.record_completions(results)
     if controller is not None:
-        controller.on_completion(result, telemetry)
-    response.set_result(result)
+        for result in results:
+            controller.on_completion(result, telemetry)
+    if spans is not None:
+        completed_at = clock()
+        for result in results:
+            spans.record_result(result, completed_at)
+    for sample, result in zip(finished, results):
+        sample.response.set_result(result)
+    return results
 
 
 class ContinuousBatcher:
@@ -76,8 +126,9 @@ class ContinuousBatcher:
     controller:
         Optional SLA threshold controller, consulted after completions.
     trace:
-        Optional :class:`repro.serve.trace.TraceRecorder`; every completed
-        request is appended to the WAL just before its future resolves.
+        Optional :class:`repro.serve.trace.TraceRecorder`; a round's
+        completions are appended to the WAL and flushed before any of their
+        futures resolves.
     spans:
         Optional :class:`repro.serve.obs.SpanTracker`; each completion
         stamps the request's lifecycle stages in one call.
@@ -175,52 +226,6 @@ class ContinuousBatcher:
             return 0
         return len(admissions)
 
-    def _complete(self, finished) -> List[RequestResult]:
-        """Price, record and resolve a round's completions in one pass.
-
-        Sinks first, futures last: a trace/span/telemetry consumer that
-        reacts to a resolved future must already see that request.  The
-        span's ``completed`` stamp is read after the sinks ran, so the
-        ``completion`` stage measures them.
-        """
-        if not finished:
-            return []
-        now = self.clock()
-        results: List[RequestResult] = []
-        for sample in finished:
-            request = sample.request
-            energy, edp = price_request(self.cost_model, sample.exit_timestep)
-            results.append(RequestResult(
-                request_id=request.request_id,
-                prediction=sample.prediction,
-                exit_timestep=sample.exit_timestep,
-                score=sample.score,
-                label=request.label,
-                threshold=sample.threshold,
-                arrival_time=request.arrival_time,
-                start_time=sample.start_time,
-                finish_time=now,
-                energy=energy,
-                edp=edp,
-                epoch=sample.epoch,
-                brownout=sample.brownout,
-                horizon=sample.horizon,
-            ))
-        if self.trace is not None:
-            for sample, result in zip(finished, results):
-                self.trace.record_request(sample.request, result)
-        self.telemetry.record_completions(results)
-        if self.controller is not None:
-            for result in results:
-                self.controller.on_completion(result, self.telemetry)
-        if self.spans is not None:
-            completed_at = self.clock()
-            for result in results:
-                self.spans.record_result(result, completed_at)
-        for sample, result in zip(finished, results):
-            sample.response.set_result(result)
-        return results
-
     # ------------------------------------------------------------------ #
     def run_once(self, wait_timeout: Optional[float] = None) -> List[RequestResult]:
         """Refill slots, advance one timestep, resolve completions."""
@@ -231,7 +236,10 @@ class ContinuousBatcher:
             return []
         self.telemetry.record_queue_depth(self.queue.depth())
         self.telemetry.record_occupancy(self.engine.active_count, self.batch_width)
-        return self._complete(self.engine.step())
+        return complete_round(
+            self.engine.step(), self.clock, self.telemetry, self.cost_model,
+            self.controller, self.trace, self.spans,
+        )
 
     def run_until_drained(self, wait_timeout: float = 0.05) -> int:
         """Serve until the queue is closed-and-empty and all slots finished.

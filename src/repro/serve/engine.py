@@ -62,7 +62,10 @@ class CompletedSample:
     request's stamped epoch when it carries one, the live policy knob
     otherwise — so the recorded value is provably the deciding one (the PR 5
     torn-read fix).  ``epoch``/``brownout`` echo the stamp; ``horizon`` is
-    the effective timestep cap the slot ran under.
+    the effective timestep cap the slot ran under.  ``finish_time`` is set
+    only for a sample retired on another process's clock (the replica
+    collector builds those): only its service *duration* is meaningful, and
+    the completion sink rebases it onto the server's clock.
     """
 
     request: Request
@@ -75,6 +78,7 @@ class CompletedSample:
     epoch: Optional[int] = None
     brownout: bool = False
     horizon: Optional[int] = None
+    finish_time: Optional[float] = None
 
 
 @dataclass

@@ -30,11 +30,12 @@ Data flow, front to back:
   replica killed mid-message can corrupt only its own channel, never block
   a survivor's completions behind a dead lock holder — and a torn record
   fails CRC validation instead of resolving a future with garbage).  A
-  *collector* thread multiplexes the pipes, decodes the cursor ranges,
-  resolves the parent-side futures, prices energy, feeds the SLA
-  controller and records everything into the server's single
-  :class:`~repro.serve.Telemetry` (the replica ships its occupancy gauges
-  at drain, merged via :meth:`Telemetry.merge_state`).  Pickled inline
+  *collector* thread multiplexes the pipes, decodes each cursor range and
+  hands it, as one round, to the completion sink it shares with the thread
+  batcher (:func:`~repro.serve.batcher.complete_round`: pricing, WAL, the
+  server's single :class:`~repro.serve.Telemetry`, SLA controller, spans,
+  parent-side futures last; the replica ships its occupancy gauges at
+  drain, merged via :meth:`Telemetry.merge_state`).  Pickled inline
   payloads remain as the per-message fallback and as the wholesale
   ``transport="pipe"`` baseline.
 * **Failure** — a *monitor* thread owns each replica's exit.  A clean exit
@@ -84,13 +85,12 @@ from ..runtime.rings import (
     attach_rings,
 )
 from ..snn.network import SpikingNetwork
-from .batcher import ContinuousBatcher, finalize_result, price_request
+from .batcher import ContinuousBatcher, complete_round
 from .controller import AdaptiveThresholdController
-from .engine import AdmissionRejectedError, InferenceEngine
+from .engine import AdmissionRejectedError, CompletedSample, InferenceEngine
 from .request import (
     AdmissionQueue,
     Request,
-    RequestResult,
     Response,
     ServerClosedError,
     ThresholdEpoch,
@@ -991,8 +991,27 @@ class ReplicaPool:
                 if kind == _MSG_DONE_RING
                 else message[2]
             )
-            for completion in completions:
-                self._resolve_completion(index, completion)
+            # One message = one round through the shared completion sink:
+            # the same chain, in the same order, as a thread batcher's step.
+            finished = []
+            for (request_id, prediction, exit_timestep, score, threshold,
+                 start_t, finish_t, epoch, brownout, horizon) in completions:
+                entry = self._pop_inflight(index, request_id)
+                if entry is None:
+                    continue
+                request, response = entry
+                # start_t/finish_t are on the replica's clock; the sink keeps
+                # their difference and stamps the server's own.
+                finished.append(CompletedSample(
+                    request=request, response=response, prediction=prediction,
+                    exit_timestep=exit_timestep, score=score,
+                    threshold=threshold, start_time=start_t, epoch=epoch,
+                    brownout=brownout, horizon=horizon, finish_time=finish_t,
+                ))
+            complete_round(
+                finished, self.clock, self.telemetry, self.cost_model,
+                self.controller, self.trace, self.spans,
+            )
 
     def _pop_inflight(self, index: int, request_id: int):
         with self._lock:
@@ -1007,44 +1026,6 @@ class ReplicaPool:
             self._ring_writers[index].release(slot)
         self._window_sems[index].release()
         return request, response
-
-    def _resolve_completion(self, index: int, completion: Tuple) -> None:
-        (request_id, prediction, exit_timestep, score, threshold, start_t,
-         finish_t, epoch, brownout, horizon) = completion
-        entry = self._pop_inflight(index, request_id)
-        if entry is None:
-            return
-        request, response = entry
-        energy, edp = price_request(self.cost_model, exit_timestep)
-        # Timestamps stay in the server's (injectable) clock domain: the
-        # replica's absolute times live on a different process's clock, so
-        # only its service *duration* crosses the boundary.  Completion is
-        # stamped here — which is also the honest end-to-end finish time,
-        # since no client can observe a result before this thread resolves
-        # the future.
-        finish_time = self.clock()
-        start_time = finish_time - max(0.0, finish_t - start_t)
-        result = RequestResult(
-            request_id=request_id,
-            prediction=prediction,
-            exit_timestep=exit_timestep,
-            score=score,
-            label=request.label,
-            threshold=threshold,
-            arrival_time=request.arrival_time,
-            start_time=start_time,
-            finish_time=finish_time,
-            energy=energy,
-            edp=edp,
-            epoch=epoch,
-            brownout=brownout,
-            horizon=horizon,
-        )
-        if self.trace is not None:
-            self.trace.record_request(request, result)
-        if self.spans is not None:
-            self.spans.record_result(result, finish_time)
-        finalize_result(result, response, self.telemetry, self.controller)
 
     # ------------------------------------------------------------------ #
     # Failure (single monitor thread)

@@ -29,9 +29,12 @@ server's (injectable) clock domain — a trace is a relative schedule, not a
 wall-clock log, so replays can honor or compress it deterministically.
 
 Overhead: recording is OFF unless a recorder is passed to
-:class:`~repro.serve.Server`; when on, the hot path pays one dict + one
-buffered ``write`` per completion (flushed per record so a crashed server
-loses at most the line being written) and one digest per request.
+:class:`~repro.serve.Server`; when on, a completion pays one digest, one dict
+and one serialisation (the CRC is taken over the bytes written, not over a
+second encoding), appended to the file object's buffer.  The completion sink
+(:func:`repro.serve.batcher.complete_round`) flushes once per round, before
+any of the round's futures resolves — so a crashed server loses at most the
+round in flight, none of whose clients had an answer yet.
 """
 
 from __future__ import annotations
@@ -153,11 +156,17 @@ class Trace:
         )
 
 
+# The canonical form the CRC covers: sorted keys, no whitespace, ASCII-only.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _encode_line(payload: Dict[str, Any]) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """One WAL line: ``payload`` serialised once, the CRC of exactly those
+    bytes spliced in as the last member.  (The decoder pops ``crc`` wherever
+    it sits, so traces that carry it in sorted position still verify.)"""
+    canonical = _canonical(payload)
     crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps({**payload, "crc": crc}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return f'{canonical[:-1]},"crc":{crc}}}\n'
 
 
 def _decode_line(line: str) -> Optional[Dict[str, Any]]:
@@ -178,11 +187,16 @@ def _decode_line(line: str) -> Optional[Dict[str, Any]]:
 class TraceRecorder:
     """Appends served-traffic records to a WAL + content-addressed clip store.
 
-    Thread-safe: the thread batcher, the replica collector and the server
-    front-end all record through one lock.  Every record is flushed to the OS
-    on write (a crashed *process* loses at most the line in flight; a crashed
-    *machine* loses what the OS had not persisted — call :meth:`close`, which
-    fsyncs, at drain for full durability).
+    Thread-safe: the completion sink (thread batcher and replica collector
+    alike) and the server front-end all record through one lock.  The header,
+    every ``reject`` line and every clip frame are flushed to the OS as they
+    are written; ``request`` lines are buffered and the completion sink calls
+    :meth:`flush` once per round, before the round's futures resolve — a clip
+    is therefore durable before any line that references it, and a line
+    before any client can act on its answer.  A crashed *process* loses at
+    most the completion round in flight; a crashed *machine* loses what the
+    OS had not persisted — call :meth:`close`, which fsyncs, at drain for
+    full durability.
 
     Parameters
     ----------
@@ -216,13 +230,10 @@ class TraceRecorder:
             "store_clips": self._store_clips,
         }
         header.update(meta or {})
-        self._write_line(header)
-
-    # ------------------------------------------------------------------ #
-    def _write_line(self, payload: Dict[str, Any]) -> None:
-        self._wal.write(_encode_line(payload))
+        self._wal.write(_encode_line(header))
         self._wal.flush()
 
+    # ------------------------------------------------------------------ #
     def _offset(self, timestamp: float) -> float:
         # First recorded event pins the trace origin; offsets are what make
         # the trace a replayable schedule rather than a wall-clock log.
@@ -252,13 +263,15 @@ class TraceRecorder:
     # ------------------------------------------------------------------ #
     def record_request(self, request: Request, result: RequestResult,
                        sla_class: Optional[str] = None) -> None:
-        """Record one completed request (called by every completion path)."""
+        """Buffer one completed request's line (and flush its clip, if new);
+        the caller — the completion sink — owes a :meth:`flush` before the
+        request's future resolves."""
         digest = clip_digest(request.inputs)
         with self._lock:
             if self._closed:
                 return
             self._write_clip(digest, request.inputs)
-            self._write_line({
+            self._wal.write(_encode_line({
                 "kind": "request",
                 "id": int(result.request_id),
                 "digest": digest.hex(),
@@ -272,11 +285,11 @@ class TraceRecorder:
                 "service": round(float(result.service_time), 9),
                 "energy": result.energy,
                 "sla": sla_class,
-                "epoch": getattr(result, "epoch", None),
-                "horizon": getattr(result, "horizon", None),
-                "brownout": bool(getattr(result, "brownout", False)),
-                "priority": int(getattr(request, "priority", 1)),
-            })
+                "epoch": result.epoch,
+                "horizon": result.horizon,
+                "brownout": bool(result.brownout),
+                "priority": int(request.priority),
+            }))
             self.records_written += 1
 
     def record_rejection(self, request: Request, timestamp: float,
@@ -300,12 +313,14 @@ class TraceRecorder:
             if reason is not None:
                 line["reason"] = str(reason)
                 line["priority"] = int(getattr(request, "priority", 1))
-            self._write_line(line)
+            self._wal.write(_encode_line(line))
+            self._wal.flush()
             self.rejections_written += 1
 
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Push buffered bytes to the OS (the server calls this at drain)."""
+        """Push buffered bytes to the OS (the completion sink calls this once
+        per round, the server once more at drain)."""
         with self._lock:
             if self._closed:
                 return
@@ -341,7 +356,8 @@ def _load_clips(path: str) -> Tuple[Dict[str, np.ndarray], bool]:
 
     Recovery contract: frames are validated front to back, and the first
     frame that fails (short read, bad magic, CRC mismatch — a crash mid-
-    append) ends the scan.  Everything before it is intact by construction.
+    append — or a CRC-valid frame that does not describe an array) ends the
+    scan.  Everything before it is intact by construction.
     """
     clips: Dict[str, np.ndarray] = {}
     if not os.path.exists(path):
@@ -365,7 +381,7 @@ def _load_clips(path: str) -> Tuple[Dict[str, np.ndarray], bool]:
         if cursor + dtype_len + 1 > total:
             truncated = True
             break
-        dtype = data[cursor:cursor + dtype_len].decode("ascii")
+        dtype = data[cursor:cursor + dtype_len].decode("ascii", errors="replace")
         cursor += dtype_len
         ndim = data[cursor]
         cursor += 1
@@ -385,25 +401,31 @@ def _load_clips(path: str) -> Tuple[Dict[str, np.ndarray], bool]:
         cursor += 4
         if zlib.crc32(data[start:cursor - 4]) & 0xFFFFFFFF != crc:
             truncated = True
-            cursor = start
             break
-        clips[digest.hex()] = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        try:
+            clips[digest.hex()] = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        except (TypeError, ValueError):
+            truncated = True
+            break
     return clips, truncated
 
 
 def load_trace(path: str, load_clips: bool = True) -> Trace:
     """Load a trace, recovering the longest valid prefix of each file.
 
-    A line that fails to parse or fails its CRC ends the record scan (WAL
-    semantics: a crash corrupts only the tail, so the first bad line marks
-    the durable frontier); ``Trace.truncated`` reports whether anything was
-    dropped from either file.
+    A line that fails to parse, fails its CRC, or passes it but is not a
+    well-formed record ends the record scan (WAL semantics: a crash corrupts
+    only the tail, so the first bad line marks the durable frontier);
+    ``Trace.truncated`` reports whether anything was dropped from either
+    file.  Damage is never an exception out of the loader.
     """
     header: Dict[str, Any] = {}
     records: List[TraceRecord] = []
     rejections: List[Dict[str, Any]] = []
     truncated = False
-    with open(path, "r", encoding="utf-8") as handle:
+    # errors="replace": a damaged byte becomes U+FFFD and fails the line's CRC
+    # instead of failing the read.
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
             if not line.endswith("\n"):
                 # A line without its terminator is an interrupted append.
@@ -417,24 +439,29 @@ def load_trace(path: str, load_clips: bool = True) -> Trace:
             if kind == "header":
                 header = {k: v for k, v in payload.items() if k != "kind"}
             elif kind == "request":
-                records.append(TraceRecord(
-                    request_id=int(payload["id"]),
-                    digest=str(payload["digest"]),
-                    arrival_offset=float(payload["arrival"]),
-                    exit_timestep=int(payload["exit_t"]),
-                    prediction=int(payload["prediction"]),
-                    score=float(payload["score"]),
-                    threshold=payload.get("threshold"),
-                    label=payload.get("label"),
-                    queue_delay=float(payload.get("queue_delay", 0.0)),
-                    service_time=float(payload.get("service", 0.0)),
-                    energy=payload.get("energy"),
-                    sla_class=payload.get("sla"),
-                    epoch=payload.get("epoch"),
-                    horizon=payload.get("horizon"),
-                    brownout=bool(payload.get("brownout", False)),
-                    priority=payload.get("priority"),
-                ))
+                try:
+                    record = TraceRecord(
+                        request_id=int(payload["id"]),
+                        digest=str(payload["digest"]),
+                        arrival_offset=float(payload["arrival"]),
+                        exit_timestep=int(payload["exit_t"]),
+                        prediction=int(payload["prediction"]),
+                        score=float(payload["score"]),
+                        threshold=payload.get("threshold"),
+                        label=payload.get("label"),
+                        queue_delay=float(payload.get("queue_delay", 0.0)),
+                        service_time=float(payload.get("service", 0.0)),
+                        energy=payload.get("energy"),
+                        sla_class=payload.get("sla"),
+                        epoch=payload.get("epoch"),
+                        horizon=payload.get("horizon"),
+                        brownout=bool(payload.get("brownout", False)),
+                        priority=payload.get("priority"),
+                    )
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    truncated = True
+                    break
+                records.append(record)
             elif kind == "reject":
                 rejections.append(payload)
     clips: Dict[str, np.ndarray] = {}

@@ -1,5 +1,7 @@
 """Tests for the energy/latency models, calibration, area and sigma-E module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.imc import (
     LatencyModel,
     SigmaEModuleModel,
 )
+from repro.serve.batcher import price_request
 from repro.snn import spiking_vgg
 from repro.utils import seed_everything
 
@@ -212,6 +215,115 @@ class TestIMCChip:
         assert with_checks.energy(4) > without_checks.energy(4)
         # ... but only barely (the Sec. III-B claim).
         assert with_checks.energy(4) / without_checks.energy(4) < 1.001
+
+
+def _uncached_energy(chip, timesteps):
+    """``IMCChip.energy`` as it was computed before the models remembered
+    anything: every event total re-summed and re-priced, term by term in the
+    same order — the frozen reference the memo must match bit for bit."""
+    events = chip.mapping.event_totals()
+    constants, size = chip.config.energy, chip.config.crossbar_size
+    crossbar_adc = (
+        events["row_activations"] * constants.row_activation_pj
+        + events["row_activations"] * size * constants.cell_read_pj
+        + events["adc_conversions"] * constants.adc_conversion_pj
+    )
+    digital = (
+        events["crossbar_reads"] * constants.switch_matrix_pj
+        + events["buffer_accesses"] * constants.buffer_access_pj
+        + events["accumulator_ops"] * constants.accumulator_op_pj
+        + events["shift_add_ops"] * constants.shift_add_pj
+    )
+    htree = events["htree_transfers"] * constants.htree_transfer_pj
+    noc = events["noc_transfers"] * constants.noc_transfer_pj
+    lif = events["lif_updates"] * constants.lif_update_pj
+    per_timestep = crossbar_adc + digital + htree + noc + lif
+    static = (chip.mapping.input_pixels * constants.input_load_pj_per_pixel
+              + constants.control_setup_pj)
+    base = static + timesteps * per_timestep
+    if chip.include_exit_checks:
+        base += timesteps * chip.sigma_e.energy_per_check()
+    return base
+
+
+def _uncached_latency(chip, timesteps):
+    model = chip.latency_model
+    latencies = [model.layer_latency(layer) for layer in chip.mapping.layers]
+    per_timestep = max(latencies) if chip.pipelined else sum(latencies)
+    base = timesteps * per_timestep + chip.config.latency.input_load_ns
+    if chip.include_exit_checks:
+        base += timesteps * chip.config.latency.sigma_e_check_ns
+    if chip.pipelined:
+        base += per_timestep * max(len(chip.mapping.layers) - 1, 0)
+    return base
+
+
+class TestPricingIsBitwise:
+    """The cost model prices a mapping once and serves ``energy(T)`` /
+    ``latency(T)`` from what it remembered; nothing about the numbers may
+    move, and the memo must not be able to go stale."""
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("include_exit_checks", [False, True])
+    def test_memoised_costs_equal_the_uncached_arithmetic(self, mapping, pipelined,
+                                                          include_exit_checks):
+        config = EnergyCalibrator().calibrate(mapping)
+        chip = IMCChip(mapping=mapping, config=config, pipelined=pipelined,
+                       include_exit_checks=include_exit_checks)
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            for t in range(1, 17):
+                energy, latency = _uncached_energy(chip, t), _uncached_latency(chip, t)
+                assert chip.energy(t) == energy
+                assert chip.latency(t) == latency
+                assert chip.edp(t) == energy * latency
+
+    def test_price_request_is_the_benchmarks_own_product(self, chip):
+        # perf/worker.py forms edp_by_exit exactly like this.
+        for t in range(1, 9):
+            energy, edp = price_request(chip, t)
+            assert energy == float(chip.energy(t))
+            assert edp == float(chip.energy(t)) * float(chip.latency(t))
+        assert price_request(None, 3) == (None, None)
+
+    def test_the_constants_the_memo_read_are_frozen(self, chip):
+        config = chip.config
+        for frozen, name in ((config, "crossbar_size"), (config, "energy"),
+                             (config.energy, "adc_conversion_pj"),
+                             (config.latency, "crossbar_read_ns"),
+                             (chip.energy_model.per_timestep_breakdown(), "noc")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frozen, name, getattr(frozen, name))
+        # A different operating point is a new object, priced afresh.
+        doubled = config.with_energy(config.energy.scaled({"noc": 2.0}))
+        assert doubled.energy.noc_transfer_pj == 2.0 * config.energy.noc_transfer_pj
+        assert EnergyModel(chip.mapping, doubled).energy(2) > chip.energy_model.energy(2)
+
+    def test_latency_memo_follows_the_pipelined_flag(self, mapping):
+        model = LatencyModel(mapping, pipelined=False)
+        sequential = model.latency(3)
+        model.pipelined = True
+        assert model.latency(3) == LatencyModel(mapping, pipelined=True).latency(3)
+        model.pipelined = False
+        assert model.latency(3) == sequential
+
+    def test_events_are_totalled_once_per_model(self, mapping, monkeypatch):
+        calls = []
+        original = ChipMapping.event_totals
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ChipMapping, "event_totals", counting)
+        model = EnergyModel(mapping)
+        for t in range(1, 17):
+            model.energy(t)
+        model.per_timestep_breakdown().shares()
+        model.static_fraction()
+        model.normalized_energy_curve(8)
+        assert len(calls) == 1
+        EnergyModel(mapping).energy(1)  # ... per instance: nothing is shared
+        assert len(calls) == 2
 
 
 class TestAreaModel:

@@ -196,6 +196,43 @@ class TestSpans:
             assert (events["queued"] < events["admitted"] < events["exited"]
                     < events["completed"]), span
 
+    def test_completion_stage_is_measured_in_replica_mode_too(self, monkeypatch):
+        """The replica collector completes through the same sink as the thread
+        batcher, so its ``completion`` stage is the sink pass as well — it
+        used to stamp ``completed`` with the result's own finish time, before
+        any sink ran, and always read 0.0.  Real clock: the replica's service
+        duration is measured on its own, and rebased onto the server's."""
+        stamped = []
+        original = SpanTracker.record_result
+
+        def counting(self, result, completed_at):
+            stamped.append(result.request_id)
+            return original(self, result, completed_at)
+
+        monkeypatch.setattr(SpanTracker, "record_result", counting)
+        xs = _inputs(8)
+        spans = SpanTracker()
+        server = Server(
+            _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+            batch_width=3, queue_capacity=len(xs), num_replicas=1,
+            use_runtime=True, spans=spans,
+        ).start()
+        try:
+            futures = [server.submit(x) for x in xs]
+            results = [future.result(timeout=60.0) for future in futures]
+        finally:
+            server.shutdown(drain=True)
+        assert sorted(stamped) == sorted(result.request_id for result in results)
+        durations = spans.stage_durations()
+        assert len(durations["completion"]) == len(xs)
+        assert all(duration > 0.0 for duration in durations["completion"])
+        for span in spans.spans():
+            assert span.monotone, span
+            events = span.events
+            assert "dispatched" in events, span
+            assert (events["queued"] < events["admitted"] < events["exited"]
+                    < events["completed"]), span
+
     def test_deadline_drop_records_the_instant_it_compared(self):
         """One clock reading decides the drop AND is the recorded drop time:
         a ticking clock must not be read a second time for the record."""

@@ -13,6 +13,10 @@ Three contracts pinned here:
    workers and process replicas alike.  Per-sample batch invariance is what
    makes this well-defined; the replayer's refusal cases (missing clips,
    moving threshold, mismatched server knobs) keep it honest.
+4. **Durability order** — the completion sink flushes a round's WAL lines
+   once, before any of the round's futures resolves: a resolved future's
+   line and clip are already readable through a second file handle, on the
+   thread batcher and through the replica collector alike.
 
 The model, clip batches and the canonical recorded trace come from the
 session-scoped fixtures in ``tests/serve/conftest.py`` (shared with the
@@ -21,13 +25,20 @@ storm and backtest suites).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.policies import EntropyExitPolicy
+from repro.imc import IMCChip
 from repro.serve import (
+    AdaptiveThresholdController,
     Request,
+    Response,
     Server,
+    SpanTracker,
+    Telemetry,
     Trace,
     TraceRecord,
     TraceRecorder,
@@ -35,6 +46,8 @@ from repro.serve import (
     clip_digest,
     load_trace,
 )
+from repro.serve.batcher import complete_round
+from repro.serve.engine import CompletedSample
 
 TIMESTEPS = 4
 NUM_CLASSES = 6
@@ -353,3 +366,128 @@ class TestCrossCompositionReplay:
         # is exactly the last arrival offset, compressed by the speed factor.
         last_offset = max(r.arrival_offset for r in trace.records)
         assert sum(sleeps) == pytest.approx(last_offset / 2.0)
+
+
+# --------------------------------------------------------------------------- #
+class TestDurabilityOrder:
+    @pytest.mark.parametrize("num_replicas", [0, 1], ids=["thread", "1-replica"])
+    def test_a_resolved_future_is_already_in_the_wal(self, tmp_path, served_model,
+                                                     make_clips, monkeypatch,
+                                                     num_replicas):
+        """At the instant each future resolves, a SECOND handle on the files
+        already reads that request's line and its clip."""
+        path = str(tmp_path / "t.jsonl")
+        recorder = TraceRecorder(path)
+        observed = []  # (request id, line durable, clip durable)
+        original = Response.set_result
+
+        def checking(self, result):
+            durable = load_trace(path)
+            digests = {r.request_id: r.digest for r in durable.records}
+            digest = digests.get(result.request_id)
+            observed.append((result.request_id, digest is not None,
+                             digest in durable.clips))
+            return original(self, result)
+
+        monkeypatch.setattr(Response, "set_result", checking)
+        xs = make_clips(20)
+        server = _server(served_model, num_replicas=num_replicas,
+                         trace=recorder).start()
+        try:
+            futures = [server.submit(x) for x in xs]
+            results = [future.result(timeout=60.0) for future in futures]
+        finally:
+            server.shutdown(drain=True)
+            recorder.close()
+        assert sorted(seen[0] for seen in observed) == sorted(
+            result.request_id for result in results)
+        assert all(line and clip for _, line, clip in observed), observed
+
+    def test_the_wal_is_flushed_once_per_round_not_per_record(self, tmp_path,
+                                                              served_model,
+                                                              make_clips,
+                                                              monkeypatch):
+        rounds = []
+        original = Telemetry.record_completions
+
+        def counting(self, results):
+            rounds.append(len(results))
+            return original(self, results)
+
+        monkeypatch.setattr(Telemetry, "record_completions", counting)
+        recorder = TraceRecorder(str(tmp_path / "t.jsonl"))
+        # Each flush with buffered bytes is one ``write`` syscall.
+        handle = recorder._wal = mock.Mock(wraps=recorder._wal)
+        xs = make_clips(200)
+        server = Server(
+            served_model, EntropyExitPolicy(THRESHOLD), max_timesteps=TIMESTEPS,
+            batch_width=8, queue_capacity=len(xs), use_runtime=True,
+            trace=recorder,
+        ).start()
+        try:
+            for future in [server.submit(x) for x in xs]:
+                future.result(timeout=60.0)
+        finally:
+            server.shutdown(drain=True)
+        assert sum(rounds) == len(xs) == recorder.records_written
+        # One flush per completion round, plus the server's own at drain.
+        assert handle.flush.call_count <= len(rounds) + 2
+        assert handle.flush.call_count < len(xs) // 2
+        recorder.close()
+        assert len(load_trace(recorder.path).records) == len(xs)
+
+    def test_a_round_pays_only_for_the_sinks_attached(self, tmp_path, served_model,
+                                                      make_clips, monkeypatch):
+        """Bare round: one clock read, no WAL flush, no pricing, no span.
+        Every sink attached: one flush per ROUND, two clock reads, the
+        per-request sinks entered once per request — and futures last."""
+        order = []
+        for owner, name in ((TraceRecorder, "record_request"), (TraceRecorder, "flush"),
+                            (IMCChip, "energy"), (IMCChip, "latency"),
+                            (AdaptiveThresholdController, "on_completion"),
+                            (SpanTracker, "record_result"), (Response, "set_result")):
+            def logging(self, *args, _original=getattr(owner, name), _name=name):
+                order.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(owner, name, logging)
+
+        def clock():
+            order.append("clock")
+            return 10.0 + order.count("clock")
+
+        def round_of(count):
+            return [
+                CompletedSample(
+                    request=Request(request_id=i, inputs=clip, arrival_time=1.0),
+                    response=Response(), prediction=1, exit_timestep=1 + i % 2,
+                    score=0.25, threshold=THRESHOLD, start_time=2.0, epoch=0,
+                    horizon=TIMESTEPS,
+                )
+                for i, clip in enumerate(make_clips(count))
+            ]
+
+        telemetry = Telemetry()
+        bare = round_of(5)
+        results = complete_round(bare, clock, telemetry)
+        assert [sample.response.result(timeout=0) for sample in bare] == results
+        assert order == ["clock"] + ["set_result"] * 5
+        assert telemetry.completed == 5 and results[0].energy is None
+
+        order.clear()
+        chip = IMCChip.from_network(served_model, make_clips(2),
+                                    num_classes=NUM_CLASSES)
+        controller = AdaptiveThresholdController(
+            EntropyExitPolicy(THRESHOLD), target_p95_latency=1.0,
+            min_threshold=0.1, max_threshold=0.9)
+        spans = SpanTracker()
+        with TraceRecorder(str(tmp_path / "t.jsonl")) as recorder:
+            results = complete_round(round_of(5), clock, telemetry, chip,
+                                     controller, recorder, spans)
+        assert order == (
+            ["energy", "latency"] * 5 + ["clock"] + ["record_request"] * 5
+            + ["flush"] + ["on_completion"] * 5 + ["clock"]
+            + ["record_result"] * 5 + ["set_result"] * 5
+        )
+        assert all(r.energy == chip.energy(r.exit_timestep) and r.finish_time == 11.0
+                   for r in results)
+        assert {span.events["completed"] for span in spans.spans()} == {12.0}
