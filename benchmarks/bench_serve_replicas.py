@@ -14,8 +14,7 @@ Method — the canonical-trace workload (docs/OBSERVABILITY.md):
    (:class:`repro.serve.TraceRecorder`) — clips, arrival order, threshold,
    and every recorded decision;
 2. every composition (1 worker baseline, N thread workers, N process
-   replicas over the ring transport, N process replicas over the legacy
-   pipe-pickle transport) then replays *that same trace* through
+   replicas) then replays *that same trace* through
    :class:`repro.serve.TraceReplayer` (median of ``ROUNDS`` replays), so all
    rows measure the identical workload through the identical submission
    machinery — apples to apples by construction;
@@ -25,11 +24,10 @@ Method — the canonical-trace workload (docs/OBSERVABILITY.md):
    doing double duty as the correctness check;
 4. the headline single-core ratio lands in ``BENCH_serve_replicas.json``
    as structured data (machine, cores, req/s per composition, arena bytes,
-   replica PSS) instead of prose.  Schema v2 adds a ``dispatch_cost``
-   block: per-request service time of the ring vs pipe replica rows and
-   their delta — the end-to-end cost the shared-memory frames remove from
-   every dispatched request (``bench_ipc_ring.py`` isolates the same
-   difference without model noise).
+   replica PSS) instead of prose.  Schema v3 drops v2's pipe-transport
+   composition and ``dispatch_cost`` block: there is one replica transport,
+   and its per-request dispatch cost is ``perf/``'s
+   ``replica1_dynamic_closed`` workload.
 
 Scaling assertion: with >= 4 usable cores and full (non-smoke) scale, N=4
 replicas must reach >= 2x the single-worker baseline throughput.  On fewer
@@ -82,7 +80,7 @@ def _replica_pss_kb(server) -> float:
 
 
 def _build_server(experiment, threshold, *, num_workers=1, num_replicas=0,
-                  trace=None, replica_transport="ring"):
+                  trace=None):
     return Server(
         experiment.model,
         EntropyExitPolicy(threshold),
@@ -92,7 +90,6 @@ def _build_server(experiment, threshold, *, num_workers=1, num_replicas=0,
         num_workers=num_workers,
         num_replicas=num_replicas,
         trace=trace,
-        replica_transport=replica_transport,
     )
 
 
@@ -116,11 +113,9 @@ def _record_canonical_trace(experiment, threshold, stream, path):
     return load_trace(path)
 
 
-def _replay_once(experiment, threshold, trace, *, num_workers=1, num_replicas=0,
-                 replica_transport="ring"):
+def _replay_once(experiment, threshold, trace, *, num_workers=1, num_replicas=0):
     server = _build_server(
         experiment, threshold, num_workers=num_workers, num_replicas=num_replicas,
-        replica_transport=replica_transport,
     ).start()
     pss_kb = None
     try:
@@ -168,23 +163,12 @@ def test_replica_scaling(benchmark, suite, tmp_path):
         replicas = _median_rps(
             experiment, point.threshold, trace, num_replicas=REPLICAS
         )
-        pipe_replicas = _median_rps(
-            experiment, point.threshold, trace, num_replicas=REPLICAS,
-            replica_transport="pipe",
-        )
-        return baseline, threads, replicas, pipe_replicas
+        return baseline, threads, replicas
 
-    baseline, threads, replicas, pipe_replicas = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    baseline, threads, replicas = benchmark.pedantic(run, rounds=1, iterations=1)
     base_rps, _, _ = baseline
     thread_rps, _, _ = threads
     replica_rps, arena_bytes, pss_kb = replicas
-    pipe_rps, _, _ = pipe_replicas
-    # Per-request service time is 1/throughput on an identical replayed
-    # workload, so the ring-vs-pipe time delta is the dispatch cost the
-    # ring transport removes from every request.
-    dispatch_delta_us = 1e6 / pipe_rps - 1e6 / replica_rps
 
     cores = _cores()
     print_section(
@@ -198,19 +182,10 @@ def test_replica_scaling(benchmark, suite, tmp_path):
             ["1 thread worker (baseline)", base_rps, 1.0],
             [f"{REPLICAS} thread workers (GIL-bound)", thread_rps,
              thread_rps / base_rps],
-            [f"{REPLICAS} process replicas (ring transport)", replica_rps,
-             replica_rps / base_rps],
-            [f"{REPLICAS} process replicas (pipe transport)", pipe_rps,
-             pipe_rps / base_rps],
+            [f"{REPLICAS} process replicas", replica_rps, replica_rps / base_rps],
         ],
         float_format="{:.2f}",
     ))
-    emit(f"\ndispatch cost: ring transport spends "
-         f"{1e6 / replica_rps:.1f} us/request vs {1e6 / pipe_rps:.1f} us/request "
-         f"over pipe-pickle on the same trace (delta {dispatch_delta_us:+.1f} "
-         "us/request, positive = ring cheaper; the ring's edge grows with the "
-         "frame size — bench_ipc_ring.py isolates the transport without model "
-         "noise)")
     emit(f"\nplan arena: one shared segment of {arena_bytes} bytes serves all "
          f"{REPLICAS} replicas ({arena_bytes // REPLICAS} bytes/replica amortized; "
          "constants are exported once, attached zero-copy, so the arena cost is "
@@ -223,10 +198,9 @@ def test_replica_scaling(benchmark, suite, tmp_path):
          f"({NUM_REQUESTS}/{NUM_REQUESTS} requests bitwise vs the recording)")
 
     emit_bench_json("serve_replicas", {
-        # v2: adds the pipe-transport replica composition and the
-        # dispatch_cost block (per-request ring-vs-pipe delta); v1 had only
-        # the three ring-era compositions.
-        "schema_version": 2,
+        # v3: the pipe-transport composition and the dispatch_cost block
+        # of v2 are gone with the transport they measured.
+        "schema_version": 3,
         "workload": {
             "kind": "trace_replay",
             "num_requests": NUM_REQUESTS,
@@ -245,14 +219,6 @@ def test_replica_scaling(benchmark, suite, tmp_path):
                 "arena_bytes": arena_bytes,
                 "replica_pss_kb": pss_kb,
             },
-            f"{REPLICAS}_process_replicas_pipe_transport": {
-                "throughput_rps": pipe_rps, "ratio": pipe_rps / base_rps,
-            },
-        },
-        "dispatch_cost": {
-            "ring_us_per_request": 1e6 / replica_rps,
-            "pipe_us_per_request": 1e6 / pipe_rps,
-            "delta_us_per_request": dispatch_delta_us,
         },
         "single_core_ratio": replica_rps / base_rps if cores < 4 else None,
         "multicore_ratio": replica_rps / base_rps if cores >= 4 else None,

@@ -1,25 +1,25 @@
 """Fixed-slot shared-memory rings for replica dispatch (zero-copy IPC).
 
-The replica pool's original transport pickled every input frame through a
-``multiprocessing`` queue and every completion back through a pipe.  Both
-copies are pure overhead: the frame is already a contiguous ``float32``
-array, and a completion is ten scalars.  This module replaces the payload
-path with preallocated shared memory, leaving the existing pipes/queues to
-carry only *cursors* and control messages:
+Pickling every input frame to a replica and every completion back is pure
+overhead: the frame is already a contiguous ``float32`` array, and a
+completion is ten scalars.  This module is the payload path — preallocated
+shared memory — and the pool's pipes carry only *cursors* and control
+messages:
 
 * **Request slab** (parent writer, replica reader) — ``slots`` fixed-width
   slots per replica, each a 64-byte header (sequence, byte count, CRC32)
   followed by ``slot_bytes`` of payload capacity.  The forwarder copies the
   frame into a free slot exactly once at dispatch and ships a *ticket*
-  (slot index, sequence, CRC, shape, dtype) over the work queue; the
+  (slot index, sequence, CRC, shape, dtype) in the round's pipe message; the
   replica validates the header against the ticket and binds a read-only
   ``np.ndarray`` view — zero copies on the consume side.
 * **Completion ring** (replica writer, parent reader) — fixed-width
   96-byte records (:data:`COMPLETION_RECORD`), each sequence- and
-  CRC-guarded.  The replica appends finished rounds and sends only the
-  ``(start, count)`` cursor range over its result pipe; the pipe write is
-  the cross-process memory barrier, so the ring itself needs no shared
-  cursors or atomics.
+  CRC-guarded.  The replica appends a finished round from one structured
+  buffer and sends only the ``(start, count)`` cursor range over its result
+  pipe; the pipe write is the cross-process memory barrier, so the ring
+  itself needs no shared cursors or atomics.  The parent copies the range
+  out once and validates and decodes *the copy*.
 
 Safety model: slots are parent-owned.  A request slot is allocated before
 dispatch and freed only after its completion (or failure) resolves, and the
@@ -31,10 +31,9 @@ ticket (or a torn/corrupted record) fails validation loudly with
 :class:`RingIntegrityError` instead of serving wrong bytes.
 
 Everything is preallocated at pool construction (one segment for the whole
-fleet); steady-state dispatch performs no allocation in shared memory.
-Oversized payloads simply don't get a ticket — callers fall back to the
-legacy inline-pickle path, which also remains available wholesale as the
-``transport="pipe"`` knob (the benchmark baseline).
+fleet); steady-state dispatch performs no allocation in shared memory.  A
+payload larger than a slot gets no ticket, and the pool refuses that
+request typed — there is no second payload path.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ _FLAG_HAS_THRESHOLD = 1 << 1
 _FLAG_HAS_EPOCH = 1 << 2
 _FLAG_HAS_HORIZON = 1 << 3
 
-# A ticket travels over the work queue in place of the payload:
+# A ticket travels over the work pipe in place of the payload:
 # (slot, seq, crc, nbytes, shape, dtype string).
 RingTicket = Tuple[int, int, int, int, Tuple[int, ...], str]
 
@@ -115,10 +114,6 @@ class RingIntegrityError(RuntimeError):
     never expected in normal operation — the caller surfaces them as a
     rejected request rather than serving wrong bytes.
     """
-
-
-def _crc(view) -> int:
-    return zlib.crc32(view) & 0xFFFFFFFF
 
 
 # Payload CRCs cover a bounded span — the first and last ``_CRC_SPAN``
@@ -168,17 +163,15 @@ class RingSpec:
         *,
         slots: int,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
-        completion_slots: Optional[int] = None,
     ) -> "RingSpec":
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
         if slots < 1:
             raise ValueError("slots must be >= 1")
         slot_bytes = _align(int(slot_bytes))
-        if completion_slots is None:
-            # The window bound keeps written-unread <= slots; the margin is
-            # pure paranoia against off-by-one at the boundary.
-            completion_slots = slots + 2
+        # The window bound keeps written-unread <= slots; the margin is
+        # pure paranoia against off-by-one at the boundary.
+        completion_slots = slots + 2
         slot_stride = _ALIGNMENT + slot_bytes
         request_bytes = _align(slots * slot_stride)
         completion_bytes = _align(completion_slots * COMPLETION_RECORD.itemsize)
@@ -197,11 +190,26 @@ class RingSpec:
             num_replicas=num_replicas,
             slots=slots,
             slot_bytes=slot_bytes,
-            completion_slots=int(completion_slots),
+            completion_slots=completion_slots,
             request_offsets=tuple(request_offsets),
             completion_offsets=tuple(completion_offsets),
             owner_pid=os.getpid(),
         )
+
+
+def _slab_views(spec: RingSpec, buffer: memoryview, index: int):
+    """One replica's request slab as ``(headers, payloads)``: a strided
+    structured array over the slot headers and one memoryview per slot's
+    payload capacity.  Both ends bind the same layout."""
+    base = spec.request_offsets[index]
+    stride = _ALIGNMENT + spec.slot_bytes
+    headers = np.ndarray((spec.slots,), dtype=_SLOT_HEADER, buffer=buffer,
+                         offset=base, strides=(stride,))
+    payloads = [
+        buffer[base + slot * stride + _ALIGNMENT:base + (slot + 1) * stride]
+        for slot in range(spec.slots)
+    ]
+    return headers, payloads
 
 
 # --------------------------------------------------------------------- #
@@ -213,32 +221,21 @@ class RequestRingWriter:
     Single logical producer (the replica's forwarder thread), but slot
     *release* happens from collector and monitor threads, so the free list
     is lock-protected.  ``try_write`` either copies the frame into a free
-    slot and returns a ticket, or returns ``None`` (no free slot, or the
-    payload exceeds slot capacity) — the caller then falls back to the
-    inline pipe payload.
+    slot and returns a ticket, or returns ``None`` (the payload exceeds slot
+    capacity, or no slot is free — which the window invariant rules out) and
+    the caller refuses the request.
     """
 
     def __init__(self, spec: RingSpec, buffer: memoryview, index: int):
         self.spec = spec
-        base = spec.request_offsets[index]
-        stride = _ALIGNMENT + spec.slot_bytes
-        self._headers = [
-            np.ndarray((1,), dtype=_SLOT_HEADER, buffer=buffer,
-                       offset=base + slot * stride)
-            for slot in range(spec.slots)
-        ]
-        self._payloads = [
-            buffer[base + slot * stride + _ALIGNMENT:
-                   base + slot * stride + _ALIGNMENT + spec.slot_bytes]
-            for slot in range(spec.slots)
-        ]
+        self._headers, self._payloads = _slab_views(spec, buffer, index)
         self._lock = named_lock(f"runtime.rings.writer{index}")
         self._free: List[int] = list(range(spec.slots))
         self._seq = 0
 
     def close(self) -> None:
         """Drop the buffer views so the owner's mapping can close."""
-        self._headers = []
+        self._headers = None
         self._payloads = []
 
     def try_write(self, array: np.ndarray) -> Optional[RingTicket]:
@@ -256,7 +253,7 @@ class RequestRingWriter:
         dest = np.ndarray(data.shape, dtype=data.dtype, buffer=payload)
         dest[...] = data
         crc = _payload_crc(payload, nbytes)
-        self._headers[slot][0] = (seq, nbytes, crc, b"")
+        self._headers[slot] = (seq, nbytes, crc, b"")
         return (slot, seq, crc, nbytes, data.shape, data.dtype.str)
 
     def release(self, slot: int) -> None:
@@ -275,8 +272,9 @@ class CompletionReader:
     """Parent-side reader over one replica's completion ring.
 
     The replica sends ``(start, count)`` cursor ranges over its result pipe;
-    :meth:`read` validates each record's sequence continuity and CRC and
-    decodes it back into the 10-tuple wire form the resolver already speaks.
+    :meth:`read` decodes one range back into the 10-tuple wire form the
+    collector speaks — all of it or, if any record fails sequence continuity
+    or its CRC, none of it.
     """
 
     def __init__(self, spec: RingSpec, buffer: memoryview, index: int):
@@ -291,15 +289,20 @@ class CompletionReader:
         self._records = None
 
     def read(self, start: int, count: int) -> List[tuple]:
+        # ONE copy out of shared memory (the modulo handles the wrap);
+        # validation and decoding both work on the copy, so what was checked
+        # is what is decoded, whatever the writer does to the ring meanwhile.
+        block = self._records[
+            np.arange(start, start + count) % self.spec.completion_slots]
+        encoded = memoryview(block.view(np.uint8))
+        width = COMPLETION_RECORD.itemsize
         completions = []
-        for position in range(start, start + count):
-            record = self._records[position % self.spec.completion_slots].copy()
-            expected = _crc(record.tobytes()[:-4])
-            # One .item() call decodes the whole record to Python scalars —
-            # an order of magnitude cheaper than 13 structured-field reads.
-            (seq, request_id, prediction, exit_timestep, epoch, horizon,
-             score, threshold, start_time, finish_time, flags, _pad,
-             crc) = record.item()
+        # One .tolist() decodes the whole range to Python scalars.
+        for position, (seq, request_id, prediction, exit_timestep, epoch,
+                       horizon, score, threshold, start_time, finish_time,
+                       flags, _pad, crc) in enumerate(block.tolist(), start):
+            base = (position - start) * width
+            expected = zlib.crc32(encoded[base:base + width - 4])
             if seq != position or crc != expected:
                 raise RingIntegrityError(
                     f"completion record at cursor {position} failed "
@@ -344,12 +347,8 @@ class PoolRings:
         *,
         slots: int,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
-        completion_slots: Optional[int] = None,
     ) -> "PoolRings":
-        spec = RingSpec.layout(
-            num_replicas, slots=slots, slot_bytes=slot_bytes,
-            completion_slots=completion_slots,
-        )
+        spec = RingSpec.layout(num_replicas, slots=slots, slot_bytes=slot_bytes)
         segment = shared_memory.SharedMemory(
             name=spec.name, create=True, size=spec.size,
         )
@@ -424,24 +423,18 @@ class ReplicaRings:
         self.index = index
         self._segment = shared_memory.SharedMemory(name=spec.name)
         buffer = self._segment.buf
-        base = spec.request_offsets[index]
-        stride = _ALIGNMENT + spec.slot_bytes
-        self._headers = [
-            np.ndarray((1,), dtype=_SLOT_HEADER, buffer=buffer,
-                       offset=base + slot * stride)
-            for slot in range(spec.slots)
-        ]
-        self._payloads = [
-            buffer[base + slot * stride + _ALIGNMENT:
-                   base + slot * stride + _ALIGNMENT + spec.slot_bytes]
-            for slot in range(spec.slots)
-        ]
+        self._headers, payloads = _slab_views(spec, buffer, index)
+        # Read-only memoryviews: every array bound over one is born
+        # non-writeable, so a served frame cannot be scribbled on.
+        self._payloads = [payload.toreadonly() for payload in payloads]
         self._records = np.ndarray(
             (spec.completion_slots,), dtype=COMPLETION_RECORD, buffer=buffer,
             offset=spec.completion_offsets[index],
         )
         self._cursor = 0
-        self._scratch = np.zeros((1,), dtype=COMPLETION_RECORD)
+        # A round is encoded here, whole, then stored into the ring at once.
+        self._round = np.zeros((spec.completion_slots,), dtype=COMPLETION_RECORD)
+        self._round_bytes = memoryview(self._round.view(np.uint8))
 
     # -- request side -------------------------------------------------- #
     def request_view(self, ticket: RingTicket) -> np.ndarray:
@@ -453,7 +446,7 @@ class ReplicaRings:
         trusting a single byte.
         """
         slot, seq, crc, nbytes, shape, dtype_str = ticket
-        header_seq, header_nbytes, header_crc, _pad = self._headers[slot][0].item()
+        header_seq, header_nbytes, header_crc, _pad = self._headers[slot].item()
         if header_seq != seq:
             raise RingIntegrityError(
                 f"request slot {slot} sequence mismatch: ticket {seq}, "
@@ -468,26 +461,28 @@ class ReplicaRings:
             raise RingIntegrityError(
                 f"request slot {slot} payload failed CRC validation"
             )
-        view = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=payload)
-        view.flags.writeable = False
-        return view
+        return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=payload)
 
     # -- completion side ----------------------------------------------- #
-    def write_completions(
-        self, completions: Sequence[tuple],
-    ) -> Optional[Tuple[int, int]]:
-        """Append fixed-width records; return the ``(start, count)`` cursor
-        range to ship over the pipe, or ``None`` if the batch cannot fit in
-        one ring revolution (caller falls back to the inline pipe payload).
+    def write_completions(self, completions: Sequence[tuple]) -> Tuple[int, int]:
+        """Append one round of fixed-width records; return the ``(start,
+        count)`` cursor range to ship over the pipe.
+
+        A round larger than one ring revolution would overwrite its own
+        head: ``ValueError`` (a served round is at most ``batch_width``
+        records, and the ring holds more than the whole window).
         """
         count = len(completions)
-        if count == 0 or count > self.spec.completion_slots:
-            return None
+        if count > self.spec.completion_slots:
+            raise ValueError(
+                f"a round of {count} completions exceeds the completion "
+                f"ring's {self.spec.completion_slots} slots"
+            )
         start = self._cursor
-        scratch = self._scratch
-        for offset, completion in enumerate(completions):
-            (request_id, prediction, exit_timestep, score, threshold,
-             start_time, finish_time, epoch, brownout, horizon) = completion
+        rows = []
+        for position, (request_id, prediction, exit_timestep, score, threshold,
+                       start_time, finish_time, epoch, brownout,
+                       horizon) in enumerate(completions, start):
             flags = 0
             if brownout:
                 flags |= _FLAG_BROWNOUT
@@ -497,23 +492,30 @@ class ReplicaRings:
                 flags |= _FLAG_HAS_EPOCH
             if horizon is not None:
                 flags |= _FLAG_HAS_HORIZON
-            # Single tuple assignment: one structured store instead of 12.
-            scratch[0] = (
-                start + offset, request_id, prediction, exit_timestep,
+            rows.append((
+                position, request_id, prediction, exit_timestep,
                 -1 if epoch is None else epoch,
                 -1 if horizon is None else horizon,
                 score, 0.0 if threshold is None else threshold,
                 start_time, finish_time, flags, b"", 0,
-            )
-            scratch["crc"] = _crc(scratch.tobytes()[:-4])
-            self._records[(start + offset) % self.spec.completion_slots] = scratch[0]
+            ))
+        block = self._round[:count]
+        block[:] = rows  # one structured store for the round
+        width = COMPLETION_RECORD.itemsize
+        block["crc"] = [
+            zlib.crc32(self._round_bytes[base:base + width - 4])
+            for base in range(0, count * width, width)
+        ]
+        # One store into the ring; the modulo handles the wrap.
+        self._records[
+            np.arange(start, start + count) % self.spec.completion_slots] = block
         self._cursor = start + count
         return (start, count)
 
     def close(self) -> None:
         # Drop our own views first so the mapping can actually close; any
         # request_view() arrays still held by the engine keep it pinned.
-        self._headers = []
+        self._headers = None
         self._payloads = []
         self._records = None
         try:

@@ -8,36 +8,39 @@ counterpart — N worker *processes*, each running the unchanged serving stack
 over a private :class:`~repro.runtime.PlanExecutor` whose constants are
 zero-copy views into one :class:`~repro.runtime.PlanArena` segment.
 
-Data flow, front to back:
+Data flow, front to back — every hop is shaped like a *round*, never like a
+request (docs/ARCHITECTURE.md, "Ring dispatch"):
 
 * **Dispatch** — requests enter the server's single
   :class:`~repro.serve.AdmissionQueue` exactly as in thread mode.  One
-  *forwarder* thread per replica competes for queued requests, copies each
-  frame **once** into the replica's shared-memory request slab
-  (:mod:`repro.runtime.rings`), and ships only a CRC/sequence-guarded
-  *ticket* per request over that replica's work queue — holding at most
-  ``inflight_window`` requests (default: one batch width) inside the
-  replica at a time, which bounds both what a crash can take down and how
-  many slab slots a replica can occupy.
-* **Serving** — the replica process validates each ticket against its slot
-  header, binds a zero-copy read-only view over the slab, pumps it into a
-  local admission queue and runs the continuous batcher exactly like a
-  thread worker; per-sample batch invariance makes its decisions identical
-  to the sequential oracle no matter how the dispatcher splits traffic.
-* **Completion** — finished rounds are written as fixed-width records into
+  *forwarder* thread per replica takes every free permit of the replica's
+  in-flight window, drains that many requests in ONE ``queue.get``, copies
+  each frame **once** into the replica's shared-memory request slab
+  (:mod:`repro.runtime.rings`), registers the round in one lock section and
+  ships its CRC/sequence-guarded *tickets* in one message over a plain pipe.
+  The window is ``2 * batch_width`` — one width stepping, one staged — so
+  the replica refills from its own staging queue the moment rows exit
+  instead of idling out a round trip through the parent; it bounds both what
+  a crash can take down and how many slab slots a replica can occupy.  A
+  frame larger than a slab slot is refused typed and costs only itself:
+  there is no second payload path.
+* **Serving** — per message, the replica validates the round's tickets,
+  binds zero-copy read-only views over the slab, stages the round in its
+  local admission queue in one critical section and runs the continuous
+  batcher exactly like a thread worker; per-sample batch invariance makes
+  its decisions identical to the sequential oracle no matter how the
+  dispatcher splits traffic.
+* **Completion** — a finished round is written as fixed-width records into
   the replica's completion ring; only the ``(start, count)`` cursor range
   travels over its *per-replica* response pipe (single writer each: a
-  replica killed mid-message can corrupt only its own channel, never block
-  a survivor's completions behind a dead lock holder — and a torn record
-  fails CRC validation instead of resolving a future with garbage).  A
-  *collector* thread multiplexes the pipes, decodes each cursor range and
-  hands it, as one round, to the completion sink it shares with the thread
-  batcher (:func:`~repro.serve.batcher.complete_round`: pricing, WAL, the
-  server's single :class:`~repro.serve.Telemetry`, SLA controller, spans,
-  parent-side futures last; the replica ships its occupancy gauges at
-  drain, merged via :meth:`Telemetry.merge_state`).  Pickled inline
-  payloads remain as the per-message fallback and as the wholesale
-  ``transport="pipe"`` baseline.
+  replica killed mid-message can corrupt only its own channel, and a torn
+  record fails CRC validation instead of resolving a future with garbage).
+  A *collector* thread multiplexes the pipes, decodes each range from one
+  copy, pops the round's entries in one lock section, returns its permits
+  in one release and hands it, as one round, to the completion sink it
+  shares with the thread batcher
+  (:func:`~repro.serve.batcher.complete_round`; the replica ships its
+  occupancy gauges at drain, merged via :meth:`Telemetry.merge_state`).
 * **Failure** — a *monitor* thread owns each replica's exit.  A clean exit
   (drain) releases its arena reference; a crash fails exactly the crashed
   replica's in-flight requests with :class:`ReplicaCrashError`, returns any
@@ -62,12 +65,12 @@ flow through the arena — which is the point.
 from __future__ import annotations
 
 import os
-import queue as queue_module
+import select
 import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
 from collections import deque
@@ -79,9 +82,12 @@ from ..core.policies import ExitPolicy
 from ..runtime import plan_for, runtime_enabled
 from ..runtime.arena import ArenaSpec, PlanArena, attach_arena
 from ..runtime.rings import (
+    DEFAULT_SLOT_BYTES,
     PoolRings,
+    ReplicaRings,
     RingIntegrityError,
     RingSpec,
+    RingTicket,
     attach_rings,
 )
 from ..snn.network import SpikingNetwork
@@ -106,11 +112,12 @@ class ReplicaCrashError(RuntimeError):
     """A replica process died while requests it owned were in flight.
 
     Raised through the futures of exactly the crashed replica's in-flight
-    round: requests still in the shared admission queue (or popped but not
+    window: requests still in the shared admission queue (or popped but not
     yet dispatched) are re-served by the surviving replicas, so a crash
-    loses at most ``inflight_window`` requests.  If the *last* replica dies
-    the queue is closed and every queued future fails with this error
-    instead of stranding its client.
+    loses at most ``ReplicaPool.window == 2 * batch_width`` requests, none
+    of whose futures had resolved.  If the *last* replica dies the queue is
+    closed and every queued future fails with this error instead of
+    stranding its client.
     """
 
 
@@ -127,17 +134,12 @@ class _ReplicaConfig:
     poll_interval: float = 0.01
 
 
-# Work-queue message kinds (parent -> replica).  Requests and completions
-# travel as *batches* — one pickle + one pipe wakeup per dispatch round or
-# step round, not per request — which is what keeps the IPC cost per request
-# flat in the window size (the same argument as batched admission).
-# Under the ring transport (the default) the batch entries carry TICKETS —
-# (slot, seq, crc, shape, dtype) cursors into the shared-memory request
-# slab — instead of pickled frames, and completions come back as a cursor
-# range over the replica's completion ring (_MSG_DONE_RING); the pipes and
-# queues then move only control-plane bytes.  The inline-payload forms
-# remain as the per-message fallback (oversized frame, ring momentarily
-# full) and as the wholesale ``transport="pipe"`` baseline.
+# Work-pipe message kinds (parent -> replica).  Requests and completions
+# travel as *rounds* — one pickle + one pipe wakeup per dispatch round or
+# step round, not per request.  A round's entries are (request_id, ticket,
+# label, epoch stamp): the TICKET — (slot, seq, crc, nbytes, shape, dtype) —
+# is a cursor into the shared-memory request slab, never frame bytes, and
+# completions come back as a cursor range over the completion ring.
 # Threshold changes need no control message: every request carries its
 # ThresholdEpoch stamp, and the replica engine evaluates each slot under its
 # stamped knobs — the recorded threshold is the deciding one by construction
@@ -146,7 +148,6 @@ _MSG_REQUEST = "reqs"
 _MSG_DRAIN = "drain"
 # Result-pipe message kinds (replica -> parent).
 _MSG_READY = "ready"
-_MSG_DONE = "done"
 _MSG_DONE_RING = "donr"
 _MSG_ERROR = "error"
 _MSG_BYE = "bye"
@@ -158,51 +159,68 @@ _MSG_REBOUND = "rebound"
 # --------------------------------------------------------------------------- #
 # Replica process
 # --------------------------------------------------------------------------- #
-class _RelayResponse(Response):
-    """Replica-local future that forwards its resolution to an outbox.
+class _RelayResponse:
+    """Replica-local stand-in for a future that lives in the parent.
 
-    The batcher resolves futures; in a replica the real future lives in the
-    parent, so the local stand-in records what happened and the main loop
-    relays it.  Successful completions already come back through
-    ``run_once``'s return value, so only failures (admission rejections) are
-    captured here.
+    The batcher resolves futures; in a replica nobody waits on one, so the
+    stand-in allocates no ``threading.Event``.  Successful completions
+    already come back through ``run_once``'s return value, so only failures
+    (admission rejections) are captured, for the main loop to relay.
     """
 
-    def __init__(self, request_id: int, outbox: List[Tuple]):
-        super().__init__()
+    __slots__ = ("_request_id", "_outbox")
+
+    def __init__(self, request_id: int, outbox: List[Tuple[int, str]]):
         self._request_id = request_id
         self._outbox = outbox
 
+    def set_result(self, result) -> None:
+        pass
+
     def set_exception(self, exception: BaseException) -> None:
-        super().set_exception(exception)
         self._outbox.append(
             (self._request_id, f"{type(exception).__name__}: {exception}")
         )
 
 
+def _stage_round(entries: Sequence[tuple], rings: ReplicaRings,
+                 local_queue: AdmissionQueue, outbox: List[Tuple[int, str]]) -> None:
+    """Validate one dispatch round's tickets and enqueue it, whole, in one
+    local-queue critical section."""
+    staged = []
+    for request_id, ticket, label, stamp in entries:
+        try:
+            inputs = rings.request_view(ticket)
+        except RingIntegrityError as error:
+            # Corrupted/stale slot: never serve the bytes.  Relayed like an
+            # admission failure; the parent accounts it as a rejection.
+            outbox.append((request_id, f"{type(error).__name__}: {error}"))
+            continue
+        staged.append((
+            Request(request_id=request_id, inputs=inputs, label=label,
+                    epoch=None if stamp is None else ThresholdEpoch(*stamp)),
+            _RelayResponse(request_id, outbox),
+        ))
+    local_queue.put_many(staged)
+
+
 def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
-                  work_queue, result_conn,
-                  ring_spec: Optional[RingSpec] = None) -> None:
+                  work_conn, result_conn, ring_spec: RingSpec) -> None:
     """Entry point of one replica process (spawn target; must be top-level).
 
-    The loop interleaves three duties: pump the work queue into the local
+    The loop interleaves three duties: pump the work pipe into the local
     admission queue, honor arena weight-reload versions at round boundaries,
     and run the continuous batcher one timestep at a time, relaying every
-    completion.  On the drain sentinel it finishes all local work, ships its
-    telemetry gauges and exits 0; any exception escapes (exit code != 0) and
-    the parent's monitor converts it into typed in-flight failures.
+    completed round.  On the drain sentinel it finishes all local work, ships
+    its telemetry gauges and exits 0; any exception escapes (exit code != 0)
+    and the parent's monitor converts it into typed in-flight failures.
 
-    ``result_conn`` is this replica's *private* pipe to the collector: with
-    one writer per pipe there is no cross-process write lock, so a replica
-    killed mid-message can corrupt only its own channel — a survivor's
-    completions can never block behind a dead neighbour's lock (the failure
-    mode a shared result queue would have).
-
-    With ``ring_spec`` set (the default transport) dispatched frames are
-    consumed as zero-copy read-only views over the shared request slab and
-    completions are written as fixed-width records into the completion
-    ring — the pipe then carries a cursor range per round instead of a
-    pickled result list.
+    ``work_conn`` and ``result_conn`` are this replica's *private* pipes:
+    with one writer per pipe there is no cross-process write lock, so a
+    replica killed mid-message can corrupt only its own channel — a
+    survivor's completions can never block behind a dead neighbour's lock
+    (the failure mode a shared result queue would have).  They carry one
+    ticket list or one cursor range per round; the bytes are in the rings.
     """
     index = config.index
     attachment = None
@@ -220,15 +238,19 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
             # parity with thread workers (nobody reads them in a replica).
             collect_statistics=False,
         )
-        local_queue = AdmissionQueue(capacity=max(1, config.window))
+        # The staging queue: the parent never has more than ``window``
+        # requests inside this replica, so a round always fits.
+        local_queue = AdmissionQueue(capacity=config.window)
         telemetry = Telemetry()
         batcher = ContinuousBatcher(
             engine, local_queue, batch_width=config.batch_width, telemetry=telemetry
         )
-        if ring_spec is not None:
-            rings = attach_rings(ring_spec, index)
-        outbox: List[Tuple] = []
+        rings = attach_rings(ring_spec, index)
+        outbox: List[Tuple[int, str]] = []
         draining = False
+        work_ready = select.poll()
+        work_ready.register(work_conn.fileno(), select.POLLIN)
+        poll_ms = 1e3 * config.poll_interval
         # Readiness handshake: interpreter up, arena attached, plan compiled.
         # The parent's start() blocks on this so a "started" server is one
         # whose replicas are actually serving (and whose benchmarked
@@ -236,48 +258,19 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
         # the parent's rebind ledger (refresh_weights waits on it).
         result_conn.send((index, _MSG_READY, attachment.version))
         while True:
-            # Pump the work queue: block only when fully idle, otherwise
-            # drain whatever is ready and get back to stepping.
-            block = engine.idle and local_queue.depth() == 0 and not draining
-            try:
-                message = (
-                    work_queue.get(timeout=config.poll_interval)
-                    if block
-                    else work_queue.get_nowait()
-                )
-                while True:
-                    kind = message[0]
-                    if kind == _MSG_REQUEST:
-                        for request_id, ticket, inline, label, epoch in message[1]:
-                            if ticket is not None:
-                                try:
-                                    inputs = rings.request_view(ticket)
-                                except RingIntegrityError as error:
-                                    # Corrupted/stale slot: never serve the
-                                    # bytes.  Relayed like an admission
-                                    # failure; the parent accounts it as a
-                                    # rejection.
-                                    outbox.append((
-                                        request_id,
-                                        f"{type(error).__name__}: {error}",
-                                    ))
-                                    continue
-                            else:
-                                inputs = inline
-                            local_queue.put(
-                                Request(
-                                    request_id=request_id, inputs=inputs,
-                                    label=label,
-                                    epoch=(None if epoch is None
-                                           else ThresholdEpoch(*epoch)),
-                                ),
-                                _RelayResponse(request_id, outbox),
-                            )
-                    elif kind == _MSG_DRAIN:
-                        draining = True
-                    message = work_queue.get_nowait()
-            except queue_module.Empty:
-                pass
+            # Pump the work pipe: wait only when fully idle, otherwise take
+            # whatever is ready and get back to stepping — on a poller built
+            # once (``Connection.poll`` builds a selector per call).  EOF
+            # means the parent is gone; it escapes like any other failure.
+            idle = engine.idle and local_queue.depth() == 0 and not draining
+            timeout = poll_ms if idle else 0
+            while work_ready.poll(timeout):
+                timeout = 0
+                message = work_conn.recv()
+                if message[0] == _MSG_DRAIN:
+                    draining = True
+                else:
+                    _stage_round(message[1], rings, local_queue, outbox)
             # Weight-reload propagation: rebind at the round boundary so a
             # refreshed arena serves coherent constants from the next step.
             # The ack tells the parent this replica no longer reads the
@@ -288,18 +281,14 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
                 result_conn.send((index, _MSG_REBOUND, attachment.version))
             results = batcher.run_once()
             if results:
-                wire = [
+                cursor = rings.write_completions([
                     (result.request_id, result.prediction, result.exit_timestep,
                      result.score, result.threshold, result.start_time,
                      result.finish_time, result.epoch, result.brownout,
                      result.horizon)
                     for result in results
-                ]
-                cursor = None if rings is None else rings.write_completions(wire)
-                if cursor is not None:
-                    result_conn.send((index, _MSG_DONE_RING, cursor))
-                else:
-                    result_conn.send((index, _MSG_DONE, wire))
+                ])
+                result_conn.send((index, _MSG_DONE_RING, cursor))
             if outbox:
                 result_conn.send((index, _MSG_ERROR, list(outbox)))
                 outbox.clear()
@@ -329,6 +318,7 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
         if rings is not None:
             rings.close()
         result_conn.close()
+        work_conn.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -339,8 +329,8 @@ class ReplicaPool:
 
     Constructed (and drained) by :class:`~repro.serve.Server` when
     ``num_replicas > 0``; the public surface a user touches is the server's.
-    Tests reach in for :attr:`processes` (fault injection) and
-    :attr:`arena` (sharing/lifecycle assertions).
+    Tests reach in for :attr:`processes` (fault injection), :attr:`arena`
+    (sharing/lifecycle assertions) and :attr:`window` (the crash bound).
     """
 
     def __init__(
@@ -357,19 +347,15 @@ class ReplicaPool:
         cost_model: Optional[InferenceCostModel] = None,
         controller: Optional[AdaptiveThresholdController] = None,
         clock: Callable[[], float] = time.monotonic,
-        inflight_window: Optional[int] = None,
         blas_threads: int = 1,
         trace=None,
         spans=None,
-        transport: str = "ring",
-        ring_slot_bytes: Optional[int] = None,
+        ring_slot_bytes: int = DEFAULT_SLOT_BYTES,
     ):
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        if transport not in ("ring", "pipe"):
-            raise ValueError(
-                f"transport must be 'ring' or 'pipe', got {transport!r}"
-            )
+        if batch_width < 1:
+            raise ValueError("batch_width must be >= 1")
         if max_timesteps is None:
             max_timesteps = model.default_timesteps
         if max_timesteps < 1:
@@ -388,11 +374,13 @@ class ReplicaPool:
         self.num_replicas = int(num_replicas)
         self.max_timesteps = int(max_timesteps)
         self.batch_width = int(batch_width)
-        self.window = (
-            int(inflight_window) if inflight_window is not None else self.batch_width
-        )
-        if self.window < 1:
-            raise ValueError("inflight_window must be >= 1")
+        # Requests resident in one replica at a time — the crash-loss bound
+        # and the slab slot count: one width stepping, one staged behind it.
+        # With a single width the replica cannot be refilled until a
+        # completion's whole round trip through the parent is done, and
+        # steps half-empty.  Derived, not a knob: returning credits at
+        # admission would bound the same two widths with more messages.
+        self.window = 2 * self.batch_width
         self.cost_model = cost_model
         self.controller = controller
         self.clock = clock
@@ -412,51 +400,42 @@ class ReplicaPool:
         model.reset_state()
         self.arena = PlanArena.export(model)
         self._skeleton = self.arena.skeleton()
-        # Ring transport: one shared segment for the whole fleet, sized at
-        # construction (the Allocator Law: every slot the steady state will
-        # ever use exists before the first request).  ``window`` request
-        # slots per replica exactly cover the in-flight bound the window
-        # semaphore enforces — a slot is freed strictly before its permit
-        # is released, so try_write can only miss when a frame exceeds
-        # slot_bytes (falls back to the inline pipe payload).
-        self.transport = transport
-        self.rings: Optional[PoolRings] = None
-        self._ring_writers = None
-        self._ring_readers = None
-        if transport == "ring":
-            kwargs = {}
-            if ring_slot_bytes is not None:
-                kwargs["slot_bytes"] = ring_slot_bytes
-            self.rings = PoolRings.create(
-                self.num_replicas, slots=self.window, **kwargs
-            )
-            self._ring_writers = [
-                self.rings.writer(i) for i in range(self.num_replicas)
-            ]
-            self._ring_readers = [
-                self.rings.reader(i) for i in range(self.num_replicas)
-            ]
+        # One shared ring segment for the whole fleet, sized at construction
+        # (the Allocator Law: every slot the steady state will ever use
+        # exists before the first request).  ``window`` request slots per
+        # replica exactly cover the in-flight bound the window semaphore
+        # enforces — a slot is freed strictly before its permit is released,
+        # so try_write can only miss when a frame exceeds slot_bytes.
+        self.rings = PoolRings.create(
+            self.num_replicas, slots=self.window, slot_bytes=ring_slot_bytes
+        )
+        self._ring_writers = [self.rings.writer(i) for i in range(self.num_replicas)]
+        self._ring_readers = [self.rings.reader(i) for i in range(self.num_replicas)]
 
         self._ctx = multiprocessing.get_context("spawn")
-        # One result pipe per replica (single writer each): a shared queue
-        # would funnel every completion through one cross-process write
-        # lock, and a replica SIGKILLed while holding it would deadlock the
-        # survivors' completions.  The work queues have one writer (this
-        # process) and one reader each, so they keep the convenient Queue
-        # API without that failure mode.
-        pipes = [self._ctx.Pipe(duplex=False) for _ in range(self.num_replicas)]
-        self._result_readers = [reader for reader, _ in pipes]
-        self._result_writers = [writer for _, writer in pipes]
-        self._work_queues = [self._ctx.Queue() for _ in range(self.num_replicas)]
+        # Two plain pipes per replica, one writer each: work (parent ->
+        # replica) and results (replica -> parent).  A shared queue would
+        # funnel every message through one cross-process write lock, and a
+        # replica SIGKILLed while holding it would deadlock the survivors; a
+        # queue per replica would add a feeder thread (one more GIL
+        # contender, closing fds on its own schedule).  ``_child_ends[i]``
+        # is the (work reader, result writer) pair replica i inherits.
+        work = [self._ctx.Pipe(duplex=False) for _ in range(self.num_replicas)]
+        results = [self._ctx.Pipe(duplex=False) for _ in range(self.num_replicas)]
+        self._work_writers = [writer for _, writer in work]
+        self._result_readers = [reader for reader, _ in results]
+        self._child_ends = [
+            (reader, writer) for (reader, _), (_, writer) in zip(work, results)
+        ]
         self.processes: List[multiprocessing.Process] = []
         self._forwarders: List[threading.Thread] = []
         self._collector: Optional[threading.Thread] = None
         self._monitor: Optional[threading.Thread] = None
 
         self._lock = named_lock("serve.replica.pool")
-        # request_id -> (request, response, ring slot or None); the slot is
-        # freed when the entry pops (completion, relayed error, or crash).
-        self._inflight: List[Dict[int, Tuple[Request, Response, Optional[int]]]] = [
+        # request_id -> (request, response, ring slot); the slot is freed
+        # when the entry pops (completion, relayed error, or crash).
+        self._inflight: List[Dict[int, Tuple[Request, Response, int]]] = [
             {} for _ in range(self.num_replicas)
         ]
         # Arena version each replica last (re)bound, from READY/_MSG_REBOUND
@@ -524,8 +503,7 @@ class ReplicaPool:
                 process = self._ctx.Process(
                     target=_replica_main,
                     args=(self.arena.spec, self._skeleton, config,
-                          self._work_queues[index], self._result_writers[index],
-                          None if self.rings is None else self.rings.spec),
+                          *self._child_ends[index], self.rings.spec),
                     name=f"repro-replica-{index}",
                     daemon=True,
                 )
@@ -538,10 +516,11 @@ class ReplicaPool:
                     # back here or the segment outlives drain.
                     self.arena.release()
                     raise
-                # Drop the parent's copy of the write end: once the replica
-                # exits, its reader then raises EOF instead of idling on a
-                # half-open pipe.
-                self._result_writers[index].close()
+                # Drop the parent's copies of the replica's pipe ends: once
+                # the replica exits, its result reader then raises EOF
+                # instead of idling on a half-open pipe, and a send into its
+                # work pipe raises instead of filling a buffer nobody reads.
+                _close_ends(self._child_ends[index])
                 self.processes.append(process)
         finally:
             for name, value in saved.items():
@@ -633,40 +612,23 @@ class ReplicaPool:
             self._collector.join(timeout)
             if self._collector.is_alive():
                 return
-        self._close_channels()
-        self.arena.destroy()
-        if self.rings is not None:
-            self.rings.destroy()
-        self._retired = True
+        self._retire()
 
-    def _close_channels(self) -> None:
-        """Release the IPC fds and Queue feeder threads at retirement.
+    def _retire(self) -> None:
+        """Release the IPC fds and unlink both segments.
 
         Like the arena's unlink, resource release belongs to drain/abort,
         not to whenever the pool object happens to be garbage-collected —
         a parent that keeps a drained server around for telemetry must not
-        hold ~3 fds and a feeder thread per replica.  Runs strictly after
-        the collector joined (nobody reads the pipes anymore).
+        hold fds per replica.  Runs strictly after the forwarders and the
+        collector joined: nobody touches a pipe anymore, and a plain pipe
+        has no thread of its own to race the close.
         """
-        for work in self._work_queues:
-            # cancel_join_thread, not join_thread: a queue whose (dead)
-            # consumer left buffered items behind would block the flush.
-            work.cancel_join_thread()
-            work.close()
-            try:
-                # The parent never reads its work queues; the reader fd
-                # only existed to be inherited by the replica.
-                work._reader.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for connection_end in self._result_readers + self._result_writers:
-            # Writers are normally closed per successful spawn; a partial
-            # spawn failure leaves the tail ones open, which would keep
-            # their readers from ever reaching EOF.
-            try:
-                connection_end.close()
-            except OSError:  # pragma: no cover - already closed at EOF
-                pass
+        _close_ends(self._work_writers + self._result_readers)
+        for ends in self._child_ends:
+            # No-ops for spawned replicas; a partial spawn failure leaves
+            # the tail ones open.
+            _close_ends(ends)
         for process in self.processes:
             if process.exitcode is not None:
                 # Releases the sentinel fd now instead of at GC.  The
@@ -674,6 +636,9 @@ class ReplicaPool:
                 # pool reports post-drain (live_replicas, telemetry) reads
                 # pool state, not Process attributes.
                 process.close()
+        self.arena.destroy()
+        self.rings.destroy()
+        self._retired = True
 
     def abort(self) -> None:
         """Non-graceful stop: kill the replicas, fail their in-flight work."""
@@ -692,15 +657,12 @@ class ReplicaPool:
             thread.join(5.0)
         if self._monitor is not None:
             self._monitor.join(5.0)
-        # Close any still-open parent-side writer ends now (no-ops for
+        # Close any still-open replica-side ends now (no-ops for
         # successfully spawned replicas): after a partial spawn failure the
         # never-spawned replicas' readers can only reach EOF — and the
         # collector can only finish — once these drop.
-        for writer in self._result_writers:
-            try:
-                writer.close()
-            except OSError:
-                pass
+        for ends in self._child_ends:
+            _close_ends(ends)
         self._finished.set()
         if self._collector is not None:
             self._collector.join(5.0)
@@ -713,11 +675,7 @@ class ReplicaPool:
             # held.
             for _ in self.processes:
                 self.arena.release()
-        self._close_channels()
-        self.arena.destroy()
-        if self.rings is not None:
-            self.rings.destroy()
-        self._retired = True
+        self._retire()
 
     @property
     def live_replicas(self) -> int:
@@ -758,14 +716,6 @@ class ReplicaPool:
     # ------------------------------------------------------------------ #
     # Dispatch (one forwarder thread per replica)
     # ------------------------------------------------------------------ #
-    def _next_item(self, block: bool) -> Optional[Tuple[Request, Response]]:
-        with self._lock:
-            if self._overflow:
-                return self._overflow.popleft()
-        if block:
-            return self.queue.get(timeout=0.05)
-        return self.queue.get_nowait()
-
     def _backlog_empty(self) -> bool:
         with self._lock:
             if self._overflow:
@@ -773,138 +723,176 @@ class ReplicaPool:
         return self.queue.depth() == 0
 
     def _forward_loop(self, index: int) -> None:
-        work = self._work_queues[index]
+        """One dispatch round per iteration: take every free window permit,
+        gather that many requests, drop the expired, publish the rest as ONE
+        message — under a burst the replica pays one wakeup and one pickle
+        per round, not per request.  Each stage returns the permits of the
+        requests it does not pass on."""
         sem = self._window_sems[index]
         while not self._dead[index] and not self._aborting:
             if self.queue.closed and self._backlog_empty():
-                work.put((_MSG_DRAIN,))
+                try:
+                    self._work_writers[index].send((_MSG_DRAIN,))
+                except OSError:
+                    pass  # already dead: the monitor owns its exit
                 return
             if not sem.acquire(timeout=0.05):
                 continue
-            # Grab every free window slot, fill as many as the queue can
-            # satisfy right now, and ship the round as ONE message: under a
-            # burst the replica pays one wakeup and one pickle per round,
-            # not per request.
             permits = 1
             while permits < self.window and sem.acquire(blocking=False):
                 permits += 1
-            batch: List[Tuple[Request, Response]] = []
-            item = self._next_item(block=True)
-            while item is not None:
-                batch.append(item)
-                if len(batch) >= permits:
-                    break
-                item = self._next_item(block=False)
-            for _ in range(permits - len(batch)):
-                sem.release()
-            if batch:
-                # Deadline enforcement stays parent-side (one clock domain):
-                # a request that waited out its deadline in the shared queue
-                # is dropped here, before it costs a window slot and a
-                # cross-process round trip.
-                kept: List[Tuple[Request, Response]] = []
-                now = self.clock()
-                for request, response in batch:
-                    if request.deadline is not None and now > request.deadline:
-                        error = DeadlineExceededError(
-                            f"request {request.request_id} missed its "
-                            f"deadline before dispatch"
-                        )
-                        response.set_exception(error)
-                        self.telemetry.record_deadline_drop(request.priority)
-                        if self.trace is not None:
-                            self.trace.record_rejection(
-                                request, now, reason="deadline"
-                            )
-                        if self.spans is not None:
-                            self.spans.record_failure(
-                                request.request_id, now, error
-                            )
-                        sem.release()
-                    else:
-                        kept.append((request, response))
-                batch = kept
-            if not batch:
+            batch = self._drop_expired(index, self._gather(index, permits))
+            if batch and not self._publish(index, batch):
+                return
+
+    def _gather(self, index: int, permits: int) -> List[Tuple[Request, Response]]:
+        """Up to ``permits`` requests: the re-pooled ones a crash handed
+        back first, else whatever ONE ``queue.get`` finds (waiting briefly
+        for the first)."""
+        with self._lock:
+            overflow = self._overflow
+            batch = [overflow.popleft() for _ in range(min(permits, len(overflow)))]
+        if not batch:
+            batch = self.queue.get(timeout=0.05, limit=permits) or []
+        if len(batch) < permits:
+            self._window_sems[index].release(permits - len(batch))
+        return batch
+
+    def _drop_expired(self, index: int, batch: List[Tuple[Request, Response]]
+                      ) -> List[Tuple[Request, Response]]:
+        """Deadline enforcement stays parent-side (one clock domain): a
+        request that waited out its deadline in the shared queue is dropped
+        here, before it costs a slab slot and a cross-process round trip."""
+        kept = []
+        now = self.clock()
+        for request, response in batch:
+            if request.deadline is None or now <= request.deadline:
+                kept.append((request, response))
                 continue
-            # Write each frame into the request slab BEFORE taking the pool
-            # lock (the copy is the expensive part; the slab is per-replica
-            # and this forwarder is its only writer).  A request that gets
-            # no ticket (oversized frame) ships inline instead.
-            writer = (
-                None if self._ring_writers is None else self._ring_writers[index]
+            error = DeadlineExceededError(
+                f"request {request.request_id} missed its deadline before dispatch"
             )
-            tickets: Dict[int, Tuple] = {}
-            if writer is not None:
-                for request, _ in batch:
-                    ticket = writer.try_write(request.inputs)
-                    if ticket is not None:
-                        tickets[request.request_id] = ticket
-            with self._lock:
-                if self._dead[index]:
-                    if writer is not None:
-                        # The round never ships; give its slots back.
-                        for ticket in tickets.values():
-                            writer.release(ticket[0])
-                    if self.queue.closed:
-                        # Crash during drain: the surviving forwarders have
-                        # (or soon will have) sent their drain sentinels and
-                        # exited, so nobody is left to pop a re-pooled batch
-                        # — fail it typed instead of stranding it.  The
-                        # batch holds this replica's own window permits, so
-                        # the total loss stays within its in-flight window.
-                        error = ReplicaCrashError(
-                            f"replica {index} crashed during drain before "
-                            f"its last round was dispatched"
-                        )
-                        now = self.clock()
-                        for request, response in batch:
-                            response.set_exception(clone_exception(error))
-                            if self.spans is not None:
-                                self.spans.record_failure(
-                                    request.request_id, now, error
-                                )
-                        self.telemetry.record_shed(len(batch))
-                    else:
-                        # Lost the race with a crash mid-traffic: hand the
-                        # requests back to the pool so a surviving replica
-                        # serves them.  If the monitor's last-replica
-                        # cleanup already ran (or runs concurrently),
-                        # nobody will ever pop the pool again — re-check
-                        # and fail the strays ourselves.
-                        self._overflow.extend(batch)
-                        if self._live == 0 or self._aborting:
-                            self._fail_stranded_locked()
-                    return
-                for request, response in batch:
-                    ticket = tickets.get(request.request_id)
-                    self._inflight[index][request.request_id] = (
-                        request, response,
-                        None if ticket is None else ticket[0],
-                    )
-            # Each request ships its ThresholdEpoch stamp: the replica engine
-            # evaluates the slot under exactly these knobs, so no control
-            # message (and no ordering argument about one) is needed — a
-            # request can never run under knobs other than the ones stamped
-            # at its submission.  Ticketed entries carry NO frame bytes —
-            # the ticket is the cursor into the slab written above.
-            work.put((_MSG_REQUEST, [
-                (request.request_id,
-                 tickets.get(request.request_id),
-                 None if request.request_id in tickets else request.inputs,
-                 request.label,
-                 None if request.epoch is None else request.epoch.as_tuple())
-                for request, _ in batch
-            ]))
+            self.telemetry.record_deadline_drop(request.priority)
+            if self.trace is not None:
+                self.trace.record_rejection(request, now, reason="deadline")
             if self.spans is not None:
-                # The one lifecycle stage only replica mode can observe live:
-                # the moment a request leaves the parent for a worker
-                # process.  Stamped after the put so dispatched >= queued and
-                # the span stays monotone in the parent's clock domain.
-                dispatched_at = self.clock()
-                for request, _ in batch:
-                    self.spans.record(
-                        request.request_id, "dispatched", dispatched_at
-                    )
+                self.spans.record_failure(request.request_id, now, error)
+            response.set_exception(error)
+            self._window_sems[index].release()
+        return kept
+
+    def _reject(self, request: Request, response: Response, text: str) -> None:
+        """Refuse one request the way the thread-mode door does
+        (``Server.submit``'s rejection path): without these records replica
+        mode under-counts vs. thread mode and request conservation
+        (submitted == completed + rejected + shed + deadline_drops)
+        silently breaks."""
+        error = AdmissionRejectedError(text)
+        now = self.clock()
+        self.telemetry.record_rejection()
+        if self.trace is not None:
+            self.trace.record_rejection(request, now)
+        if self.spans is not None:
+            self.spans.record_failure(request.request_id, now, error)
+        response.set_exception(error)
+
+    def _publish(self, index: int, batch: List[Tuple[Request, Response]]) -> bool:
+        """Write the round's frames, register it, ship its tickets.  False
+        when the replica died under the round (which was then re-pooled or
+        failed typed): the forwarder has nothing left to forward to."""
+        writer = self._ring_writers[index]
+        # Frames go into the slab BEFORE the pool lock is taken (the copy is
+        # the expensive part; the slab is per-replica and this forwarder is
+        # its only writer).  A permit implies a free slot, so no ticket
+        # means the frame exceeds a slot: refused typed, costing only itself.
+        entries: List[Tuple[Request, Response, RingTicket]] = []
+        for request, response in batch:
+            ticket = writer.try_write(request.inputs)
+            if ticket is None:
+                self._reject(
+                    request, response,
+                    f"request {request.request_id} frame of "
+                    f"{request.inputs.nbytes} bytes exceeds the replica ring's "
+                    f"slot capacity of {writer.spec.slot_bytes} bytes",
+                )
+                self._window_sems[index].release()
+            else:
+                entries.append((request, response, ticket))
+        if not entries:
+            return True
+        with self._lock:
+            alive = not self._dead[index]
+            if alive:
+                inflight = self._inflight[index]
+                for request, response, ticket in entries:
+                    inflight[request.request_id] = (request, response, ticket[0])
+        if alive:
+            try:
+                # Each request ships its ThresholdEpoch stamp: the replica
+                # engine evaluates the slot under exactly these knobs, so a
+                # request can never run under knobs other than the ones
+                # stamped at its submission.  Tickets only — a round is at
+                # most ``window`` of them (2-3 KB against a 64 KB pipe
+                # buffer) and at most ``window`` are ever unread, so this
+                # send never blocks on a live replica; on a dead one
+                # (nobody holds the read end) it raises.
+                self._work_writers[index].send((_MSG_REQUEST, [
+                    (request.request_id, ticket, request.label,
+                     None if request.epoch is None else request.epoch.as_tuple())
+                    for request, _, ticket in entries
+                ]))
+            except OSError:
+                # BrokenPipeError: the replica died between gather and send.
+                # What its monitor has not already failed is ours to place.
+                alive = False
+                with self._lock:
+                    inflight = self._inflight[index]
+                    entries = [
+                        entry for entry in entries
+                        if inflight.pop(entry[0].request_id, None) is not None
+                    ]
+        if not alive:
+            self._abandon_round(index, entries)
+            return False
+        if self.spans is not None:
+            # The one lifecycle stage only replica mode can observe live:
+            # the moment a request leaves the parent for a worker process.
+            # Stamped after the send so dispatched >= queued and the span
+            # stays monotone in the parent's clock domain.
+            dispatched_at = self.clock()
+            for request, _, _ in entries:
+                self.spans.record(request.request_id, "dispatched", dispatched_at)
+        return True
+
+    def _abandon_round(self, index: int,
+                       entries: List[Tuple[Request, Response, RingTicket]]) -> None:
+        """A round popped from the queue whose replica died before it
+        shipped: give its slots back, then hand the requests to a survivor —
+        or, during drain, fail them typed."""
+        for _, _, ticket in entries:
+            self._ring_writers[index].release(ticket[0])
+        with self._lock:
+            if self.queue.closed:
+                # Crash during drain: the surviving forwarders have (or soon
+                # will have) sent their drain sentinels and exited, so
+                # nobody is left to pop a re-pooled round — fail it typed
+                # instead of stranding it.  The round holds this replica's
+                # own window permits, so the total loss stays within its
+                # in-flight window.
+                self._shed(
+                    [entry[:2] for entry in entries],
+                    ReplicaCrashError(f"replica {index} crashed during drain "
+                                      f"before its last round was dispatched"),
+                )
+            else:
+                # Lost the race with a crash mid-traffic: hand the requests
+                # back to the pool so a surviving replica serves them.  If
+                # the monitor's last-replica cleanup already ran (or runs
+                # concurrently), nobody will ever pop the pool again —
+                # re-check and fail the strays ourselves.
+                self._overflow.extend(entry[:2] for entry in entries)
+                if self._live == 0 or self._aborting:
+                    self._fail_stranded_locked()
 
     # ------------------------------------------------------------------ #
     # Completion (single collector thread)
@@ -952,80 +940,73 @@ class ReplicaPool:
 
     def _handle_result(self, message: Tuple) -> None:
         index, kind = message[0], message[1]
-        if kind == _MSG_READY:
+        if kind == _MSG_DONE_RING:
+            # The backpressure gauge must sample the *shared* admission
+            # queue (a replica's local queue is window-bounded and says
+            # nothing about overload); one sample per completion round
+            # mirrors the thread batcher's per-step sampling cadence.
+            self.telemetry.record_queue_depth(self.queue.depth())
+            # One message = one ring read = one round through the shared
+            # completion sink: the same chain, in the same order, as a
+            # thread batcher's step.  A range that fails validation raises
+            # here, before any of it reaches the sink.
+            completions = self._ring_readers[index].read(*message[2])
+            entries = self._pop_round(
+                index, [completion[0] for completion in completions]
+            )
+            # start_t/finish_t are on the replica's clock; the sink keeps
+            # their difference and stamps the server's own.
+            complete_round(
+                [
+                    CompletedSample(
+                        request=entry[0], response=entry[1], prediction=prediction,
+                        exit_timestep=exit_timestep, score=score,
+                        threshold=threshold, start_time=start_t, epoch=epoch,
+                        brownout=brownout, horizon=horizon, finish_time=finish_t,
+                    )
+                    for entry, (_, prediction, exit_timestep, score, threshold,
+                                start_t, finish_t, epoch, brownout, horizon)
+                    in zip(entries, completions)
+                    if entry is not None
+                ],
+                self.clock, self.telemetry, self.cost_model,
+                self.controller, self.trace, self.spans,
+            )
+        elif kind == _MSG_ERROR:
+            relayed = message[2]
+            entries = self._pop_round(index, [request_id for request_id, _ in relayed])
+            for entry, (_, text) in zip(entries, relayed):
+                if entry is not None:
+                    self._reject(entry[0], entry[1], text)
+        elif kind == _MSG_READY:
             with self._lock:
-                self._rebound[index] = int(message[2]) if len(message) > 2 else 0
+                self._rebound[index] = int(message[2])
             self._ready[index].set()
         elif kind == _MSG_REBOUND:
             with self._lock:
                 self._rebound[index] = int(message[2])
         elif kind == _MSG_BYE:
             self.telemetry.merge_state(message[2])
-        elif kind == _MSG_ERROR:
-            for request_id, text in message[2]:
-                entry = self._pop_inflight(index, request_id)
-                if entry is None:
-                    continue
-                request, response = entry
-                error = AdmissionRejectedError(text)
-                # Account the relayed failure exactly like the thread-mode
-                # door (Server.submit's rejection path): without these
-                # records replica mode under-counts vs. thread mode and
-                # request conservation (submitted == completed + rejected +
-                # shed + deadline_drops) silently breaks.
-                now = self.clock()
-                self.telemetry.record_rejection()
-                if self.trace is not None:
-                    self.trace.record_rejection(request, now)
-                if self.spans is not None:
-                    self.spans.record_failure(request_id, now, error)
-                response.set_exception(error)
-        else:
-            # The backpressure gauge must sample the *shared* admission
-            # queue (a replica's local queue is window-bounded and says
-            # nothing about overload); one sample per completion round
-            # mirrors the thread batcher's per-step sampling cadence.
-            self.telemetry.record_queue_depth(self.queue.depth())
-            completions = (
-                self._ring_readers[index].read(*message[2])
-                if kind == _MSG_DONE_RING
-                else message[2]
-            )
-            # One message = one round through the shared completion sink:
-            # the same chain, in the same order, as a thread batcher's step.
-            finished = []
-            for (request_id, prediction, exit_timestep, score, threshold,
-                 start_t, finish_t, epoch, brownout, horizon) in completions:
-                entry = self._pop_inflight(index, request_id)
-                if entry is None:
-                    continue
-                request, response = entry
-                # start_t/finish_t are on the replica's clock; the sink keeps
-                # their difference and stamps the server's own.
-                finished.append(CompletedSample(
-                    request=request, response=response, prediction=prediction,
-                    exit_timestep=exit_timestep, score=score,
-                    threshold=threshold, start_time=start_t, epoch=epoch,
-                    brownout=brownout, horizon=horizon, finish_time=finish_t,
-                ))
-            complete_round(
-                finished, self.clock, self.telemetry, self.cost_model,
-                self.controller, self.trace, self.spans,
-            )
 
-    def _pop_inflight(self, index: int, request_id: int):
+    def _pop_round(self, index: int, request_ids: List[int]) -> List[Optional[tuple]]:
+        """Pop one round's in-flight entries in one lock section, free their
+        slab slots, then return their window permits in one release.  An
+        entry is ``None`` where the crash monitor already failed the
+        request."""
         with self._lock:
-            entry = self._inflight[index].pop(request_id, None)
-        if entry is None:
-            return None  # already failed by the crash monitor
-        request, response, slot = entry
-        # Free the ring slot BEFORE the window permit: the permit is what
-        # admits the next dispatch, so a new round can never race a
-        # still-occupied slab slot.
-        if slot is not None and self._ring_writers is not None:
-            self._ring_writers[index].release(slot)
-        self._window_sems[index].release()
-        return request, response
+            inflight = self._inflight[index]
+            entries = [inflight.pop(request_id, None) for request_id in request_ids]
+        # Slots BEFORE permits: the permit is what admits the next dispatch,
+        # so a new round can never race a still-occupied slab slot.
+        release = self._ring_writers[index].release
+        freed = 0
+        for entry in entries:
+            if entry is not None:
+                release(entry[2])
+                freed += 1
+        if freed:
+            self._window_sems[index].release(freed)
+        return entries
 
     # ------------------------------------------------------------------ #
     # Failure (single monitor thread)
@@ -1066,22 +1047,14 @@ class ReplicaPool:
                     f"replica {index} exited with code {process.exitcode} "
                     f"while {len(inflight)} request(s) were in flight"
                 )
-            now = self.clock()
-            for request, response, slot in inflight:
+            for _, _, slot in inflight:
                 # The replica is gone, so its slab slots are safe to reuse
                 # (moot for a dead replica, but the free list must balance
                 # for the bookkeeping invariants).
-                if slot is not None and self._ring_writers is not None:
-                    self._ring_writers[index].release(slot)
-                # Per-future clone: the crashed round's waiters re-raise
-                # concurrently and must not share one traceback.
-                response.set_exception(clone_exception(error))
-                if self.spans is not None:
-                    self.spans.record_failure(request.request_id, now, error)
-            self.telemetry.record_shed(len(inflight))
+                self._ring_writers[index].release(slot)
+            self._shed([entry[:2] for entry in inflight], error)
         # Unblock the forwarder so it can observe the dead flag and exit.
-        for _ in range(self.window):
-            self._window_sems[index].release()
+        self._window_sems[index].release(self.window)
         self.arena.release()
         if live == 0 and not self._aborting:
             # Nobody left to serve: close the door and resolve every queued
@@ -1116,14 +1089,28 @@ class ReplicaPool:
         :meth:`abort`; popping under the lock makes the duplicate calls
         safe.
         """
-        if not self._overflow:
-            return
-        error = self._stranded_error()
         stranded = list(self._overflow)
         self._overflow.clear()
+        self._shed(stranded, self._stranded_error())
+
+    def _shed(self, casualties: List[Tuple[Request, Response]],
+              error: BaseException) -> None:
+        """Fail requests nobody will serve: a clone of ``error`` per future
+        (their waiters re-raise concurrently and must not share one
+        traceback), a terminal span each, one ``shed`` count."""
         now = self.clock()
-        for request, response in stranded:
+        for request, response in casualties:
             response.set_exception(clone_exception(error))
             if self.spans is not None:
                 self.spans.record_failure(request.request_id, now, error)
-        self.telemetry.record_shed(len(stranded))
+        if casualties:
+            self.telemetry.record_shed(len(casualties))
+
+
+def _close_ends(ends) -> None:
+    """Close pipe ends; closing an already-closed ``Connection`` is a no-op."""
+    for end in ends:
+        try:
+            end.close()
+        except OSError:  # pragma: no cover - the fd went away under us
+            pass

@@ -16,7 +16,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -305,6 +305,25 @@ class AdmissionQueue:
             request.arrival_time = self.clock()
             self._items.append((request, response))
             self._not_empty.notify()
+
+    def put_many(self, items: Sequence[Tuple[Request, Response]]) -> None:
+        """Enqueue a whole round without waiting: one critical section, one
+        clock reading, one consumer wake-up — :meth:`get`'s ``limit``, from
+        the producer's side.  All or nothing: a round that does not fit
+        raises :class:`QueueFullError` and enqueues none of it."""
+        with self._lock:
+            if self._closed:
+                raise QueueClosedError("admission queue is closed")
+            if len(self._items) + len(items) > self.capacity:
+                raise QueueFullError(
+                    f"admission queue has no room for a round of {len(items)} "
+                    f"(capacity {self.capacity})"
+                )
+            now = self.clock()
+            for request, _ in items:
+                request.arrival_time = now
+            self._items.extend(items)
+            self._not_empty.notify(len(items))
 
     def _take(self, limit: Optional[int]):
         """Pop the oldest request (``limit`` None) or up to ``limit`` of them,

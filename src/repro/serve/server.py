@@ -98,20 +98,15 @@ class Server:
         zero-copy views, so N replicas hold one copy of the weights; unlike
         thread workers they do not share a GIL, which is what makes this
         the CPU scaling axis.  Decisions stay identical to the sequential
-        oracle; a replica crash fails at most its in-flight round with
-        :class:`~repro.serve.ReplicaCrashError` while the survivors keep
-        serving.  After an in-place weight reload on ``model``, call
-        :meth:`refresh_replicas` to propagate.
-    replica_window:
-        Max requests resident in one replica at a time (default: one
-        ``batch_width`` — the crash-loss bound).  Raising it overlaps
-        dispatch with execution at the cost of a larger loss window.
-    replica_transport:
-        IPC payload path for replica mode.  ``"ring"`` (default) moves
-        frames and completions through preallocated shared-memory rings
-        (:mod:`repro.runtime.rings`) with only cursors on the pipes;
-        ``"pipe"`` restores the legacy pickled-payload transport (the
-        benchmark baseline).  Decisions are bitwise identical either way.
+        oracle.  Frames and completions move through preallocated
+        shared-memory rings (:mod:`repro.runtime.rings`) with only tickets
+        and cursors on the pipes; a frame larger than a ring slot is refused
+        with :class:`~repro.serve.AdmissionRejectedError`.  Each replica
+        holds at most ``2 * batch_width`` requests (one width stepping, one
+        staged), which is also what a replica crash can lose: exactly those
+        fail with :class:`~repro.serve.ReplicaCrashError` while the
+        survivors keep serving.  After an in-place weight reload on
+        ``model``, call :meth:`refresh_replicas` to propagate.
     extra_models:
         Additional model replicas; each gets its own worker thread and
         engine.  Replicas must not share parameters *state* — build them
@@ -150,7 +145,6 @@ class Server:
         queue_capacity: int = 64,
         num_workers: int = 1,
         num_replicas: int = 0,
-        replica_window: Optional[int] = None,
         extra_models: Sequence[SpikingNetwork] = (),
         cost_model: Optional[InferenceCostModel] = None,
         controller: Optional[AdaptiveThresholdController] = None,
@@ -160,7 +154,6 @@ class Server:
         trace=None,
         spans=None,
         storm=None,
-        replica_transport: str = "ring",
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -218,10 +211,8 @@ class Server:
                 cost_model=cost_model,
                 controller=controller,
                 clock=clock,
-                inflight_window=replica_window,
                 trace=trace,
                 spans=spans,
-                transport=replica_transport,
             )
             self.max_timesteps = self.replicas.max_timesteps
             return

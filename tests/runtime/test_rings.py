@@ -161,13 +161,25 @@ def test_completion_round_trip_preserves_none_sentinels():
         rings.destroy()
 
 
-def test_completion_batch_larger_than_ring_falls_back():
+def test_completion_round_larger_than_ring_is_a_value_error():
+    """A served round is at most ``batch_width`` < ``completion_slots`` by
+    construction; one that is not would overwrite its own head, so it is a
+    programming error, not a fallback.  Nothing is written and the cursor
+    does not move; an empty round is an empty range."""
     rings = _make_rings()
     try:
         replica = attach_rings(rings.spec, 0)
+        reader = rings.reader(0)
         oversize = [_COMPLETIONS[0]] * (rings.spec.completion_slots + 1)
-        assert replica.write_completions(oversize) is None
-        assert replica.write_completions([]) is None
+        with pytest.raises(ValueError, match="exceeds the completion ring"):
+            replica.write_completions(oversize)
+        assert replica.write_completions([]) == (0, 0)
+        assert reader.read(0, 0) == []
+        assert replica.write_completions(_COMPLETIONS) == (0, len(_COMPLETIONS))
+        # The reader refuses such a range too: a position read twice
+        # cannot carry both sequence numbers.
+        with pytest.raises(RingIntegrityError, match="failed validation"):
+            reader.read(0, rings.spec.completion_slots + 1)
         replica.close()
     finally:
         rings.destroy()

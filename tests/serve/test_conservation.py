@@ -156,12 +156,14 @@ def test_conservation_holds_through_replica_crash():
     model = _model()
     spans = SpanTracker()
     xs = _inputs(40, seed=9)
-    window = 3
     server = Server(
         model, EntropyExitPolicy(0.0), max_timesteps=TIMESTEPS,
-        batch_width=window, queue_capacity=len(xs), num_replicas=2,
+        batch_width=3, queue_capacity=len(xs), num_replicas=2,
         spans=spans,
     ).start()
+    # The crash bound is the in-flight window: two batch widths.
+    window = server.replicas.window
+    assert window == 2 * 3
     victim = server.replicas.processes[0]
     try:
         futures = [server.submit(x) for x in xs]

@@ -20,9 +20,12 @@ recovery timeouts); the lifecycle tests stay in the fast tier.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
+import select
 import signal
+import threading
 import time
 
 import numpy as np
@@ -30,12 +33,15 @@ import pytest
 
 from repro.core.policies import EntropyExitPolicy
 from repro.serve import (
+    AdmissionRejectedError,
     InferenceEngine,
     ReplicaCrashError,
     Request,
     Response,
     Server,
     ServerClosedError,
+    TraceRecorder,
+    load_trace,
 )
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
@@ -98,6 +104,26 @@ def _replica_server(model, threshold=0.5, num_replicas=2, batch_width=3,
         batch_width=batch_width, queue_capacity=queue_capacity,
         num_replicas=num_replicas, **kwargs,
     )
+
+
+@contextlib.contextmanager
+def _thread_exceptions():
+    """Collect what any thread raises past its ``run`` (instead of letting
+    pytest turn it into a warning some later test gets blamed for)."""
+    raised = []
+    previous = threading.excepthook
+    threading.excepthook = raised.append
+    try:
+        yield raised
+    finally:
+        threading.excepthook = previous
+
+
+def _pool_threads():
+    return [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith(("QueueFeederThread", "repro-replica-"))
+    ]
 
 
 class TestReplicaServing:
@@ -209,80 +235,141 @@ class TestReplicaServing:
         assert second.threshold == 0.999
         assert second.exit_timestep < TIMESTEPS
 
-    def test_ring_segment_lifecycle_and_pipe_transport_parity(self):
-        """The ring transport is a pure plumbing change: decisions are
-        bitwise-identical to the legacy pipe-pickle transport, a ring fleet
-        owns exactly one ``/dev/shm`` ring segment, and a drained server
-        (either transport) leaves none behind."""
+    def test_ring_segment_lifecycle_and_oracle_parity(self):
+        """The one transport: decisions are bitwise-identical to the
+        sequential oracle, a fleet owns exactly one ``/dev/shm`` ring segment
+        sized for a two-width window per replica, and a drained server
+        leaves none behind."""
         model = _model()
         xs = _inputs(16, seed=41)
         reference = _oracle_decisions(model, xs)
         before = _ring_segments()
-        for transport in ("pipe", "ring"):
-            server = _replica_server(
-                model, num_replicas=2, replica_transport=transport
-            ).start()
-            try:
-                during = _ring_segments() - before
-                if transport == "ring":
-                    assert server.replicas.rings is not None
-                    assert len(during) == 1, (
-                        f"expected one ring segment for the fleet, got {during}"
-                    )
-                else:
-                    assert server.replicas.rings is None
-                    assert during == set()
-                futures = [server.submit(x) for x in xs]
-                results = [future.result(timeout=60.0) for future in futures]
-            finally:
-                server.shutdown(drain=True)
-            decisions = {
-                r.request_id: (r.prediction, r.exit_timestep) for r in results
-            }
-            assert decisions == reference, f"transport={transport}"
-            assert _ring_segments() <= before, "ring segment leaked past drain"
+        server = _replica_server(model, num_replicas=2).start()
+        try:
+            during = _ring_segments() - before
+            assert len(during) == 1, (
+                f"expected one ring segment for the fleet, got {during}"
+            )
+            assert server.replicas.window == 2 * 3
+            assert server.replicas.rings.spec.slots == server.replicas.window
+            futures = [server.submit(x) for x in xs]
+            results = [future.result(timeout=60.0) for future in futures]
+        finally:
+            server.shutdown(drain=True)
+        decisions = {
+            r.request_id: (r.prediction, r.exit_timestep) for r in results
+        }
+        assert decisions == reference
+        assert _ring_segments() <= before, "ring segment leaked past drain"
 
-    def test_oversized_frames_fall_back_to_inline_pipe_payloads(self):
-        """Frames that exceed the slab's slot capacity ship inline over the
-        work queue (ticket=None) instead of through the ring — decisions and
-        conservation are unchanged, just slower.  Exercised by shrinking the
-        slots below any real frame rather than inflating the clips."""
-        from repro.serve import AdmissionQueue, Telemetry
+    def test_oversized_frame_is_refused_typed(self, tmp_path):
+        """There is no inline payload path: a frame larger than a slab slot
+        is refused with ``AdmissionRejectedError`` naming both sizes and
+        accounted like any other rejection (telemetry, WAL reject line,
+        terminal span), the requests gathered into the same dispatch round
+        are served decision-exact, conservation holds and no segment leaks.
+        The whole workload is queued before the pool starts, so the oversize
+        frame sits mid-round by construction."""
+        from repro.serve import AdmissionQueue, SpanTracker, Telemetry
         from repro.serve.replica import ReplicaPool
 
         model = _model()
         xs = _inputs(8, seed=43)
         reference = _oracle_decisions(model, xs)
+        oversize = np.zeros((3, IMAGE_SIZE + 2, IMAGE_SIZE + 2), dtype=np.float32)
         queue = AdmissionQueue(capacity=64)
         telemetry = Telemetry()
+        spans = SpanTracker()
+        recorder = TraceRecorder(
+            str(tmp_path / "wal.jsonl"),
+            meta={"threshold": 0.5, "max_timesteps": TIMESTEPS},
+        )
+        before = _ring_segments()
         pool = ReplicaPool(
             model, EntropyExitPolicy(0.5), num_replicas=1, queue=queue,
             telemetry=telemetry, max_timesteps=TIMESTEPS, batch_width=3,
-            ring_slot_bytes=64,  # every (3,10,10) float32 frame is 1200 B
+            trace=recorder, spans=spans,
+            ring_slot_bytes=xs[0].nbytes,  # a served frame fits exactly
         )
-        pool.start()
-        assert pool.wait_ready() == 1
         responses = []
+        for index in range(xs.shape[0]):
+            responses.append(Response())
+            queue.put(Request(request_id=index, inputs=xs[index]), responses[-1])
+            if index == 1:
+                refused = Response()
+                queue.put(Request(request_id=100, inputs=oversize), refused)
+        pool.start()
         try:
-            for index in range(xs.shape[0]):
-                response = Response()
-                queue.put(
-                    Request(request_id=index, inputs=xs[index]), response
-                )
-                responses.append(response)
+            assert pool.wait_ready() == 1
             results = [r.result(timeout=60.0) for r in responses]
+            with pytest.raises(AdmissionRejectedError) as raised:
+                refused.result(timeout=60.0)
         finally:
             queue.close()
             pool.drain()
-        assert pool.rings is not None  # the ring existed; it just never fit
+            recorder.close()
+        message = str(raised.value)
+        assert str(oversize.nbytes) in message
+        assert str(pool.rings.spec.slot_bytes) in message
         decisions = {
             r.request_id: (r.prediction, r.exit_timestep) for r in results
         }
         assert decisions == reference
         assert telemetry.completed == len(responses)
-        assert _ring_segments() == set() or not any(
-            pool.rings.spec.name in path for path in _ring_segments()
-        ), "ring segment leaked past pool drain"
+        assert telemetry.rejected == 1 and telemetry.shed == 0
+        assert spans.open_spans() == []
+        trace = load_trace(str(tmp_path / "wal.jsonl"))
+        assert len(trace.records) == len(responses)
+        assert [line["id"] for line in trace.rejections] == [100]
+        assert _ring_segments() <= before, "ring segment leaked past pool drain"
+
+    def test_retirement_is_thread_clean(self):
+        """The work channel is a plain pipe: no feeder thread exists to
+        raise ``OSError: [Errno 9]`` / "released too many times" when the
+        pool closes its fds, and every pool thread is joined by drain."""
+        model = _model()
+        xs = _inputs(24, seed=53)
+        with _thread_exceptions() as raised:
+            server = _replica_server(model, num_replicas=2).start()
+            try:
+                assert "QueueFeederThread" not in _pool_threads()
+                for future in [server.submit(x) for x in xs]:
+                    future.result(timeout=60.0)
+            finally:
+                server.shutdown(drain=True)
+            assert _pool_threads() == []
+        assert raised == []
+
+    def test_two_width_window_keeps_one_replica_fed(self):
+        """The starvation gate.  With the admission queue never empty, one
+        replica must step (nearly) full: a window of one batch width cannot
+        be refilled until a completion's round trip through the parent is
+        done (occupancy 0.54); two widths keep a round staged.  And dispatch
+        is round-shaped: the forwarder drains the queue once per round, not
+        once per request."""
+        model = _model()
+        xs = _inputs(480, seed=59)
+        reference = _oracle_decisions(model, xs)
+        assert len({exit_t for _, exit_t in reference.values()}) > 1  # mixed exits
+        server = _replica_server(
+            model, num_replicas=1, batch_width=8, queue_capacity=len(xs)
+        ).start()
+        calls = {"get": 0}
+        for name in ("get", "get_nowait"):
+            def counted(*args, _real=getattr(server.queue, name), **kwargs):
+                calls["get"] += 1
+                return _real(*args, **kwargs)
+            setattr(server.queue, name, counted)
+        try:
+            futures = [server.submit(x) for x in xs]
+            results = [future.result(timeout=60.0) for future in futures]
+            polls = calls["get"]
+        finally:
+            server.shutdown(drain=True)
+        decisions = {r.request_id: (r.prediction, r.exit_timestep) for r in results}
+        assert decisions == reference
+        assert server.stats()["occupancy_mean"] >= 0.85
+        assert polls <= len(xs) / 2
 
     def test_unlowerable_model_is_refused_up_front(self):
         from repro.nn.module import Module
@@ -306,11 +393,13 @@ class TestReplicaFaultInjection:
         # horizon — a long, deterministic backlog to crash into.
         reference = _oracle_decisions(model, xs, threshold=0.0)
         before = _arena_segments()
-        window = 3
         server = _replica_server(
-            model, threshold=0.0, num_replicas=2, batch_width=window,
+            model, threshold=0.0, num_replicas=2, batch_width=3,
             queue_capacity=len(xs),
         ).start()
+        # The crash bound is the in-flight window: two batch widths.
+        window = server.replicas.window
+        assert window == 2 * 3
         victim = server.replicas.processes[0]
         try:
             futures = [server.submit(x) for x in xs]
@@ -396,3 +485,94 @@ class TestReplicaFaultInjection:
                 resolved += 1
         assert resolved == len(xs)
         assert _arena_segments() <= before, "arena leaked past drain"
+
+    def test_sigkill_retirement_is_thread_clean(self):
+        model = _model()
+        xs = _inputs(30, seed=61)
+        with _thread_exceptions() as raised:
+            server = _replica_server(
+                model, threshold=0.0, num_replicas=2, batch_width=3,
+                queue_capacity=len(xs),
+            ).start()
+            futures = [server.submit(x) for x in xs]
+            os.kill(server.replicas.processes[0].pid, signal.SIGKILL)
+            for future in futures:
+                try:
+                    future.result(timeout=60.0)
+                except ReplicaCrashError:
+                    pass
+            server.shutdown(drain=True)
+            assert _pool_threads() == []
+        assert raised == []
+
+    def test_sigkill_before_send_is_a_dead_replica(self):
+        """The victim dies after its forwarder popped a round from the queue
+        and before the round's tickets are sent: the failed ``send`` is
+        "replica dead" — slots released, the round re-pooled to the survivor
+        (or, if the monitor got to it first, failed typed within the window)
+        — never a blocked or crashed forwarder, and every request lands in
+        exactly one counter."""
+        model = _model()
+        xs = _inputs(40, seed=67)
+        reference = _oracle_decisions(model, xs, threshold=0.0)
+        before = _arena_segments() | _ring_segments()
+        server = _replica_server(
+            model, threshold=0.0, num_replicas=2, batch_width=3,
+            queue_capacity=len(xs),
+        ).start()
+        pool = server.replicas
+        victim = pool.processes[0]
+
+        class KillThenSend:
+            """The victim's work pipe, with a SIGKILL (and the wait for the
+            kernel to close the dead process's pipe ends) spliced in ahead
+            of the first round's send."""
+
+            def __init__(self, pipe):
+                self.pipe = pipe
+                self.broken = 0
+
+            def send(self, message):
+                if message[0] == "reqs" and not self.broken:
+                    os.kill(victim.pid, signal.SIGKILL)
+                    # A write end whose last reader is gone polls POLLERR.
+                    closed = select.poll()
+                    closed.register(self.pipe.fileno(), 0)
+                    assert closed.poll(30_000), "victim's pipe end never closed"
+                try:
+                    self.pipe.send(message)
+                except OSError:
+                    self.broken += 1
+                    raise
+
+            def close(self):
+                self.pipe.close()
+
+        hooked = pool._work_writers[0] = KillThenSend(pool._work_writers[0])
+        with _thread_exceptions() as raised:
+            try:
+                futures = [server.submit(x) for x in xs]
+                completed, crashed = {}, []
+                for index, future in enumerate(futures):
+                    try:
+                        result = future.result(timeout=60.0)
+                        completed[index] = (result.prediction, result.exit_timestep)
+                    except ReplicaCrashError:
+                        crashed.append(index)
+            finally:
+                server.shutdown(drain=True)
+        assert raised == []
+        assert hooked.broken == 1, "the send into the dead replica did not raise"
+        assert not any(thread.is_alive() for thread in pool._forwarders)
+        assert len(completed) + len(crashed) == len(xs)
+        assert len(crashed) <= pool.window
+        for index, decision in completed.items():
+            assert decision == reference[index], f"request {index}"
+        telemetry = server.telemetry
+        assert telemetry.completed == len(completed)
+        assert telemetry.shed == len(crashed)
+        assert len(xs) == (
+            telemetry.completed + telemetry.rejected + telemetry.shed
+            + sum(telemetry.deadline_drops_by_class.values())
+        )
+        assert _arena_segments() | _ring_segments() <= before, "segment leaked"

@@ -56,6 +56,23 @@ class TestAdmissionQueue:
         assert done.wait(1.0)
         assert queue.get(timeout=1.0)[0].request_id == 1
 
+    def test_put_many_enqueues_a_round_whole_or_not_at_all(self):
+        """One critical section, one clock reading, FIFO after what was
+        already queued; a round that does not fit changes nothing."""
+        ticks = iter([10.0, 20.0])
+        queue = AdmissionQueue(capacity=4, clock=lambda: next(ticks))
+        queue.put(*make_item(0))
+        round_ = [make_item(1), make_item(2)]
+        queue.put_many(round_)
+        assert [request.arrival_time for request, _ in round_] == [20.0, 20.0]
+        with pytest.raises(QueueFullError):
+            queue.put_many([make_item(3), make_item(4)])
+        assert queue.depth() == 3
+        assert [request.request_id for request, _ in queue.get_nowait(limit=8)] == [0, 1, 2]
+        queue.close()
+        with pytest.raises(QueueClosedError):
+            queue.put_many([make_item(5)])
+
     def test_arrival_time_stamped_at_admission(self):
         ticks = iter([10.0, 20.0])
         queue = AdmissionQueue(capacity=2, clock=lambda: next(ticks))

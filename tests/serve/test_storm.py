@@ -775,7 +775,6 @@ class TestStormFaultInjection:
         futures, the survivor drains the high-priority backlog, and the FSM
         still recovers."""
         model = _model()
-        xs = _inputs(40, seed=9)
         config = StormConfig(queue_warn=0.2, queue_storm=0.4, cooldown=2,
                              brownout_threshold=0.9)
         server = Server(
@@ -783,24 +782,43 @@ class TestStormFaultInjection:
             max_timesteps=TIMESTEPS, batch_width=3, queue_capacity=20,
             num_replicas=2, use_runtime=True, storm=config,
         ).start()
+        # The backlog must not depend on who wins the race between the
+        # client thread and two replicas that swallow a burst faster than it
+        # can be submitted (the more so under REPRO_LOCK_CHECK): pause the
+        # replicas, fill their in-flight windows, and only then flood — every
+        # flooded request now stays in the queue.
+        resident = len(server.replicas.processes) * server.replicas.window
+        xs = _inputs(resident + 40, seed=9)
+        filled, flood, storm_traffic = (
+            xs[:resident], xs[resident:resident + 24], xs[resident + 24:])
         outcomes = {"done": 0, "crashed": 0, "shed": 0, "rejected": 0}
-        pending = []
+        victim, survivor = (process.pid for process in server.replicas.processes)
         try:
-            # Flood to push the guard into STORM (observe runs per submit).
-            for i, x in enumerate(xs[:24]):
-                try:
-                    pending.append(server.submit(
-                        x, block=False,
-                        priority=[PRIORITY_HIGH, PRIORITY_NORMAL,
-                                  PRIORITY_LOW][i % 3]))
-                except StormShedError:
-                    outcomes["shed"] += 1
-                except QueueFullError:
-                    outcomes["rejected"] += 1
-            assert server.storm.state != StormState.NORMAL
-            os.kill(server.replicas.processes[0].pid, signal.SIGKILL)
+            os.kill(victim, signal.SIGSTOP)
+            os.kill(survivor, signal.SIGSTOP)
+            try:
+                pending = [server.submit(x, priority=PRIORITY_HIGH) for x in filled]
+                deadline = time.monotonic() + 30.0
+                while server.queue.depth():
+                    assert time.monotonic() < deadline, "windows never filled"
+                    time.sleep(0.002)
+                # Flood to push the guard into STORM (observe runs per submit).
+                for i, x in enumerate(flood):
+                    try:
+                        pending.append(server.submit(
+                            x, block=False,
+                            priority=[PRIORITY_HIGH, PRIORITY_NORMAL,
+                                      PRIORITY_LOW][i % 3]))
+                    except StormShedError:
+                        outcomes["shed"] += 1
+                    except QueueFullError:
+                        outcomes["rejected"] += 1
+                assert server.storm.state != StormState.NORMAL
+            finally:
+                os.kill(victim, signal.SIGKILL)
+                os.kill(survivor, signal.SIGCONT)
             # Keep submitting high-priority traffic into the storm.
-            for x in xs[24:]:
+            for x in storm_traffic:
                 try:
                     pending.append(server.submit(x, block=False,
                                                  priority=PRIORITY_HIGH))
