@@ -33,10 +33,10 @@ from repro.serve import (
     LoadGenerator,
     Server,
     StormConfig,
-    StormPhase,
     StormState,
     priority_cycle,
     request_stream,
+    storm_phases,
 )
 
 NUM_REQUESTS = 90 if SMOKE else 180
@@ -59,16 +59,16 @@ def _server(experiment, threshold, storm=None):
 
 def _storm_run(experiment, threshold, stream, capacity, deadline, storm=None):
     server = _server(experiment, threshold, storm=storm)
-    base_rate = 0.5 * capacity
+    base_rate = 0.5 * capacity  # the storm phase offers 8x that: 4x capacity
     generator = LoadGenerator(
         server,
         block=False,
-        phases=[
-            StormPhase(duration=(len(stream) // 6) / base_rate, rate=base_rate),
-            StormPhase(duration=(7 * len(stream) // 12) / (4.0 * capacity),
-                       rate=4.0 * capacity),
-            StormPhase(duration=(len(stream) // 4) / base_rate, rate=base_rate),
-        ],
+        phases=storm_phases(
+            base_rate, storm_multiplier=8.0,
+            warmup=(len(stream) // 6) / base_rate,
+            storm=(7 * len(stream) // 12) / (8.0 * base_rate),
+            recovery=(len(stream) // 4) / base_rate,
+        ),
         priorities=priority_cycle({p: 1 for p in MIX}),
         deadline=deadline,
     )

@@ -76,7 +76,6 @@ from .serve import (
     Server,
     SpanTracker,
     StormConfig,
-    StormPhase,
     StormState,
     ThresholdSchedule,
     TraceRecorder,
@@ -85,6 +84,7 @@ from .serve import (
     load_trace,
     priority_cycle,
     request_stream,
+    storm_phases,
 )
 from .snn import EventFrameEncoder, spiking_resnet, spiking_vgg
 from .training import (
@@ -598,6 +598,39 @@ def _write_stats_dump(path: str, server: Server, spans, max_timesteps: int) -> N
     print(f"wrote stats dump to {path} (+ {prom_path})")
 
 
+def _oracle_mismatches(model, stream, completions, timesteps: int):
+    """Judge ``(stream index, result)`` pairs bitwise against the Tensor oracle
+    (``model.forward`` runs the Tensor graph), one group of *stamped*
+    ``(threshold, horizon)`` at a time — a single group under a fixed knob:
+    the recorded threshold IS the one the engine slot evaluated, whatever the
+    knob did meanwhile.  Returns ``(sizes, diverged)``: requests per group,
+    and ``(group, index, served, expected)`` per disagreement, the last two
+    being ``(prediction, exit_timestep)`` pairs."""
+    inputs = np.stack([clip for clip, _ in stream])
+    logits = np.concatenate(
+        [model.forward(inputs[start:start + 64], timesteps).cumulative_numpy()
+         for start in range(0, inputs.shape[0], 64)],
+        axis=1,
+    )
+    groups: Dict[tuple, list] = {}
+    for index, result in completions:
+        horizon = timesteps if result.horizon is None else int(result.horizon)
+        groups.setdefault((float(result.threshold), horizon), []).append((index, result))
+    diverged = []
+    for group, members in sorted(groups.items()):
+        threshold, horizon = group
+        reference = DynamicTimestepInference(
+            policy=EntropyExitPolicy(threshold), max_timesteps=horizon
+        ).infer_from_logits(logits[:horizon, [index for index, _ in members], :])
+        expected = zip(reference.predictions.tolist(), reference.exit_timesteps.tolist())
+        diverged.extend(
+            (group, index, (result.prediction, result.exit_timestep), decision)
+            for (index, result), decision in zip(members, expected)
+            if (result.prediction, result.exit_timestep) != decision
+        )
+    return {group: len(members) for group, members in groups.items()}, diverged
+
+
 def _serve_storm_self_test(args: argparse.Namespace) -> int:
     """`serve --self-test --storm`: overload-resilience smoke test.
 
@@ -665,13 +698,11 @@ def _serve_storm_self_test(args: argparse.Namespace) -> int:
     warm_count = max(4, total // 6)
     storm_count = max(8, (7 * total) // 12)
     recovery_count = max(1, total - warm_count - storm_count)
-    base_rate = 0.5 * capacity
-    storm_rate = 4.0 * capacity
-    phases = [
-        StormPhase(duration=warm_count / base_rate, rate=base_rate),
-        StormPhase(duration=storm_count / storm_rate, rate=storm_rate),
-        StormPhase(duration=recovery_count / base_rate, rate=base_rate),
-    ]
+    base_rate = 0.5 * capacity  # the storm phase offers 8x that: 4x capacity
+    phases = storm_phases(
+        base_rate, storm_multiplier=8.0, warmup=warm_count / base_rate,
+        storm=storm_count / (8.0 * base_rate), recovery=recovery_count / base_rate,
+    )
     spans = SpanTracker() if args.stats_dump else None
     server = _build_server(args, model, policy, None, cost_model,
                            spans=spans, storm=storm_config).start()
@@ -769,33 +800,13 @@ def _serve_storm_self_test(args: argparse.Namespace) -> int:
                 f"{storm_config.horizon_cap}")
             break
 
-    # Epoch-exact decisions: group completions by their stamped
-    # (threshold, horizon) and check each group bitwise against the Tensor
-    # oracle running under exactly those knobs.  This is the PR 5
-    # threshold-consistency fix made observable: the recorded threshold IS
-    # the one the engine slot evaluated, whatever the FSM did meanwhile.
-    inputs = np.stack([clip for clip, _ in stream])
-    reference_logits = []
-    for start in range(0, inputs.shape[0], 64):
-        output = model.forward(inputs[start:start + 64], args.timesteps)
-        reference_logits.append(output.cumulative_numpy())
-    logits = np.concatenate(reference_logits, axis=1)
-    groups: Dict[tuple, list] = {}
-    for result, index in zip(report.results, report.accepted_indices):
-        horizon = args.timesteps if result.horizon is None else int(result.horizon)
-        key = (float(result.threshold), horizon)
-        groups.setdefault(key, []).append((index, result))
-    for (threshold, horizon), members in sorted(groups.items()):
-        indices = [index for index, _ in members]
-        reference = DynamicTimestepInference(
-            policy=EntropyExitPolicy(threshold), max_timesteps=horizon
-        ).infer_from_logits(logits[:horizon, indices, :])
-        predictions = np.array([r.prediction for _, r in members])
-        exits = np.array([r.exit_timestep for _, r in members])
-        exact = (np.array_equal(predictions, reference.predictions)
-                 and np.array_equal(exits, reference.exit_timesteps))
+    # Epoch-exact decisions, per stamped (threshold, horizon) group.
+    groups, diverged = _oracle_mismatches(
+        model, stream, zip(report.accepted_indices, report.results), args.timesteps)
+    for (threshold, horizon), size in sorted(groups.items()):
+        exact = all(group != (threshold, horizon) for group, *_ in diverged)
         print(f"epoch group (threshold={threshold:.4f}, horizon={horizon}): "
-              f"{len(members)} request(s) "
+              f"{size} request(s) "
               f"{'bitwise-exact' if exact else 'DIVERGED'}")
         if not exact:
             failures.append(
@@ -881,24 +892,9 @@ def _serve_kill_self_test(args: argparse.Namespace) -> int:
             f"{len(stream) - window} guaranteed completions"
         )
     # Bitwise exactness of every survivor against the Tensor oracle.
-    inputs = np.stack([inputs for inputs, _ in stream])
-    reference_logits = []
-    for start in range(0, inputs.shape[0], 64):
-        output = model.forward(inputs[start:start + 64], args.timesteps)
-        reference_logits.append(output.cumulative_numpy())
-    reference = DynamicTimestepInference(
-        policy=EntropyExitPolicy(policy.threshold), max_timesteps=args.timesteps
-    ).infer_from_logits(np.concatenate(reference_logits, axis=1))
-    for index, result in completed.items():
-        if (result.prediction != reference.predictions[index]
-                or result.exit_timestep != reference.exit_timesteps[index]):
-            failures.append(
-                f"request {index} diverged from the oracle: "
-                f"({result.prediction}, {result.exit_timestep}) vs "
-                f"({reference.predictions[index]}, "
-                f"{reference.exit_timesteps[index]})"
-            )
-            break
+    _, diverged = _oracle_mismatches(model, stream, completed.items(), args.timesteps)
+    for _, index, served, expected in diverged[:1]:
+        failures.append(f"request {index} diverged from the oracle: {served} vs {expected}")
     leaked = set(glob.glob("/dev/shm/repro-arena-*")
                  + glob.glob("/dev/shm/repro-rings-*")) - before
     if leaked:
@@ -964,27 +960,15 @@ def _command_serve(args: argparse.Namespace) -> int:
                        title="Telemetry snapshot", float_format="{:.4f}"))
     # Self-test: the serve path (by default the compiled-plan fast path) must
     # reproduce the define-by-run Tensor oracle bitwise on the identical
-    # stream — model.forward below runs the Tensor graph — and drain must
-    # complete every request.
+    # stream, and drain must complete every request.
     failures = []
     if report.completed != len(stream):
         failures.append(f"drain incomplete: {report.completed}/{len(stream)} requests")
-    inputs = np.stack([inputs for inputs, _ in stream])
-    reference_logits = []
-    with_chunks = range(0, inputs.shape[0], 64)
-    for start in with_chunks:
-        chunk = inputs[start:start + 64]
-        output = model.forward(chunk, args.timesteps)
-        reference_logits.append(output.cumulative_numpy())
-    reference = DynamicTimestepInference(
-        policy=EntropyExitPolicy(policy.threshold), max_timesteps=args.timesteps
-    ).infer_from_logits(np.concatenate(reference_logits, axis=1))
-    by_id = sorted(report.results, key=lambda r: r.request_id)
-    predictions = np.array([r.prediction for r in by_id])
-    exits = np.array([r.exit_timestep for r in by_id])
-    if not np.array_equal(predictions, reference.predictions):
+    _, diverged = _oracle_mismatches(
+        model, stream, zip(report.accepted_indices, report.results), args.timesteps)
+    if any(served[0] != expected[0] for *_, served, expected in diverged):
         failures.append("serve predictions diverge from infer_from_logits")
-    if not np.array_equal(exits, reference.exit_timesteps):
+    if any(served[1] != expected[1] for *_, served, expected in diverged):
         failures.append("serve exit timesteps diverge from infer_from_logits")
     if failures:
         for failure in failures:

@@ -84,13 +84,14 @@ def storm_phases(
     storm: float = 2.0,
     recovery: float = 2.0,
 ) -> List[StormPhase]:
-    """The canonical overload profile: calm → 4x-capacity storm → calm.
+    """The overload profile: calm → storm → calm.
 
     ``base_rate`` should be at or below the measured serving capacity so the
     warmup and recovery segments are genuinely calm; the storm segment
-    offers ``storm_multiplier`` times that.  Recovery is deliberately as
-    long as the storm so the FSM's cooldown hysteresis has room to walk the
-    guard back to NORMAL inside the run.
+    offers ``storm_multiplier`` times that (the storm self-test and
+    ``bench_serve_storm.py`` run half capacity → 8x that, i.e. 4x capacity).
+    Give recovery at least the storm's length so the FSM's cooldown
+    hysteresis has room to walk the guard back to NORMAL inside the run.
     """
     if base_rate <= 0:
         raise ValueError("base_rate must be positive")

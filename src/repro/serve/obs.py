@@ -17,10 +17,8 @@ machine-readable form:
   :meth:`repro.serve.Telemetry.fill_registry` feeds it, so ``serve
   --stats-dump`` turns a serving run into a scrape-able artifact.
 
-Merge contract (the multi-replica invariant, property-tested): merging the
-span/metric state exported by N replicas yields exactly the state of the
-pooled raw samples — counters add, histogram buckets add, max-gauges take
-the max, span maps union disjoint request ids.
+There is one writer: the serving parent records every completion and every
+failure, in thread and replica mode alike, so nothing here crosses a process.
 """
 
 from __future__ import annotations
@@ -59,10 +57,7 @@ class RequestSpan:
 
     ``tags`` annotates the span with non-timing attributes (currently
     ``brownout=True`` for requests served under storm-degraded accuracy,
-    plus the stamped threshold epoch).  Tags are a local annotation: the
-    cross-replica export/merge wire format remains the bare
-    ``{request_id: events}`` map, because the parent stamps the tags itself
-    at completion time — replicas never ship them.
+    plus the stamped threshold epoch).
     """
 
     request_id: int
@@ -180,24 +175,6 @@ class SpanTracker:
             return len(self._spans)
 
     # ------------------------------------------------------------------ #
-    # Cross-replica merge (same contract as Telemetry.export/merge_state)
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> Dict[int, Dict[str, float]]:
-        with self._lock:
-            return {s.request_id: dict(s.events) for s in self._spans.values()}
-
-    def merge_state(self, state: Dict[int, Dict[str, float]]) -> None:
-        with self._lock:
-            for request_id, events in state.items():
-                span = self._spans.get(request_id)
-                if span is None:
-                    if len(self._spans) >= self.capacity:
-                        self._spans.pop(next(iter(self._spans)))
-                    span = RequestSpan(request_id=int(request_id))
-                    self._spans[int(request_id)] = span
-                span.events.update(events)
-
-    # ------------------------------------------------------------------ #
     def stage_durations(self) -> Dict[str, List[float]]:
         """Raw per-stage durations over all tracked spans."""
         pairs = (
@@ -232,7 +209,7 @@ class SpanTracker:
 # --------------------------------------------------------------------------- #
 @dataclass
 class Counter:
-    """Monotonically increasing count (merge: sum)."""
+    """Monotonically increasing count."""
 
     name: str
     help: str = ""
@@ -242,9 +219,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
 
     def to_json(self) -> Dict[str, Any]:
         return {"type": "counter", "help": self.help, "value": self.value}
@@ -257,43 +231,19 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """Point-in-time value.  ``mode`` picks the merge rule: ``max`` (peak
-    gauges like queue depth), ``sum`` (additive gauges like live replicas),
-    or ``last`` (merge keeps the merging side's value if the other is
-    unset)."""
+    """Peak value: ``set`` keeps the largest sample seen (queue depth,
+    occupancy, storm severity — every gauge the serving stack exports)."""
 
     name: str
     help: str = ""
-    mode: str = "max"
     value: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("max", "sum", "last"):
-            raise ValueError("gauge mode must be 'max', 'sum' or 'last'")
 
     def set(self, value: float) -> None:
         value = float(value)
-        if self.mode == "max" and self.value is not None:
-            self.value = max(self.value, value)
-        elif self.mode == "sum" and self.value is not None:
-            self.value += value
-        else:
-            self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        if other.value is None:
-            return
-        if self.value is None:
-            self.value = other.value
-        elif self.mode == "max":
-            self.value = max(self.value, other.value)
-        elif self.mode == "sum":
-            self.value += other.value
-        else:
-            self.value = other.value
+        self.value = value if self.value is None else max(self.value, value)
 
     def to_json(self) -> Dict[str, Any]:
-        return {"type": "gauge", "help": self.help, "mode": self.mode,
+        return {"type": "gauge", "help": self.help, "mode": "max",
                 "value": self.value}
 
     def to_prometheus(self) -> str:
@@ -304,12 +254,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket cumulative histogram (Prometheus semantics).
-
-    Fixed buckets are what make the merge exact: observing a sample set on N
-    instances and summing their bucket counts equals observing the pooled
-    set on one instance — bucket assignment is a pure function of the value.
-    """
+    """Fixed-bucket cumulative histogram (Prometheus semantics)."""
 
     # Latency-shaped default buckets (seconds).
     DEFAULT_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -331,16 +276,6 @@ class Histogram:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.total += value
         self.count += 1
-
-    def merge(self, other: "Histogram") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"histogram {self.name}: cannot merge differing bucket bounds"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.count += other.count
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -376,9 +311,7 @@ class MetricsRegistry:
     """A named collection of counters/gauges/histograms with two exports.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create (idempotent),
-    so feeders can address metrics by name without coordination.  Merging
-    registries (:meth:`merge`) folds same-named metrics with each type's
-    rule and adopts metrics the target did not have.
+    so feeders can address metrics by name without coordination.
     """
 
     def __init__(self):
@@ -401,8 +334,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, lambda: Counter(name, help), Counter)
 
-    def gauge(self, name: str, help: str = "", mode: str = "max") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help, mode), Gauge)
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._get_or_create(name, lambda: Gauge(name, help), Gauge)
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = Histogram.DEFAULT_BUCKETS) -> Histogram:
@@ -414,20 +347,6 @@ class MetricsRegistry:
     def metrics(self) -> Dict[str, Any]:
         with self._lock:
             return dict(self._metrics)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, metric in other.metrics().items():
-            with self._lock:
-                mine = self._metrics.get(name)
-                if mine is None:
-                    self._metrics[name] = metric
-                    continue
-            if type(mine) is not type(metric):
-                raise TypeError(
-                    f"metric {name!r}: cannot merge {type(metric).__name__} "
-                    f"into {type(mine).__name__}"
-                )
-            mine.merge(metric)
 
     def to_json(self) -> Dict[str, Any]:
         return {name: metric.to_json()

@@ -39,8 +39,9 @@ request (docs/ARCHITECTURE.md, "Ring dispatch"):
   copy, pops the round's entries in one lock section, returns its permits
   in one release and hands it, as one round, to the completion sink it
   shares with the thread batcher
-  (:func:`~repro.serve.batcher.complete_round`; the replica ships its
-  occupancy gauges at drain, merged via :meth:`Telemetry.merge_state`).
+  (:func:`~repro.serve.batcher.complete_round`).  Only the parent records;
+  the one thing it cannot sample — the replica's batch occupancy — arrives
+  as a list of floats in the drain message.
 * **Failure** — a *monitor* thread owns each replica's exit.  A clean exit
   (drain) releases its arena reference; a crash fails exactly the crashed
   replica's in-flight requests with :class:`ReplicaCrashError`, returns any
@@ -131,7 +132,6 @@ class _ReplicaConfig:
     batch_width: int
     window: int
     use_runtime: Optional[bool]
-    poll_interval: float = 0.01
 
 
 # Work-pipe message kinds (parent -> replica).  Requests and completions
@@ -154,6 +154,10 @@ _MSG_BYE = "bye"
 # Rebind acknowledgement: the replica observed an arena refresh and rebound
 # to the flipped generation; carries the arena version it now serves.
 _MSG_REBOUND = "rebound"
+
+#: Longest an idle replica waits on its work pipe before re-checking the
+#: arena version, in milliseconds.
+_IDLE_POLL_MS = 10
 
 
 # --------------------------------------------------------------------------- #
@@ -212,7 +216,7 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
     admission queue, honor arena weight-reload versions at round boundaries,
     and run the continuous batcher one timestep at a time, relaying every
     completed round.  On the drain sentinel it finishes all local work, ships
-    its telemetry gauges and exits 0; any exception escapes (exit code != 0)
+    its occupancy samples and exits 0; any exception escapes (exit code != 0)
     and the parent's monitor converts it into typed in-flight failures.
 
     ``work_conn`` and ``result_conn`` are this replica's *private* pipes:
@@ -250,7 +254,6 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
         draining = False
         work_ready = select.poll()
         work_ready.register(work_conn.fileno(), select.POLLIN)
-        poll_ms = 1e3 * config.poll_interval
         # Readiness handshake: interpreter up, arena attached, plan compiled.
         # The parent's start() blocks on this so a "started" server is one
         # whose replicas are actually serving (and whose benchmarked
@@ -263,7 +266,7 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
             # once (``Connection.poll`` builds a selector per call).  EOF
             # means the parent is gone; it escapes like any other failure.
             idle = engine.idle and local_queue.depth() == 0 and not draining
-            timeout = poll_ms if idle else 0
+            timeout = _IDLE_POLL_MS if idle else 0
             while work_ready.poll(timeout):
                 timeout = 0
                 message = work_conn.recv()
@@ -293,21 +296,10 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
                 result_conn.send((index, _MSG_ERROR, list(outbox)))
                 outbox.clear()
             if draining and engine.idle and local_queue.depth() == 0:
-                # Gauges only (include_results=False drops the per-request
-                # and clock-domain fields): completions were already
-                # recorded by the parent's collector.  The local queue
-                # depth is additionally blanked — it is window-bounded
-                # noise next to the parent's admission-queue backpressure
-                # gauge, which the collector samples parent-side.  The
-                # rejection/deadline counters are blanked too: every relayed
-                # failure is recorded once by the PARENT (the _MSG_ERROR
-                # handler), so merging the replica-local copies at BYE would
-                # double-count and break request conservation.
-                state = telemetry.export_state(include_results=False)
-                state["queue_depths"] = []
-                state["rejected"] = 0
-                state["deadline_drops"] = {}
-                result_conn.send((index, _MSG_BYE, state))
+                # Occupancy is the one gauge only this process can sample;
+                # completions and relayed failures were recorded parent-side.
+                result_conn.send(
+                    (index, _MSG_BYE, telemetry.occupancy_samples()))
                 break
     except BaseException:
         traceback.print_exc()
@@ -347,7 +339,6 @@ class ReplicaPool:
         cost_model: Optional[InferenceCostModel] = None,
         controller: Optional[AdaptiveThresholdController] = None,
         clock: Callable[[], float] = time.monotonic,
-        blas_threads: int = 1,
         trace=None,
         spans=None,
         ring_slot_bytes: int = DEFAULT_SLOT_BYTES,
@@ -390,7 +381,6 @@ class ReplicaPool:
         # so replicas ship no extra bytes for them.
         self.trace = trace
         self.spans = spans
-        self.blas_threads = int(blas_threads)
         # Export before anything serves: the arena copies the constants and
         # the skeleton captures the structure exactly once for all replicas.
         # eval() + reset_state() is the same serving precondition
@@ -479,18 +469,12 @@ class ReplicaPool:
         # briefly pins os.environ around the spawns — under a class-level
         # lock, since os.environ is process-global.
         saved = {}
-        pinned = {}
-        if self.blas_threads > 0:
-            pinned = {
-                name: str(self.blas_threads)
-                for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                             "MKL_NUM_THREADS")
-            }
         self._spawn_env_lock.acquire()
         try:
-            for name, value in pinned.items():
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                         "MKL_NUM_THREADS"):
                 saved[name] = os.environ.get(name)
-                os.environ[name] = value
+                os.environ[name] = "1"
             for index in range(self.num_replicas):
                 config = _ReplicaConfig(
                     index=index,
@@ -697,7 +681,7 @@ class ReplicaPool:
         scribble the generation a straggler still reads — that would
         reintroduce the exact torn-read hazard the double buffer removes.
         The timeout is a parachute against a wedged replica; replicas poll
-        staleness every round (<= ``poll_interval``), so in practice the
+        staleness every round (an idle one every 10 ms), so in practice the
         wait is one scheduling quantum.
         """
         target = self.arena.version
@@ -986,7 +970,7 @@ class ReplicaPool:
             with self._lock:
                 self._rebound[index] = int(message[2])
         elif kind == _MSG_BYE:
-            self.telemetry.merge_state(message[2])
+            self.telemetry.extend_occupancy(message[2])
 
     def _pop_round(self, index: int, request_ids: List[int]) -> List[Optional[tuple]]:
         """Pop one round's in-flight entries in one lock section, free their

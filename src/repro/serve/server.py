@@ -25,7 +25,8 @@ import ctypes
 import itertools
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+import traceback
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class Server:
         shared LIF modules and would race across threads).
     num_replicas:
         Worker *processes* serving ``model`` (mutually exclusive with
-        ``num_workers > 1`` / ``extra_models``).  The plan constants are
+        ``num_workers > 1``).  The plan constants are
         exported once into a shared-memory arena
         (:class:`repro.runtime.PlanArena`) and every replica attaches
         zero-copy views, so N replicas hold one copy of the weights; unlike
@@ -107,11 +108,6 @@ class Server:
         fail with :class:`~repro.serve.ReplicaCrashError` while the
         survivors keep serving.  After an in-place weight reload on
         ``model``, call :meth:`refresh_replicas` to propagate.
-    extra_models:
-        Additional model replicas; each gets its own worker thread and
-        engine.  Replicas must not share parameters *state* — build them
-        separately or deep-copy the primary.  Use this (not ``num_workers``)
-        when workers must run the Tensor oracle or keep statistics.
     batch_width:
         Maximum concurrent slots per worker.
     queue_capacity:
@@ -145,10 +141,8 @@ class Server:
         queue_capacity: int = 64,
         num_workers: int = 1,
         num_replicas: int = 0,
-        extra_models: Sequence[SpikingNetwork] = (),
         cost_model: Optional[InferenceCostModel] = None,
         controller: Optional[AdaptiveThresholdController] = None,
-        telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
         use_runtime: Optional[bool] = None,
         trace=None,
@@ -160,7 +154,7 @@ class Server:
         if num_replicas < 0:
             raise ValueError("num_replicas must be >= 0")
         self.clock = clock
-        self.telemetry = telemetry or Telemetry()
+        self.telemetry = Telemetry()
         # Observability sinks (both optional, both None-cost when absent):
         # ``trace`` is a repro.serve.trace.TraceRecorder appending one WAL
         # record per completion/rejection; ``spans`` is a
@@ -191,12 +185,14 @@ class Server:
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._started = False
+        #: What killed a worker thread, if one died (its futures were failed
+        #: and admissions closed; see ``_worker``).
+        self.worker_error: Optional[BaseException] = None
         if num_replicas:
-            if num_workers > 1 or extra_models:
+            if num_workers > 1:
                 raise ValueError(
                     "num_replicas is a process-level alternative to thread "
-                    "workers: combine it with neither num_workers > 1 nor "
-                    "extra_models"
+                    "workers: do not combine it with num_workers > 1"
                 )
             self.batchers: List[ContinuousBatcher] = []
             self.replicas: Optional[ReplicaPool] = ReplicaPool(
@@ -236,13 +232,9 @@ class Server:
                 raise ValueError(
                     "num_workers > 1 shares one model across workers, which "
                     "requires the compiled-plan runtime (per-executor state); "
-                    "this model runs on the Tensor oracle — pass replicas via "
-                    "extra_models instead"
+                    "this model runs on the Tensor oracle — serve it with "
+                    "num_workers=1"
                 )
-        engines.extend(
-            InferenceEngine(m, policy, max_timesteps=max_timesteps, use_runtime=use_runtime)
-            for m in extra_models
-        )
         self.batchers: List[ContinuousBatcher] = [
             ContinuousBatcher(
                 engine,
@@ -314,7 +306,12 @@ class Server:
             self.queue.close()
             shed += self.queue.drain_pending()
             self.telemetry.record_shed(shed)
-            raise
+            # Visible without raising out of the thread: the traceback goes
+            # to stderr and the error stays readable on the server.
+            traceback.print_exc()
+            self.worker_error = error
+            if not isinstance(error, Exception):
+                raise
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Stop admissions, finish every accepted request, stop the workers.

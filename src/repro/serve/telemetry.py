@@ -26,22 +26,23 @@ from .request import RequestResult
 
 __all__ = ["Telemetry"]
 
+#: Samples each gauge (queue depth, occupancy) keeps, newest last.
+GAUGE_WINDOW = 4096
+
 
 class Telemetry:
     """Accumulates per-request serving metrics."""
 
-    def __init__(self, window: int = 256, gauge_window: int = 4096):
+    def __init__(self, window: int = 256):
         if window < 1:
             raise ValueError("window must be >= 1")
-        if gauge_window < 1:
-            raise ValueError("gauge_window must be >= 1")
         self._lock = named_lock("serve.telemetry")
         self._results: List[RequestResult] = []
         self._recent_latencies: Deque[float] = deque(maxlen=window)
         # Gauges are sampled on every batcher step; bound them so a
         # long-running server cannot grow memory without traffic.
-        self._queue_depths: Deque[int] = deque(maxlen=gauge_window)
-        self._occupancies: Deque[float] = deque(maxlen=gauge_window)
+        self._queue_depths: Deque[int] = deque(maxlen=GAUGE_WINDOW)
+        self._occupancies: Deque[float] = deque(maxlen=GAUGE_WINDOW)
         self._first_arrival: Optional[float] = None
         self._last_finish: Optional[float] = None
         self._rejected = 0
@@ -110,86 +111,12 @@ class Telemetry:
             if int(code) > self._storm_peak:
                 self._storm_peak = int(code)
 
-    # ------------------------------------------------------------------ #
-    # Cross-instance merging (multi-replica serving)
-    # ------------------------------------------------------------------ #
-    def export_state(self, include_results: bool = True) -> Dict[str, object]:
-        """A picklable snapshot of the raw samples behind every metric.
-
-        This is the wire format replica processes ship at drain and the
-        input to :meth:`merge_state`.  ``include_results=False`` drops every
-        per-request and clock-domain field — the results list, the rolling
-        latency window, and the first-arrival/last-finish span — leaving the
-        gauges (queue depths, occupancies) and the rejection count.  That is
-        the shape a replica may safely ship: its completions travel
-        individually through the response pipe (shipping them again would
-        double-count) and its absolute timestamps live on another process's
-        clock.
-        """
+    def extend_occupancy(self, samples: Sequence[float]) -> None:
+        """Adopt the occupancy samples a replica ships at drain — the one
+        gauge only the process stepping the batch can sample.  Everything
+        else about a replica-served request is recorded parent-side."""
         with self._lock:
-            return {
-                "results": list(self._results) if include_results else [],
-                "recent_latencies": (
-                    list(self._recent_latencies) if include_results else []
-                ),
-                "queue_depths": list(self._queue_depths),
-                "occupancies": list(self._occupancies),
-                "first_arrival": self._first_arrival if include_results else None,
-                "last_finish": self._last_finish if include_results else None,
-                "rejected": self._rejected,
-                "shed": self._shed,
-                "storm_shed": dict(self._storm_shed),
-                "deadline_drops": dict(self._deadline_drops),
-                "storm_peak": self._storm_peak,
-                "storm_transitions": self._storm_transitions,
-            }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another telemetry's exported state into this one.
-
-        Merging is defined so that every derived metric — latency
-        percentiles, exit histograms, energy aggregates, throughput — equals
-        the metric computed over the pooled raw samples (the property the
-        replica test harness asserts).  Only the bounded rolling windows
-        (recent latencies, gauges) are order-dependent: they concatenate in
-        merge order and keep their usual truncation.
-        """
-        with self._lock:
-            for result in state.get("results", ()):
-                self._results.append(result)
-            self._recent_latencies.extend(state.get("recent_latencies", ()))
-            self._queue_depths.extend(state.get("queue_depths", ()))
-            self._occupancies.extend(state.get("occupancies", ()))
-            first = state.get("first_arrival")
-            if first is not None and (
-                self._first_arrival is None or first < self._first_arrival
-            ):
-                self._first_arrival = first
-            last = state.get("last_finish")
-            if last is not None and (
-                self._last_finish is None or last > self._last_finish
-            ):
-                self._last_finish = last
-            self._rejected += int(state.get("rejected", 0))
-            self._shed += int(state.get("shed", 0))
-            for priority, count in dict(state.get("storm_shed", {})).items():
-                priority = int(priority)
-                self._storm_shed[priority] = (
-                    self._storm_shed.get(priority, 0) + int(count)
-                )
-            for priority, count in dict(state.get("deadline_drops", {})).items():
-                priority = int(priority)
-                self._deadline_drops[priority] = (
-                    self._deadline_drops.get(priority, 0) + int(count)
-                )
-            self._storm_peak = max(
-                self._storm_peak, int(state.get("storm_peak", 0))
-            )
-            self._storm_transitions += int(state.get("storm_transitions", 0))
-
-    def merge_from(self, other: "Telemetry") -> None:
-        """Merge another :class:`Telemetry` instance (see :meth:`merge_state`)."""
-        self.merge_state(other.export_state())
+            self._occupancies.extend(samples)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -229,9 +156,9 @@ class Telemetry:
         with self._lock:
             return self._storm_transitions
 
-    def results(self) -> List[RequestResult]:
+    def occupancy_samples(self) -> List[float]:
         with self._lock:
-            return list(self._results)
+            return list(self._occupancies)
 
     def recent_p95(self) -> Optional[float]:
         """p95 latency over the rolling window (None until data arrives)."""
@@ -346,11 +273,8 @@ class Telemetry:
 
         Additive: counters increment and histograms observe on top of
         whatever the registry already holds, so feed a *fresh* registry per
-        export (the registry's own :meth:`~repro.serve.obs.MetricsRegistry.merge`
-        is the cross-instance aggregation path).  Histogram metrics are
-        built from the raw per-request samples — not from the snapshot's
-        derived percentiles — which is what makes merged registries equal
-        pooled ones (fixed buckets, exact bucket-count addition).
+        export.  Histogram metrics are built from the raw per-request
+        samples, not from the snapshot's derived percentiles.
         """
         with self._lock:
             results = list(self._results)
@@ -393,7 +317,6 @@ class Telemetry:
             registry.gauge(
                 "repro_storm_state_peak",
                 "Peak storm-FSM severity (0=normal, 1=warn, 2=storm)",
-                mode="max",
             ).set(storm_peak)
         latency = registry.histogram(
             "repro_request_latency_seconds", "End-to-end request latency"
@@ -418,12 +341,12 @@ class Telemetry:
             if result.energy is not None:
                 energy_total.inc(result.energy)
         depth_gauge = registry.gauge(
-            "repro_queue_depth_max", "Peak admission-queue depth", mode="max"
+            "repro_queue_depth_max", "Peak admission-queue depth"
         )
         for depth in depths:
             depth_gauge.set(depth)
         occupancy_gauge = registry.gauge(
-            "repro_occupancy_max", "Peak batch-slot occupancy fraction", mode="max"
+            "repro_occupancy_max", "Peak batch-slot occupancy fraction"
         )
         for occupancy in occupancies:
             occupancy_gauge.set(occupancy)

@@ -48,6 +48,7 @@ from repro.serve import (
     load_trace,
 )
 from repro.serve.request import clone_exception
+from repro.serve.telemetry import GAUGE_WINDOW
 from repro.snn import spiking_vgg
 from repro.utils import seed_everything
 
@@ -245,6 +246,54 @@ def test_replica_relayed_rejection_is_recorded(tmp_path):
 
 def test_thread_mode_engine_rejection_is_recorded(tmp_path):
     _rejection_accounting(tmp_path, num_workers=1)
+
+
+def test_replica_drain_ships_occupancy_and_only_the_parent_counts_failures():
+    """Only the parent records.  With queue-full sheds, deadline drops and
+    RELAYED admission rejections in one replica run, each parent counter
+    equals the client-side tally of failed futures (nothing a replica saw is
+    counted a second time at drain), and what the drain message does carry —
+    the occupancy samples — lands in the parent's window-bounded gauge."""
+    server = Server(
+        _model(), EntropyExitPolicy(0.0), max_timesteps=TIMESTEPS,
+        batch_width=2, queue_capacity=6, num_replicas=1,
+    ).start()
+    xs = _inputs(36)
+    malformed = np.zeros((3, IMAGE_SIZE + 2, IMAGE_SIZE + 2), dtype=np.float32)
+    failed = {"rejected": 0, "relayed": 0, "deadline": 0}
+    futures = []
+    try:
+        # Pins the served sample shape, so a malformed frame is refused by
+        # the replica's engine and comes back over the error relay.
+        server.submit(xs[0]).result(timeout=60.0)
+        for index in range(1, xs.shape[0]):
+            inputs = malformed if index % 7 == 2 else xs[index]
+            deadline = -1.0 if index % 5 == 3 else None
+            try:
+                futures.append(server.submit(inputs, block=False, deadline=deadline))
+            except QueueFullError:
+                failed["rejected"] += 1
+        for future in futures:
+            try:
+                future.result(timeout=60.0)
+            except AdmissionRejectedError:
+                failed["relayed"] += 1
+            except DeadlineExceededError:
+                failed["deadline"] += 1
+    finally:
+        server.shutdown(drain=True)
+    telemetry = server.telemetry
+    snapshot = telemetry.snapshot()
+    assert min(failed.values()) > 0, failed
+    assert snapshot["rejected"] == failed["rejected"] + failed["relayed"]
+    assert snapshot["deadline_dropped"] == failed["deadline"]
+    assert snapshot["shed"] == 0
+    _assert_conserved(xs.shape[0], telemetry)
+    # The parent steps no batch: every occupancy sample came from the drain.
+    assert 0 < len(telemetry.occupancy_samples()) <= GAUGE_WINDOW
+    assert 0.0 < snapshot["occupancy_mean"] <= 1.0
+    telemetry.extend_occupancy([1.0] * GAUGE_WINDOW)
+    assert len(telemetry.occupancy_samples()) == GAUGE_WINDOW
 
 
 # --------------------------------------------------------------------- #

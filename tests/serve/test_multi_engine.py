@@ -141,7 +141,7 @@ class TestSharedPlanServing:
         assert by_id(first) == by_id(second)
 
     def test_oracle_path_refuses_shared_model(self):
-        with pytest.raises(ValueError, match="extra_models"):
+        with pytest.raises(ValueError, match="Tensor oracle"):
             Server(_model(), EntropyExitPolicy(0.5), num_workers=2, use_runtime=False)
 
     def test_invalid_worker_count(self):

@@ -251,21 +251,6 @@ class TestSpans:
         # The fill round's single reading, not a second one taken afterwards.
         assert span.events == {"completed": before + 1.0}
 
-    def test_merge_state_unions_disjoint_request_ids(self):
-        parts = [SpanTracker() for _ in range(3)]
-        pooled = SpanTracker()
-        for request_id in range(9):
-            result = _result(request_id, arrival=float(request_id))
-            parts[request_id % 3].record_result(result, result.finish_time + 0.1)
-            pooled.record_result(result, result.finish_time + 0.1)
-        merged = SpanTracker()
-        for part in parts:
-            merged.merge_state(part.export_state())
-        assert len(merged) == len(pooled) == 9
-        assert {
-            s.request_id: s.events for s in merged.spans()
-        } == {s.request_id: s.events for s in pooled.spans()}
-
 
 # --------------------------------------------------------------------------- #
 class TestMetrics:
@@ -276,32 +261,14 @@ class TestMetrics:
         assert counter.value == 3.5
         with pytest.raises(ValueError, match="only go up"):
             counter.inc(-1)
-        other = Counter("c")
-        other.inc(4)
-        counter.merge(other)
-        assert counter.value == 7.5
 
     def test_gauge_modes(self):
-        peak = Gauge("g", mode="max")
+        # One mode is left: every exported gauge is a peak.
+        peak = Gauge("g")
         peak.set(3)
         peak.set(1)
         assert peak.value == 3.0
-        additive = Gauge("g", mode="sum")
-        additive.set(3)
-        additive.set(1)
-        assert additive.value == 4.0
-        last = Gauge("g", mode="last")
-        last.set(3)
-        last.set(1)
-        assert last.value == 1.0
-        with pytest.raises(ValueError, match="gauge mode"):
-            Gauge("g", mode="median")
-        # Merge: unset sides never clobber set sides.
-        empty = Gauge("g", mode="max")
-        peak.merge(empty)
-        assert peak.value == 3.0
-        empty.merge(peak)
-        assert empty.value == 3.0
+        assert peak.to_json()["mode"] == "max"
 
     def test_histogram_buckets_and_exact_merge(self):
         histogram = Histogram("h", buckets=(1.0, 2.0, 4.0))
@@ -312,14 +279,6 @@ class TestMetrics:
         assert histogram.count == 5
         assert histogram.total == pytest.approx(106.0)
 
-        other = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        other.observe(3.5)
-        histogram.merge(other)
-        assert histogram.counts == [2, 1, 2, 1]
-
-        mismatched = Histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="differing bucket bounds"):
-            histogram.merge(mismatched)
         with pytest.raises(ValueError, match="ascending"):
             Histogram("h", buckets=(2.0, 1.0))
 
@@ -350,16 +309,6 @@ class TestMetrics:
             registry.gauge("x")
         json_dump = registry.to_json()
         assert json_dump["x"]["type"] == "counter"
-
-    def test_registry_merge_adopts_and_folds(self):
-        left = MetricsRegistry()
-        left.counter("a").inc(1)
-        right = MetricsRegistry()
-        right.counter("a").inc(2)
-        right.gauge("b").set(5)
-        left.merge(right)
-        assert left.counter("a").value == 3.0
-        assert left.gauge("b").value == 5.0
 
     def test_fill_registry_surfaces_every_family(self):
         telemetry = Telemetry()

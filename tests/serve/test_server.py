@@ -133,9 +133,6 @@ class TestLoadGenerator:
 
 
 class TestWorkerCrash:
-    # The worker intentionally re-raises after failing its futures so the
-    # crash is visible on stderr; pytest flags that re-raise as unhandled.
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_crashed_worker_fails_futures_and_closes_server(
         self, trained_model, tiny_dataset
     ):
@@ -153,3 +150,6 @@ class TestWorkerCrash:
         assert server.queue.closed
         with pytest.raises(ServerClosedError):
             server.submit(test.inputs[0])
+        # The crash is recorded on the server, not re-raised out of the thread.
+        server.drain(timeout=5.0)
+        assert isinstance(server.worker_error, Exception)

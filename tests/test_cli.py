@@ -1,4 +1,6 @@
-"""Tests for the command-line interface (train / evaluate / sweep / chip-report)."""
+"""Tests for the command-line interface (analysis and serving subcommands)."""
+
+import glob
 
 import numpy as np
 import pytest
@@ -113,3 +115,63 @@ class TestAnalysisCommands:
         assert "Fig. 1A" in output
         assert "Fig. 1B" in output
         assert "Area breakdown" in output
+
+
+class TestServingCommands:
+    """The serving half of the CLI driven in-process: PASS lines, exit codes
+    and artifacts of `serve` / `replay` / `backtest` / `loadgen`."""
+
+    SELF_TEST = ["serve", "--self-test", "--num-requests", "48"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--reference-path"], ["--workers", "2"], ["--replicas", "2"],
+         ["--rate", "400", "--burst", "16"]],
+        ids=["plain", "oracle", "2-workers", "2-replicas", "bursty"],
+    )
+    def test_self_test_passes_on_every_composition(self, flags, capsys):
+        assert main([*self.SELF_TEST, *flags]) == 0
+        assert "SELF-TEST PASS" in capsys.readouterr().out
+
+    def test_storm_self_test_writes_a_stats_dump(self, tmp_path, capsys):
+        dump = tmp_path / "stats.json"
+        assert main(["serve", "--self-test", "--storm", "--stats-dump", str(dump)]) == 0
+        assert "STORM SELF-TEST PASS" in capsys.readouterr().out
+        assert {"metrics", "snapshot", "spans"} <= set(load_json(dump))
+        samples = [
+            line.rsplit(" ", 1)
+            for line in (tmp_path / "stats.json.prom").read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert samples and all(float(value) >= 0.0 for _, value in samples)
+
+    def test_kill_replica_self_test_leaves_no_shared_memory(self, capsys):
+        before = set(glob.glob("/dev/shm/repro-*"))
+        assert main([*self.SELF_TEST, "--kill-replica", "--replicas", "2"]) == 0
+        assert "FAULT SELF-TEST PASS" in capsys.readouterr().out
+        assert set(glob.glob("/dev/shm/repro-*")) <= before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--storm"],
+         ["serve", "--self-test", "--kill-replica", "--replicas", "1"]],
+        ids=["storm-without-self-test", "kill-without-a-survivor"],
+    )
+    def test_refused_profiles_exit_2(self, argv):
+        assert main(argv) == 2
+
+    def test_record_replay_backtest_round_trip(self, tmp_path, capsys):
+        trace, sweep = str(tmp_path / "trace.jsonl"), tmp_path / "sweep.json"
+        assert main([*self.SELF_TEST, "--record-trace", trace]) == 0
+        assert main(["replay", "--trace", trace, "--workers", "2"]) == 0
+        assert "REPLAY PASS" in capsys.readouterr().out
+        assert main([
+            "backtest", "--trace", trace, "--thresholds", "0.05", "0.2", "0.5",
+            "--workers", "2", "--cross-check", "--out", str(sweep),
+        ]) == 0
+        assert capsys.readouterr().out.count("BACKTEST PASS") == 2
+        assert load_json(sweep)["schema_version"] == 1
+
+    def test_loadgen_prints_the_sweep_table(self, capsys):
+        assert main(["loadgen", "--rates", "200", "--num-requests", "24"]) == 0
+        assert "Load sweep" in capsys.readouterr().out
