@@ -83,9 +83,9 @@ class PlanExecutor:
         (direct encoding); the caller is responsible for that guarantee.
     collect_statistics:
         Update each source LIF layer's spike counters exactly like the
-        Tensor path does (the IMC energy model reads them).  Disable when
-        several executors share one model's LIF modules across threads —
-        the counters are plain Python floats and would race.
+        Tensor path does (the IMC energy model reads them).  Serving
+        engines always disable it: the counters are plain Python floats on
+        LIF modules that worker threads share, and would race.
     stem_memo:
         Optional content-keyed :class:`~repro.runtime.plan.StemCache` for
         time-varying deterministic encoders (event streams): callers pass

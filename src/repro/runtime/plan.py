@@ -43,7 +43,6 @@ so exotic models silently keep working at define-by-run speed.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
@@ -73,6 +72,7 @@ __all__ = [
     "PlanOp",
     "CompiledPlan",
     "StemCache",
+    "STEM_CACHE_CAPACITY",
     "PlanRegistry",
     "plan_registry",
     "compile_network",
@@ -83,23 +83,10 @@ class UnsupportedModuleError(RuntimeError):
     """The model contains a module the fast path cannot lower."""
 
 
-def _stem_cache_capacity(default: int = 1024) -> int:
-    """Per-plan stem-memo capacity (entries); 0 disables the memo.
-
-    Read from ``REPRO_STEM_CACHE_CAPACITY`` once per plan compile.  Sizing
-    note: one entry holds the stem output rows for one frame (conv1 output,
-    e.g. 256 KB for a 64x32x32 float32 map) plus the frame bytes as key, so
-    the default bounds a large-model memo at a few hundred MB; shrink it for
-    memory-tight deployments or grow it for large replay working sets.
-    """
-    raw = os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip()
-    if not raw:
-        return default
-    try:
-        capacity = int(raw)
-    except ValueError:
-        return default
-    return max(0, capacity)
+#: Entries in a plan's stem memo (:class:`StemCache`).  One entry holds one
+#: frame's stem output rows (conv1 output, e.g. 256 KB for a 64x32x32 float32
+#: map) plus its key, so a large-model memo is bounded at a few hundred MB.
+STEM_CACHE_CAPACITY = 1024
 
 
 # --------------------------------------------------------------------------- #
@@ -488,13 +475,12 @@ class StemCache:
     signature flushes the entries (arrays are replaced, never mutated, by
     the optimizer / ``load_state_dict`` / ``update_buffer``, the same
     convention the folded-weight caches rely on).  Capacity is a bounded LRU
-    so replayed working sets stay resident while one-off traffic cannot
-    grow it without limit; the default can be tuned (or the memo disabled
-    with ``0``) via the ``REPRO_STEM_CACHE_CAPACITY`` environment variable,
-    read once at plan-compile time.
+    (:data:`STEM_CACHE_CAPACITY` entries on a plan's own memo) so replayed
+    working sets stay resident while one-off traffic cannot grow it without
+    limit.
     """
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self, capacity: int = STEM_CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError("StemCache capacity must be >= 1")
         self.capacity = int(capacity)
@@ -640,11 +626,10 @@ class CompiledPlan:
         # Shared content-keyed stem memo for time-varying deterministic
         # encoders (event streams).  One cache per plan: every executor of a
         # shared plan reads and fills the same memo; in-place weight
-        # reloads flush it through the stem_signature check.  Capacity 0
-        # (via REPRO_STEM_CACHE_CAPACITY) disables the memo entirely.
-        capacity = _stem_cache_capacity()
+        # reloads flush it through the stem_signature check.  None only
+        # when the plan has no stem to memoize.
         self.stem_cache: Optional[StemCache] = (
-            StemCache(capacity) if self.stem_len > 0 and capacity > 0 else None
+            StemCache() if self.stem_len > 0 else None
         )
 
     def stem_signature(self) -> Tuple:

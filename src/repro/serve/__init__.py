@@ -104,6 +104,7 @@ from .request import (
     RequestResult,
     Response,
     ThresholdEpoch,
+    clip_digest,
 )
 from .server import Server, ServerClosedError
 from .storm import (
@@ -117,7 +118,7 @@ from .storm import (
     StormState,
 )
 from .telemetry import Telemetry
-from .trace import Trace, TraceRecord, TraceRecorder, clip_digest, load_trace
+from .trace import Trace, TraceRecord, TraceRecorder, load_trace
 
 __all__ = [
     "Request",

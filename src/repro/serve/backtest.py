@@ -746,7 +746,7 @@ class BacktestSweep:
             baseline_name=baseline_name,
             baseline_mismatches=baseline_mismatches,
             composition={
-                "workers": int(server.stats().get("num_workers", 1)),
+                "workers": len(server.batchers),
                 "replicas": (server.replicas.num_replicas
                              if server.replicas is not None else 0),
                 "max_timesteps": int(server.max_timesteps),

@@ -227,8 +227,10 @@ class ContinuousBatcher:
         return len(admissions)
 
     # ------------------------------------------------------------------ #
-    def run_once(self, wait_timeout: Optional[float] = None) -> List[RequestResult]:
-        """Refill slots, advance one timestep, resolve completions."""
+    def advance(self, wait_timeout: Optional[float] = None) -> List[CompletedSample]:
+        """Refill slots, sample the two gauges, advance one timestep; returns
+        the samples the step retired and records nothing about them — all a
+        replica child runs of a round (the parent's sink completes them)."""
         self._fill_slots(wait_timeout=wait_timeout)
         if self.engine.idle:
             # Idle poll: nothing admitted, nothing to step — don't let gauge
@@ -236,9 +238,13 @@ class ContinuousBatcher:
             return []
         self.telemetry.record_queue_depth(self.queue.depth())
         self.telemetry.record_occupancy(self.engine.active_count, self.batch_width)
+        return self.engine.step()
+
+    def run_once(self, wait_timeout: Optional[float] = None) -> List[RequestResult]:
+        """Refill slots, advance one timestep, resolve completions."""
         return complete_round(
-            self.engine.step(), self.clock, self.telemetry, self.cost_model,
-            self.controller, self.trace, self.spans,
+            self.advance(wait_timeout), self.clock, self.telemetry,
+            self.cost_model, self.controller, self.trace, self.spans,
         )
 
     def run_until_drained(self, wait_timeout: float = 0.05) -> int:

@@ -24,7 +24,6 @@ reference oracle via ``use_runtime=False`` or ``REPRO_RUNTIME=0``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ from ..core.policies import ExitPolicy
 from ..runtime import executor_for
 from ..snn.encoding import DirectEncoder
 from ..snn.network import SpikingNetwork
-from .request import Request, Response, clone_exception
+from .request import Request, Response, clip_digest, clone_exception
 
 __all__ = ["AdmissionRejectedError", "CompletedSample", "InferenceEngine"]
 
@@ -104,7 +103,6 @@ class InferenceEngine:
         policy: ExitPolicy,
         max_timesteps: Optional[int] = None,
         use_runtime: Optional[bool] = None,
-        collect_statistics: bool = True,
     ):
         if max_timesteps is None:
             max_timesteps = model.default_timesteps
@@ -118,10 +116,10 @@ class InferenceEngine:
         # The compiled-plan fast path (bitwise identical to the Tensor path);
         # None means the model did not lower or the runtime is disabled, in
         # which case every step runs through the define-by-run oracle.
-        # collect_statistics=False is for engines that share one model's LIF
-        # modules across worker threads (the spike counters would race).
-        self._executor = executor_for(model, use_runtime,
-                                      collect_statistics=collect_statistics)
+        # Serving never counts spikes: the counters live on the model's LIF
+        # modules, which worker threads share and offline callers
+        # (``spike_statistics()``, ``IMCChip.from_network``) read.
+        self._executor = executor_for(model, use_runtime, collect_statistics=False)
         # Stem-memo keys are interned at admission: one content digest per
         # request, combined with the encoder's frame_index per timestep.
         # Needs the encoder to expose its timestep -> recorded-frame rule;
@@ -337,26 +335,16 @@ class InferenceEngine:
 
         The memo key must determine the encoded frame bytes: for a
         deterministic encoder those are a pure function of (clip content,
-        recorded-frame index), so a 128-bit BLAKE2b digest of the
-        shape/dtype-prefixed clip bytes — computed *once per request* —
-        replaces per-row-per-step ``tobytes()`` copies.  Replayed clips
-        digest identically and keep their cross-request hits; padded tail
-        timesteps share a frame index and keep their free dedupe.  Two
-        sharing properties of the old byte-exact keys are traded away: the
-        collision probability becomes ~2^-64 instead of zero, and a frame
-        whose bytes happen to recur in a *different* clip (e.g. an all-zero
-        frame in sparse event data) no longer shares its memo entry — the
-        workload the memo targets (whole-clip replays) is unaffected.  See
-        docs/ARCHITECTURE.md.
+        recorded-frame index), so one :func:`~repro.serve.request.clip_digest`
+        per request replaces per-row-per-step ``tobytes()`` copies.  Replayed
+        clips digest identically and keep their cross-request hits; padded
+        tail timesteps share a frame index and keep their free dedupe.  What
+        a digest key trades away (collisions at ~2^-64, no entry sharing
+        between *different* clips with a byte-identical frame) is in
+        docs/ARCHITECTURE.md, "Stem-memo key interning".
         """
-        inputs = np.ascontiguousarray(request.inputs, dtype=np.float32)
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(repr((inputs.shape, inputs.dtype.str)).encode())
-        # Hash the array buffer directly — tobytes() would re-copy the
-        # whole clip, the very per-request O(clip) cost interning removes.
-        digest.update(inputs.data)
         self.stem_hash_count += 1
-        return digest.digest()
+        return clip_digest(request.inputs)
 
     def fail_active(self, exception: BaseException) -> int:
         """Abort every in-flight request (non-graceful shutdown).

@@ -73,9 +73,8 @@ class ReplayReport:
     ``exit_histogram``, ``mean_exit`` and the energy/EDP aggregates are
     computed from *this replay's own results* — not the server's cumulative
     telemetry — and are filled on every run, including ``verify=False``
-    load-source replays (the backtester scores candidates from exactly these
-    aggregates).  Energy fields stay ``None`` when the serving results carry
-    no energy (no cost model attached).
+    load-source replays.  Energy fields stay ``None`` when the serving
+    results carry no energy (no cost model attached).
     """
 
     offered: int

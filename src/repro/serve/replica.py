@@ -26,11 +26,12 @@ request (docs/ARCHITECTURE.md, "Ring dispatch"):
   there is no second payload path.
 * **Serving** — per message, the replica validates the round's tickets,
   binds zero-copy read-only views over the slab, stages the round in its
-  local admission queue in one critical section and runs the continuous
-  batcher exactly like a thread worker; per-sample batch invariance makes
-  its decisions identical to the sequential oracle no matter how the
-  dispatcher splits traffic.
-* **Completion** — a finished round is written as fixed-width records into
+  local admission queue in one critical section and advances the continuous
+  batcher (:meth:`~repro.serve.ContinuousBatcher.advance`: fill, step,
+  retire — no completion chain); per-sample batch invariance makes its
+  decisions identical to the sequential oracle no matter how the dispatcher
+  splits traffic.
+* **Completion** — the samples a step retires go as fixed-width records into
   the replica's completion ring; only the ``(start, count)`` cursor range
   travels over its *per-replica* response pipe (single writer each: a
   replica killed mid-message can corrupt only its own channel, and a torn
@@ -166,10 +167,10 @@ _IDLE_POLL_MS = 10
 class _RelayResponse:
     """Replica-local stand-in for a future that lives in the parent.
 
-    The batcher resolves futures; in a replica nobody waits on one, so the
-    stand-in allocates no ``threading.Event``.  Successful completions
-    already come back through ``run_once``'s return value, so only failures
-    (admission rejections) are captured, for the main loop to relay.
+    In a replica nobody waits on a future and nothing resolves one: retired
+    samples leave through the completion ring for the parent's sink.  Only
+    failures (admission rejections) land here, captured for the main loop
+    to relay — so the stand-in allocates no ``threading.Event``.
     """
 
     __slots__ = ("_request_id", "_outbox")
@@ -177,9 +178,6 @@ class _RelayResponse:
     def __init__(self, request_id: int, outbox: List[Tuple[int, str]]):
         self._request_id = request_id
         self._outbox = outbox
-
-    def set_result(self, result) -> None:
-        pass
 
     def set_exception(self, exception: BaseException) -> None:
         self._outbox.append(
@@ -214,9 +212,10 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
 
     The loop interleaves three duties: pump the work pipe into the local
     admission queue, honor arena weight-reload versions at round boundaries,
-    and run the continuous batcher one timestep at a time, relaying every
-    completed round.  On the drain sentinel it finishes all local work, ships
-    its occupancy samples and exits 0; any exception escapes (exit code != 0)
+    and advance the continuous batcher one timestep at a time, shipping the
+    samples each step retires (the parent records; nothing per-request stays
+    here).  On the drain sentinel it finishes all local work, ships its
+    occupancy samples and exits 0; any exception escapes (exit code != 0)
     and the parent's monitor converts it into typed in-flight failures.
 
     ``work_conn`` and ``result_conn`` are this replica's *private* pipes:
@@ -237,10 +236,6 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
             config.policy,
             max_timesteps=config.max_timesteps,
             use_runtime=config.use_runtime,
-            # The constants are shared but this process's model object is
-            # private, so statistics would be safe — they are disabled for
-            # parity with thread workers (nobody reads them in a replica).
-            collect_statistics=False,
         )
         # The staging queue: the parent never has more than ``window``
         # requests inside this replica, so a round always fits.
@@ -282,14 +277,17 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
                 attachment.reattach()
                 engine.invalidate_stem()
                 result_conn.send((index, _MSG_REBOUND, attachment.version))
-            results = batcher.run_once()
-            if results:
+            retired = batcher.advance()
+            if retired:
+                # One reading of this process's clock per round: the parent's
+                # sink keeps only ``finish - start`` of each record.
+                finish = batcher.clock()
                 cursor = rings.write_completions([
-                    (result.request_id, result.prediction, result.exit_timestep,
-                     result.score, result.threshold, result.start_time,
-                     result.finish_time, result.epoch, result.brownout,
-                     result.horizon)
-                    for result in results
+                    (sample.request.request_id, sample.prediction,
+                     sample.exit_timestep, sample.score, sample.threshold,
+                     sample.start_time, finish, sample.epoch, sample.brownout,
+                     sample.horizon)
+                    for sample in retired
                 ])
                 result_conn.send((index, _MSG_DONE_RING, cursor))
             if outbox:
@@ -351,6 +349,12 @@ class ReplicaPool:
             max_timesteps = model.default_timesteps
         if max_timesteps < 1:
             raise ValueError("max_timesteps must be a positive integer")
+        # InferenceEngine's serving precondition, applied BEFORE lowering:
+        # the plan verifier refuses folded conv+norm ops on a model still in
+        # training mode (every model right after ``fit()``).  Gradients stay
+        # on the caller's model; the skeleton drops them in transit.
+        model.eval()
+        model.reset_state()
         if runtime_enabled(use_runtime) and plan_for(model) is None:
             raise ValueError(
                 "replica serving shares plan constants through the arena, "
@@ -383,11 +387,6 @@ class ReplicaPool:
         self.spans = spans
         # Export before anything serves: the arena copies the constants and
         # the skeleton captures the structure exactly once for all replicas.
-        # eval() + reset_state() is the same serving precondition
-        # InferenceEngine applies to thread workers' models; gradients are
-        # left on the caller's model (the skeleton drops them in transit).
-        model.eval()
-        model.reset_state()
         self.arena = PlanArena.export(model)
         self._skeleton = self.arena.skeleton()
         # One shared ring segment for the whole fleet, sized at construction

@@ -12,11 +12,12 @@ the load generator can reason about latency deterministically.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +33,25 @@ __all__ = [
     "ServerClosedError",
     "ThresholdEpoch",
     "EpochLedger",
+    "clip_digest",
     "clone_exception",
 ]
+
+
+def clip_digest(inputs: np.ndarray) -> bytes:
+    """128-bit BLAKE2b content digest of one clip (shape/dtype-prefixed).
+
+    THE identity of a request's payload: the serving engine interns it as
+    the stem-memo key prefix and the trace WAL content-addresses its clip
+    store by it — one function, so a trace deduplicates replayed traffic
+    exactly the way the stem memo does.
+    """
+    array = np.ascontiguousarray(inputs, dtype=np.float32)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr((array.shape, array.dtype.str)).encode())
+    # The array buffer, not tobytes(): that would re-copy the whole clip.
+    digest.update(array.data)
+    return digest.digest()
 
 
 def clone_exception(error: BaseException) -> BaseException:
@@ -156,7 +174,6 @@ class Request:
     inputs: np.ndarray
     label: Optional[int] = None
     arrival_time: float = 0.0
-    metadata: Dict[str, Any] = field(default_factory=dict)
     priority: int = 1
     deadline: Optional[float] = None
     epoch: Optional[ThresholdEpoch] = None

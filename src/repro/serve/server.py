@@ -88,9 +88,7 @@ class Server:
         every worker keeps its own executor state — membranes, scratch,
         slots.  This requires the compiled-plan fast path: on the Tensor
         oracle the LIF membrane state lives *inside* the shared model and
-        replicas would corrupt each other.  Spike-statistics collection is
-        disabled on shared-model workers (the per-layer counters live on the
-        shared LIF modules and would race across threads).
+        replicas would corrupt each other.
     num_replicas:
         Worker *processes* serving ``model`` (mutually exclusive with
         ``num_workers > 1``).  The plan constants are
@@ -213,20 +211,16 @@ class Server:
             self.max_timesteps = self.replicas.max_timesteps
             return
         self.replicas = None
-        shared = num_workers > 1
         engines = [
             InferenceEngine(
                 model,
                 policy,
                 max_timesteps=max_timesteps,
                 use_runtime=use_runtime,
-                # Shared-model replicas must not race the spike counters on
-                # the shared LIF modules (see the num_workers docstring).
-                collect_statistics=not shared,
             )
             for _ in range(num_workers)
         ]
-        if shared:
+        if num_workers > 1:
             stragglers = [engine for engine in engines if not engine.fast_path]
             if stragglers:
                 raise ValueError(

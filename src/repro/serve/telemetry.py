@@ -167,15 +167,6 @@ class Telemetry:
                 return None
             return float(np.percentile(np.asarray(self._recent_latencies), 95))
 
-    def latency_percentiles(
-        self, percentiles: Sequence[float] = (50, 90, 95, 99)
-    ) -> Dict[str, float]:
-        with self._lock:
-            latencies = np.array([r.latency for r in self._results])
-        if latencies.size == 0:
-            return {}
-        return {f"p{p:g}": float(np.percentile(latencies, p)) for p in percentiles}
-
     def exit_histogram(self, max_timesteps: int) -> np.ndarray:
         """Count of completed requests per exit timestep 1..T."""
         with self._lock:

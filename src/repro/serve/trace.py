@@ -39,7 +39,6 @@ round in flight, none of whose clients had an answer yet.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -51,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.lockorder import named_lock
-from .request import Request, RequestResult
+from .request import Request, RequestResult, clip_digest
 
 __all__ = [
     "TRACE_VERSION",
@@ -59,7 +58,6 @@ __all__ = [
     "Trace",
     "TraceRecorder",
     "load_trace",
-    "clip_digest",
 ]
 
 TRACE_VERSION = 1
@@ -67,21 +65,6 @@ TRACE_VERSION = 1
 # Clip-store framing: magic, 16-byte digest, dtype string, shape, payload, crc.
 _CLIP_MAGIC = b"RPCL"
 _CLIP_HEADER = struct.Struct("<4s16sB")  # magic, digest, dtype-string length
-
-
-def clip_digest(inputs: np.ndarray) -> bytes:
-    """128-bit BLAKE2b content digest of one clip (shape/dtype-prefixed).
-
-    Matches the serving engine's stem-key interning rule
-    (:meth:`repro.serve.InferenceEngine._intern_stem_key`): same clip bytes,
-    same digest — so a trace deduplicates replayed traffic exactly the way
-    the stem memo does.
-    """
-    array = np.ascontiguousarray(inputs, dtype=np.float32)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr((array.shape, array.dtype.str)).encode())
-    digest.update(array.data)
-    return digest.digest()
 
 
 @dataclass

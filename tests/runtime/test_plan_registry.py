@@ -11,7 +11,6 @@ toggles no longer mutate plan ops), and the :class:`StemCache` memo semantics (b
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -27,6 +26,7 @@ from repro.runtime import (
     plan_for,
     plan_registry,
 )
+from repro.runtime.plan import STEM_CACHE_CAPACITY
 from repro.snn import SpikingNetwork, spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
 from repro.snn.neurons import LIFNeuron
@@ -161,13 +161,6 @@ class TestStemCache:
         assert len(cache) == 1
 
 
-requires_stem_memo = pytest.mark.skipif(
-    os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip() == "0",
-    reason="stem memo disabled via REPRO_STEM_CACHE_CAPACITY=0",
-)
-
-
-@requires_stem_memo
 class TestKeyedStemMemo:
     def _setup(self):
         model = _tiny_vgg(encoder=EventFrameEncoder())
@@ -244,15 +237,6 @@ class TestKeyedStemMemo:
         # Memo was flushed and refilled under the new signature, not reused.
         assert executor.stem_memo.hits == 0
 
-    def test_capacity_env_knob(self, monkeypatch):
-        from repro.runtime.plan import compile_network
-
-        monkeypatch.setenv("REPRO_STEM_CACHE_CAPACITY", "0")
-        disabled = compile_network(_tiny_vgg(encoder=EventFrameEncoder()))
-        assert disabled.stem_cache is None
-        monkeypatch.setenv("REPRO_STEM_CACHE_CAPACITY", "2")
-        bounded = compile_network(_tiny_vgg(encoder=EventFrameEncoder()))
-        assert bounded.stem_cache.capacity == 2
-        monkeypatch.setenv("REPRO_STEM_CACHE_CAPACITY", "not-a-number")
-        fallback = compile_network(_tiny_vgg(encoder=EventFrameEncoder()))
-        assert fallback.stem_cache.capacity == 1024
+    def test_plan_memo_capacity_is_the_constant(self):
+        plan = plan_for(_tiny_vgg(encoder=EventFrameEncoder()))
+        assert plan.stem_cache.capacity == STEM_CACHE_CAPACITY

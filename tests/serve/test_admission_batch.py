@@ -374,10 +374,6 @@ class TestAlignedStemPrecondition:
         engine.fail_active(RuntimeError("worker abort"))
         assert engine._sample_shape is None
 
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip() == "0",
-        reason="stem memo disabled via REPRO_STEM_CACHE_CAPACITY=0",
-    )
     def test_event_engine_uses_keyed_memo_not_aligned_cache(self):
         engine = InferenceEngine(
             _build("event"), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,

@@ -277,6 +277,17 @@ class TestDeterminismMatrix:
         blocks = {deterministic_block(r) for r in results.values()}
         assert len(blocks) == 1
 
+    def test_artifact_names_the_composition_that_ran(self, matrix):
+        """Threads and processes are different axes: a replica sweep has no
+        worker threads, and the artifact must not count its replicas twice
+        (same keys as ever — ``schema_version`` stays put)."""
+        _, results = matrix
+        for (num_workers, num_replicas), result in results.items():
+            composition = result.to_document()["composition"]
+            assert (composition["workers"], composition["replicas"]) == (
+                (0, num_replicas) if num_replicas else (num_workers, 0))
+            assert result.to_document()["schema_version"] == 1
+
     def test_baseline_exact_on_every_composition(self, matrix):
         _, results = matrix
         for composition, result in results.items():

@@ -15,11 +15,13 @@ from repro.core import DynamicTimestepInference, EntropyExitPolicy, StaticExitPo
 from repro.data import SyntheticDVSConfig, make_dvs_like
 from repro.serve import (
     AdmissionQueue,
+    CompletedSample,
     ContinuousBatcher,
     InferenceEngine,
     Request,
     Response,
 )
+from repro.serve.batcher import complete_round
 from repro.snn import EventFrameEncoder, spiking_vgg
 from repro.utils import seed_everything
 
@@ -165,3 +167,43 @@ class TestContinuousBatching:
         expected = np.bincount([r.exit_timestep for r in results], minlength=5)[1:]
         assert np.array_equal(histogram, expected)
         assert batcher.telemetry.snapshot()["completed"] == 16.0
+
+
+def test_advance_retires_samples_and_records_nothing(trained_model, tiny_dataset):
+    """``advance()`` is the deciding half of a round — fill, sample the
+    gauges, step — and ``complete_round`` the recording half; ``run_once``
+    is exactly their composition.  A replica child runs only the first."""
+    _, test = tiny_dataset
+
+    def batcher_over(count):
+        queue, responses = enqueue_dataset(test, count=count)
+        engine = InferenceEngine(trained_model, EntropyExitPolicy(0.9), max_timesteps=4)
+        return ContinuousBatcher(engine, queue, batch_width=4), responses
+
+    batcher, responses = batcher_over(12)
+    telemetry = batcher.telemetry
+    split, rounds = [], 0
+    while batcher.queue.depth() or not batcher.engine.idle:
+        done_before = sum(response.done() for response in responses)
+        retired = batcher.advance()
+        rounds += 1
+        assert all(isinstance(sample, CompletedSample) for sample in retired)
+        # Nothing was recorded or resolved: the samples are all there is.
+        assert telemetry.completed == done_before
+        assert sum(response.done() for response in responses) == done_before
+        assert not any(sample.response.done() for sample in retired)
+        assert len(telemetry.occupancy_samples()) == rounds  # one sample a round
+        results = complete_round(retired, batcher.clock, telemetry)
+        assert all(sample.response.result(timeout=0) is result
+                   for sample, result in zip(retired, results))
+        assert telemetry.completed == done_before + len(retired)
+        split.extend((r.request_id, r.prediction, r.exit_timestep) for r in results)
+    assert len(split) == 12 and all(response.done() for response in responses)
+
+    twin, _ = batcher_over(12)
+    fused = []
+    while twin.queue.depth() or not twin.engine.idle:
+        fused.extend((r.request_id, r.prediction, r.exit_timestep)
+                     for r in twin.run_once())
+    assert fused == split
+    assert twin.telemetry.occupancy_samples() == telemetry.occupancy_samples()

@@ -11,12 +11,10 @@ inputs are referenced by nobody on the serving side.
 from __future__ import annotations
 
 import gc
-import os
 import tracemalloc
 import weakref
 
 import numpy as np
-import pytest
 
 from repro.core.policies import EntropyExitPolicy
 from repro.runtime import plan_for
@@ -39,11 +37,6 @@ UNIQUE_CLIPS = 3000
 WAVE = 60
 HOT_CLIPS = 16
 MIB = 1 << 20
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip() == "0",
-    reason="stem memo disabled via REPRO_STEM_CACHE_CAPACITY=0",
-)
 
 
 def _clip(rng) -> np.ndarray:

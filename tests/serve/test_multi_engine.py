@@ -20,7 +20,6 @@ cross-composition tolerance from BLAS GEMM blocking).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -120,10 +119,6 @@ class TestSharedPlanServing:
             order(concurrent), order(reference), rtol=1e-6, atol=1e-7
         )
 
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip() == "0",
-        reason="stem memo disabled via REPRO_STEM_CACHE_CAPACITY=0",
-    )
     def test_event_stream_workers_share_the_stem_memo(self):
         model = _model(encoder=EventFrameEncoder())
         xs = _inputs(24, event=True)
@@ -147,6 +142,28 @@ class TestSharedPlanServing:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="num_workers"):
             Server(_model(), EntropyExitPolicy(0.5), num_workers=0)
+
+
+@pytest.mark.parametrize(
+    "num_workers, num_replicas", [(1, 0), (2, 0), (1, 1)],
+    ids=["1-worker", "2-workers", "1-replica"],
+)
+def test_serving_never_touches_spike_counters(num_workers, num_replicas):
+    """Spike statistics are an offline feature (``DynamicTimestepInference``,
+    ``IMCChip.from_network``): no serving composition writes the counters on
+    the served model's LIF modules, so every composition leaves the same
+    all-zero statistics an offline caller reset."""
+    model = _model()
+    model.reset_spike_statistics()
+    untouched = model.spike_statistics()
+    server, results = _serve(model, _inputs(32), num_workers=num_workers,
+                             num_replicas=num_replicas)
+    assert len(results) == 32
+    assert all(batcher.engine.fast_path for batcher in server.batchers)
+    statistics = model.spike_statistics()
+    assert statistics == untouched
+    assert all(layer["total_spikes"] == 0 and layer["total_updates"] == 0
+               for layer in statistics.values())
 
 
 class TestCrossCompositionMatrix:
@@ -256,10 +273,6 @@ class TestReplicaAbortConsistency:
         assert outcomes == reference
         assert plan_for(model) is plan_before  # registry untouched
 
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip() == "0",
-        reason="stem memo disabled via REPRO_STEM_CACHE_CAPACITY=0",
-    )
     def test_fail_active_preserves_stem_memo_and_reuse_is_bitwise(self):
         """Aborts drop slot rows, not memo entries (pure content-keyed
         values), and a fresh session over the same clips still matches the

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import EntropyExitPolicy
+from repro.runtime import plan_registry
 from repro.serve import (
     AdmissionRejectedError,
     InferenceEngine,
@@ -382,6 +383,33 @@ class TestReplicaServing:
         model.features = Mystery()  # the lowerer rejects unknown modules
         with pytest.raises(ValueError, match="lower"):
             _replica_server(model, num_replicas=1)
+
+
+def test_training_mode_model_is_served_like_thread_mode():
+    """A fresh or just-trained model is still in training mode, where the
+    plan verifier refuses folded conv+norm ops: the pool must freeze the
+    model BEFORE its lowering check, as a thread worker's engine does — not
+    lean on someone else having cached the plan under ``eval()``."""
+    model = _model()
+    xs = _inputs(8, seed=43)
+    reference = _oracle_decisions(model, xs)
+    before = _arena_segments() | _ring_segments()
+    for composition in ({"num_workers": 1}, {"num_replicas": 1}):
+        plan_registry.invalidate(model)  # cold registry: lowering happens HERE
+        model.train()
+        server = Server(
+            model, EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+            batch_width=3, **composition,
+        ).start()
+        try:
+            futures = [server.submit(x) for x in xs]
+            results = [future.result(timeout=60.0) for future in futures]
+        finally:
+            server.shutdown(drain=True)
+        assert {
+            r.request_id: (r.prediction, r.exit_timestep) for r in results
+        } == reference, composition
+    assert _arena_segments() | _ring_segments() <= before
 
 
 @pytest.mark.slow

@@ -16,14 +16,20 @@ pin the three things that must hold:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.core.policies import EntropyExitPolicy
 from repro.runtime import plan_for
-from repro.serve import InferenceEngine, Request, Response
+from repro.serve import (
+    InferenceEngine,
+    Request,
+    Response,
+    Telemetry,
+    TraceRecorder,
+    clip_digest,
+    load_trace,
+)
+from repro.serve.batcher import complete_round
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
 from repro.utils import seed_everything
@@ -31,11 +37,6 @@ from repro.utils import seed_everything
 TIMESTEPS = 5
 NUM_CLASSES = 6
 IMAGE_SIZE = 10
-
-memo_enabled = pytest.mark.skipif(
-    os.environ.get("REPRO_STEM_CACHE_CAPACITY", "").strip() == "0",
-    reason="stem memo disabled via REPRO_STEM_CACHE_CAPACITY=0",
-)
 
 
 def _model(seed=47):
@@ -63,7 +64,6 @@ def _run_all(engine, xs, policy_runs_full_horizon=True):
     return outcomes
 
 
-@memo_enabled
 class TestKeyInterningRegression:
     def test_one_hash_per_request_regardless_of_horizon(self):
         model = _model()
@@ -89,6 +89,33 @@ class TestKeyInterningRegression:
         ])
         while not engine.idle:
             engine.step()
+        assert engine.stem_hash_count == xs.shape[0]
+
+    def test_memo_key_clip_digest_and_wal_digest_are_one_value(self, tmp_path):
+        """One digest function: what the engine interns as a slot's memo-key
+        prefix is what ``clip_digest`` returns and what the WAL records for
+        the same request — and the WAL's digest is the sink's own call, not a
+        second one charged to the engine."""
+        xs = _clips(3, seed=29)
+        engine = InferenceEngine(
+            _model(seed=23), EntropyExitPolicy(0.0), max_timesteps=TIMESTEPS,
+            use_runtime=True,
+        )
+        engine.admit_batch([
+            (Request(request_id=index, inputs=xs[index]), Response(), 0.0)
+            for index in range(xs.shape[0])
+        ])
+        interned = [slot.stem_key for slot in engine._slots]
+        assert interned == [clip_digest(x) for x in xs]
+        finished = []
+        while not engine.idle:
+            finished.extend(engine.step())
+        path = str(tmp_path / "wal.jsonl")
+        with TraceRecorder(path) as recorder:
+            complete_round(finished, lambda: 1.0, Telemetry(), trace=recorder)
+        recorded = {record.request_id: record.digest
+                    for record in load_trace(path).records}
+        assert recorded == {index: key.hex() for index, key in enumerate(interned)}
         assert engine.stem_hash_count == xs.shape[0]
 
     def test_padded_tail_frames_share_one_memo_entry(self):

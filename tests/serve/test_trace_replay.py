@@ -25,6 +25,7 @@ storm and backtest suites).
 
 from __future__ import annotations
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -163,7 +164,8 @@ class TestWalRecovery:
                                                        record_trace):
         _, path = self._recorded(tmp_path, served_model, make_clips,
                                  record_trace)
-        lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
         # Flip payload bytes in the 4th line (header + 3 records survive).
         lines[4] = lines[4].replace('"kind":"request"', '"kind":"requesX"')
         with open(path, "w", encoding="utf-8") as handle:
@@ -178,7 +180,7 @@ class TestWalRecovery:
         trace, path = self._recorded(tmp_path, served_model, make_clips,
                                      record_trace)
         clips_path = str(path) + ".clips"
-        size = len(open(clips_path, "rb").read())
+        size = os.path.getsize(clips_path)
         with open(clips_path, "rb+") as handle:
             handle.truncate(size - 37)  # tear the last frame mid-payload
         recovered = load_trace(str(path))

@@ -1,8 +1,12 @@
 """Tests for utility modules: rng, registry, serialization, logging, validation."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.lockorder import lock_check_enabled
 from repro.runtime import runtime_enabled
 from repro.runtime.executor import _trace_ops_enabled
@@ -183,3 +187,35 @@ def test_boolean_switches_share_one_vocabulary(name, raw, expected, monkeypatch)
             read()
     else:
         assert read() is (default if expected == "default" else expected)
+
+
+def test_env_surface_is_four_flags():
+    """Every environment read in ``src/`` is one of four literal
+    ``env_flag(name, default)`` calls — the table in docs/ARCHITECTURE.md,
+    enumerated from the code — and nothing else touches ``os.environ`` but
+    the parser itself and the replica pool's BLAS-thread pin at spawn."""
+    root = pathlib.Path(repro.__file__).parent
+    flags, touching = {}, set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee == "env_flag":
+                    name, default = node.args
+                    assert isinstance(name, ast.Constant), (path, node.lineno)
+                    assert isinstance(default, ast.Constant), (path, node.lineno)
+                    assert name.value not in flags, name.value  # read in ONE place
+                    flags[name.value] = default.value
+            elif isinstance(node, ast.Attribute):
+                if node.attr in ("environ", "getenv"):
+                    touching.add(path.relative_to(root).as_posix())
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if {alias.name for alias in node.names} & {"environ", "getenv"}:
+                    touching.add(path.relative_to(root).as_posix())
+    assert flags == {
+        "REPRO_RUNTIME": True,
+        "REPRO_TRACE_OPS": False,
+        "REPRO_LOCK_CHECK": False,
+        "REPRO_FLOAT64": False,
+    }
+    assert touching == {"utils/validation.py", "serve/replica.py"}

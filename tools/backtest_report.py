@@ -67,8 +67,9 @@ def report(path: str, histograms: bool = False) -> int:
     print(f"trace: {trace.get('records')} requests, "
           f"dataset={trace.get('dataset')}, preset={trace.get('preset')}, "
           f"horizon={trace.get('max_timesteps')}")
-    print(f"composition: {composition.get('workers')} worker(s), "
-          f"{composition.get('replicas')} replica(s)")
+    replicas = composition.get("replicas")
+    print("composition: " + (f"{replicas} process replica(s)" if replicas
+                             else f"{composition.get('workers')} worker thread(s)"))
     print(f"oracle: {oracle.get('unique_clips')} unique clips at full "
           f"horizon (θ={oracle.get('threshold')})")
 
