@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.planverify import verify_plan
 from ..autograd import Tensor, no_grad
 from ..core.policies import ExitPolicy
 from ..runtime import executor_for
@@ -226,14 +227,16 @@ class InferenceEngine:
             # malformed request must fail here, at its own admission round,
             # not poison the live batch later.  The reference shape is the
             # engine-lifetime pin when one exists — an idle engine must
-            # reject a wrong-shaped round, not adopt its shape.
+            # reject a wrong-shaped round, not adopt its shape.  An unpinned
+            # engine (no slots yet) adopts the first round's shape once the
+            # plan proves its encoded (C, H, W) frame servable — shape
+            # arithmetic, so a bad first request is a typed rejection too.
             expected = self._sample_shape
             if expected is None:
-                expected = (
-                    self._slots[0].request.inputs.shape
-                    if self._slots
-                    else admissions[0][0].inputs.shape
-                )
+                expected = admissions[0][0].inputs.shape
+                if self._executor is not None:
+                    clip = hasattr(self.model.encoder, "frame_index")
+                    verify_plan(self._executor.plan, expected[1:] if clip else expected)
             for request, _, _ in admissions:
                 if request.inputs.shape != expected:
                     raise ValueError(

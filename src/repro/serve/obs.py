@@ -94,18 +94,22 @@ class SpanTracker:
         self._lock = named_lock("serve.obs.spans")
         self._spans: Dict[int, RequestSpan] = {}
 
+    def _span(self, request_id: int) -> RequestSpan:
+        """Get or create a request's span, evicting the oldest when full;
+        the caller holds the lock."""
+        span = self._spans.get(request_id)
+        if span is None:
+            if len(self._spans) >= self.capacity:
+                # dicts iterate in insertion order: drop the oldest.
+                self._spans.pop(next(iter(self._spans)))
+            span = self._spans[request_id] = RequestSpan(request_id=request_id)
+        return span
+
     def record(self, request_id: int, stage: str, timestamp: float) -> None:
         if stage not in _STAGE_ORDER:
             raise ValueError(f"unknown span stage {stage!r}")
         with self._lock:
-            span = self._spans.get(request_id)
-            if span is None:
-                if len(self._spans) >= self.capacity:
-                    # dicts iterate in insertion order: drop the oldest.
-                    self._spans.pop(next(iter(self._spans)))
-                span = RequestSpan(request_id=request_id)
-                self._spans[request_id] = span
-            span.events[stage] = float(timestamp)
+            self._span(request_id).events[stage] = float(timestamp)
 
     def record_result(self, result, completed_at: float) -> None:
         """Stamp the whole lifecycle of a completed request from its result.
@@ -116,12 +120,7 @@ class SpanTracker:
         tracking is a single lock acquisition per request.
         """
         with self._lock:
-            span = self._spans.get(result.request_id)
-            if span is None:
-                if len(self._spans) >= self.capacity:
-                    self._spans.pop(next(iter(self._spans)))
-                span = RequestSpan(request_id=result.request_id)
-                self._spans[result.request_id] = span
+            span = self._span(result.request_id)
             span.events.setdefault("queued", float(result.arrival_time))
             span.events.setdefault("admitted", float(result.start_time))
             span.events.setdefault("exited", float(result.finish_time))
@@ -146,12 +145,7 @@ class SpanTracker:
         from genuine completions.
         """
         with self._lock:
-            span = self._spans.get(request_id)
-            if span is None:
-                if len(self._spans) >= self.capacity:
-                    self._spans.pop(next(iter(self._spans)))
-                span = RequestSpan(request_id=int(request_id))
-                self._spans[int(request_id)] = span
+            span = self._span(int(request_id))
             span.events["completed"] = float(failed_at)
             span.tags["error"] = type(error).__name__
 
@@ -276,6 +270,12 @@ class Histogram:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.total += value
         self.count += 1
+
+    def add(self, counts: Sequence[int], total: float) -> None:
+        """Fold in observations already bucketed over these same bounds."""
+        self.counts = [mine + more for mine, more in zip(self.counts, counts)]
+        self.total += total
+        self.count += sum(counts)
 
     def to_json(self) -> Dict[str, Any]:
         return {

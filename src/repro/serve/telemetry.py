@@ -11,22 +11,26 @@ Everything the operator of a DT-SNN serving deployment looks at lives here:
 * a rolling latency window consumed by the SLA threshold controller.
 
 The class is thread-safe: the batcher worker records completions while
-submitter threads read snapshots.
+submitter threads read snapshots.  Each completion round is folded into a
+fixed-size store, so memory and export cost do not grow with requests served.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.lockorder import named_lock
+from .obs import Histogram
 from .request import RequestResult
 
 __all__ = ["Telemetry"]
 
-#: Samples each gauge (queue depth, occupancy) keeps, newest last.
+#: Samples each gauge (queue depth, occupancy) and the snapshot's latency
+#: percentiles keep, newest last.
 GAUGE_WINDOW = 4096
 
 
@@ -37,14 +41,27 @@ class Telemetry:
         if window < 1:
             raise ValueError("window must be >= 1")
         self._lock = named_lock("serve.telemetry")
-        self._results: List[RequestResult] = []
-        self._recent_latencies: Deque[float] = deque(maxlen=window)
+        # The completion store, exact over all history: the histograms carry
+        # the latency / queue-delay sums and the completed count, _exits[t]
+        # counts exits at timestep t, each (sum, count) pair the requests
+        # that were priced / labelled.
+        self._latency = Histogram(
+            "repro_request_latency_seconds", "End-to-end request latency")
+        self._queue_delay = Histogram(
+            "repro_request_queue_delay_seconds", "Arrival-to-admission wait")
+        self._exits: List[int] = []
+        self._energy, self._priced = 0.0, 0
+        self._edp, self._edp_priced = 0.0, 0
+        self._correct, self._labelled = 0, 0
+        # One latency window, newest last: the SLA controller's p95 reads the
+        # last ``window`` entries, the snapshot's percentiles GAUGE_WINDOW.
+        self._window = window
+        self._latencies: Deque[float] = deque(maxlen=max(window, GAUGE_WINDOW))
         # Gauges are sampled on every batcher step; bound them so a
         # long-running server cannot grow memory without traffic.
         self._queue_depths: Deque[int] = deque(maxlen=GAUGE_WINDOW)
         self._occupancies: Deque[float] = deque(maxlen=GAUGE_WINDOW)
-        self._first_arrival: Optional[float] = None
-        self._last_finish: Optional[float] = None
+        self._first_arrival, self._last_finish = float("inf"), float("-inf")
         self._rejected = 0
         self._shed = 0
         # Storm-guard accounting (docs/RESILIENCE.md): sheds and deadline
@@ -62,15 +79,33 @@ class Telemetry:
         self.record_completions((result,))
 
     def record_completions(self, results: Sequence[RequestResult]) -> None:
-        """A batcher round's completions under one lock acquisition."""
+        """Fold a batcher round's completions in under one lock acquisition."""
         with self._lock:
+            latency, queue_delay, exits = self._latency, self._queue_delay, self._exits
+            first, last = self._first_arrival, self._last_finish
             for result in results:
-                self._results.append(result)
-                self._recent_latencies.append(result.latency)
-                if self._first_arrival is None or result.arrival_time < self._first_arrival:
-                    self._first_arrival = result.arrival_time
-                if self._last_finish is None or result.finish_time > self._last_finish:
-                    self._last_finish = result.finish_time
+                arrival, finish = result.arrival_time, result.finish_time
+                self._latencies.append(finish - arrival)
+                latency.observe(finish - arrival)
+                queue_delay.observe(result.start_time - arrival)
+                timestep = result.exit_timestep
+                if timestep >= len(exits):
+                    exits.extend([0] * (timestep + 1 - len(exits)))
+                exits[timestep] += 1
+                if result.energy is not None:
+                    self._energy += result.energy
+                    self._priced += 1
+                if result.edp is not None:
+                    self._edp += result.edp
+                    self._edp_priced += 1
+                if result.label is not None:
+                    self._correct += result.prediction == result.label
+                    self._labelled += 1
+                if arrival < first:
+                    first = arrival
+                if finish > last:
+                    last = finish
+            self._first_arrival, self._last_finish = first, last
 
     def record_queue_depth(self, depth: int) -> None:
         with self._lock:
@@ -124,7 +159,7 @@ class Telemetry:
     @property
     def completed(self) -> int:
         with self._lock:
-            return len(self._results)
+            return self._latency.count
 
     @property
     def rejected(self) -> int:
@@ -163,31 +198,21 @@ class Telemetry:
     def recent_p95(self) -> Optional[float]:
         """p95 latency over the rolling window (None until data arrives)."""
         with self._lock:
-            if not self._recent_latencies:
-                return None
-            return float(np.percentile(np.asarray(self._recent_latencies), 95))
+            recent = list(islice(reversed(self._latencies), self._window))
+        return float(np.percentile(recent, 95)) if recent else None
 
     def exit_histogram(self, max_timesteps: int) -> np.ndarray:
         """Count of completed requests per exit timestep 1..T."""
         with self._lock:
-            exits = np.array([r.exit_timestep for r in self._results], dtype=np.int64)
-        return np.bincount(exits, minlength=max_timesteps + 1)[1:]
+            counts = self._exits + [0] * (max_timesteps + 1 - len(self._exits))
+        return np.array(counts[1:], dtype=np.int64)
 
     def throughput(self) -> Optional[float]:
         """Completed requests per second over the observed serving interval."""
-        with self._lock:
-            count = len(self._results)
-            first, last = self._first_arrival, self._last_finish
-        if count == 0 or first is None or last is None or last <= first:
-            return None
-        return count / (last - first)
+        return self.snapshot().get("throughput_rps")
 
     def accuracy(self) -> Optional[float]:
-        with self._lock:
-            flags = [r.correct for r in self._results if r.correct is not None]
-        if not flags:
-            return None
-        return float(np.mean(flags))
+        return self.snapshot().get("accuracy")
 
     def snapshot(self) -> Dict[str, float]:
         """One flat dict with every headline serving metric.
@@ -196,57 +221,46 @@ class Telemetry:
         shed) and every gauge family (queue depth, occupancy) the telemetry
         records is surfaced here, so ``serve --self-test`` and
         ``--stats-dump`` print the whole picture rather than a subset.
+        Everything is exact over all history except the three ``latency_p*``
+        keys, which cover the most recent ``GAUGE_WINDOW`` completions.
         """
         with self._lock:
-            results = list(self._results)
+            completed = self._latency.count
+            stats: Dict[str, float] = {
+                "completed": float(completed),
+                "rejected": float(self._rejected),
+                "shed": float(self._shed),
+            }
+            if self._storm_shed or self._deadline_drops or self._storm_transitions:
+                names = {0: "high", 1: "normal", 2: "low"}
+                for priority, count in sorted(self._storm_shed.items()):
+                    name = names.get(priority, str(priority))
+                    stats[f"storm_shed_{name}"] = float(count)
+                stats["deadline_dropped"] = float(sum(self._deadline_drops.values()))
+                stats["storm_state_peak"] = float(self._storm_peak)
+                stats["storm_transitions"] = float(self._storm_transitions)
+            if completed:
+                exits = sum(t * count for t, count in enumerate(self._exits))
+                stats["latency_mean"] = self._latency.total / completed
+                stats["queue_delay_mean"] = self._queue_delay.total / completed
+                stats["average_exit_timesteps"] = exits / completed
+                if self._last_finish > self._first_arrival:
+                    stats["throughput_rps"] = completed / (
+                        self._last_finish - self._first_arrival)
+                if self._labelled:
+                    stats["accuracy"] = self._correct / self._labelled
+                if self._priced:
+                    stats["energy_mean"] = self._energy / self._priced
+                    stats["energy_total"] = self._energy
+                if self._edp_priced:
+                    stats["edp_mean"] = self._edp / self._edp_priced
+            latencies = list(self._latencies)[-GAUGE_WINDOW:]
             depths = list(self._queue_depths)
             occupancies = list(self._occupancies)
-            rejected = self._rejected
-            shed = self._shed
-            storm_shed = dict(self._storm_shed)
-            deadline_drops = dict(self._deadline_drops)
-            storm_peak = self._storm_peak
-            storm_transitions = self._storm_transitions
-        stats: Dict[str, float] = {
-            "completed": float(len(results)),
-            "rejected": float(rejected),
-            "shed": float(shed),
-        }
-        if storm_shed or deadline_drops or storm_transitions:
-            names = {0: "high", 1: "normal", 2: "low"}
-            for priority, count in sorted(storm_shed.items()):
-                name = names.get(priority, str(priority))
-                stats[f"storm_shed_{name}"] = float(count)
-            stats["deadline_dropped"] = float(sum(deadline_drops.values()))
-            stats["storm_state_peak"] = float(storm_peak)
-            stats["storm_transitions"] = float(storm_transitions)
-        if results:
-            latencies = np.array([r.latency for r in results])
-            delays = np.array([r.queue_delay for r in results])
-            exits = np.array([r.exit_timestep for r in results], dtype=np.float64)  # dtype-ok: telemetry aggregation is analysis-side float64
-            stats.update(
-                {
-                    "latency_p50": float(np.percentile(latencies, 50)),
-                    "latency_p95": float(np.percentile(latencies, 95)),
-                    "latency_p99": float(np.percentile(latencies, 99)),
-                    "latency_mean": float(latencies.mean()),
-                    "queue_delay_mean": float(delays.mean()),
-                    "average_exit_timesteps": float(exits.mean()),
-                }
-            )
-            throughput = self.throughput()
-            if throughput is not None:
-                stats["throughput_rps"] = throughput
-            accuracy = self.accuracy()
-            if accuracy is not None:
-                stats["accuracy"] = accuracy
-            energies = [r.energy for r in results if r.energy is not None]
-            if energies:
-                stats["energy_mean"] = float(np.mean(energies))
-                stats["energy_total"] = float(np.sum(energies))
-            edps = [r.edp for r in results if r.edp is not None]
-            if edps:
-                stats["edp_mean"] = float(np.mean(edps))
+        # The O(window) reductions run outside the lock.
+        if completed:
+            p50, p95, p99 = np.percentile(latencies, (50, 95, 99)).tolist()
+            stats.update(latency_p50=p50, latency_p95=p95, latency_p99=p99)
         if depths:
             stats["queue_depth_mean"] = float(np.mean(depths))
             stats["queue_depth_max"] = float(np.max(depths))
@@ -260,47 +274,43 @@ class Telemetry:
     # Metrics-registry export (repro.serve.obs)
     # ------------------------------------------------------------------ #
     def fill_registry(self, registry, max_timesteps: Optional[int] = None) -> None:
-        """Feed a :class:`~repro.serve.obs.MetricsRegistry` from raw samples.
+        """Feed a :class:`~repro.serve.obs.MetricsRegistry` from the store.
 
-        Additive: counters increment and histograms observe on top of
-        whatever the registry already holds, so feed a *fresh* registry per
-        export.  Histogram metrics are built from the raw per-request
-        samples, not from the snapshot's derived percentiles.
+        Additive: counters increment and histograms add on top of whatever
+        the registry already holds, so feed a *fresh* registry per export.
+        Exact over all history, but for the two gauges: peaks over the last
+        ``GAUGE_WINDOW`` batcher steps.
         """
+        latency = registry.histogram(self._latency.name, self._latency.help)
+        queue_delay = registry.histogram(self._queue_delay.name, self._queue_delay.help)
         with self._lock:
-            results = list(self._results)
-            depths = list(self._queue_depths)
-            occupancies = list(self._occupancies)
-            rejected = self._rejected
-            shed = self._shed
-            storm_shed = dict(self._storm_shed)
-            deadline_drops = dict(self._deadline_drops)
-            storm_peak = self._storm_peak
-            storm_transitions = self._storm_transitions
+            latency.add(self._latency.counts, self._latency.total)
+            queue_delay.add(self._queue_delay.counts, self._queue_delay.total)
+            exit_counts = list(self._exits)
+            depths, occupancies = list(self._queue_depths), list(self._occupancies)
+            storm_shed, deadline_drops = dict(self._storm_shed), dict(self._deadline_drops)
+            storm_peak, storm_transitions = self._storm_peak, self._storm_transitions
+            completed, energy = self._latency.count, self._energy
+            rejected, shed = self._rejected, self._shed
+        registry.counter("repro_requests_completed_total", "Requests completed").inc(completed)
         registry.counter(
-            "repro_requests_completed_total", "Requests completed"
-        ).inc(len(results))
+            "repro_requests_rejected_total", "Submissions shed at the door").inc(rejected)
         registry.counter(
-            "repro_requests_rejected_total", "Submissions shed at the door"
-        ).inc(rejected)
+            "repro_requests_shed_total", "Admitted requests failed by shutdown/crash").inc(shed)
         registry.counter(
-            "repro_requests_shed_total", "Admitted requests failed by shutdown/crash"
-        ).inc(shed)
+            "repro_request_energy_total", "Summed per-request energy (cost model units)"
+        ).inc(energy)
         # The registry has no label support, so per-class storm counters use
         # one distinct metric name per priority class.
         names = {0: "high", 1: "normal", 2: "low"}
-        for priority, count in sorted(storm_shed.items()):
-            name = names.get(priority, str(priority))
-            registry.counter(
-                f"repro_storm_shed_{name}_total",
-                f"Submissions shed by the storm guard ({name} priority)",
-            ).inc(count)
-        for priority, count in sorted(deadline_drops.items()):
-            name = names.get(priority, str(priority))
-            registry.counter(
-                f"repro_deadline_dropped_{name}_total",
-                f"Requests dropped at dispatch past their deadline ({name} priority)",
-            ).inc(count)
+        for family, what, by_class in (
+            ("repro_storm_shed", "Submissions shed by the storm guard", storm_shed),
+            ("repro_deadline_dropped", "Requests dropped at dispatch past their deadline",
+             deadline_drops),
+        ):
+            for priority, count in sorted(by_class.items()):
+                name = names.get(priority, str(priority))
+                registry.counter(f"{family}_{name}_total", f"{what} ({name} priority)").inc(count)
         if storm_transitions:
             registry.counter(
                 "repro_storm_transitions_total", "Storm-FSM state transitions"
@@ -309,35 +319,20 @@ class Telemetry:
                 "repro_storm_state_peak",
                 "Peak storm-FSM severity (0=normal, 1=warn, 2=storm)",
             ).set(storm_peak)
-        latency = registry.histogram(
-            "repro_request_latency_seconds", "End-to-end request latency"
-        )
-        queue_delay = registry.histogram(
-            "repro_request_queue_delay_seconds", "Arrival-to-admission wait"
-        )
-        horizon = max_timesteps or max(
-            (r.exit_timestep for r in results), default=1
-        )
-        exits = registry.histogram(
+        # Bucket le=t holds the exits at t, +Inf those past the horizon.
+        horizon = max_timesteps or max(len(exit_counts) - 1, 1)
+        exit_counts += [0] * (horizon + 1 - len(exit_counts))
+        registry.histogram(
             "repro_request_exit_timesteps", "Exit timestep per request",
             buckets=tuple(float(t) for t in range(1, horizon + 1)),
+        ).add(
+            exit_counts[1:horizon + 1] + [sum(exit_counts[horizon + 1:])],
+            float(sum(t * count for t, count in enumerate(exit_counts))),
         )
-        energy_total = registry.counter(
-            "repro_request_energy_total", "Summed per-request energy (cost model units)"
-        )
-        for result in results:
-            latency.observe(result.latency)
-            queue_delay.observe(result.queue_delay)
-            exits.observe(float(result.exit_timestep))
-            if result.energy is not None:
-                energy_total.inc(result.energy)
-        depth_gauge = registry.gauge(
-            "repro_queue_depth_max", "Peak admission-queue depth"
-        )
-        for depth in depths:
-            depth_gauge.set(depth)
-        occupancy_gauge = registry.gauge(
-            "repro_occupancy_max", "Peak batch-slot occupancy fraction"
-        )
-        for occupancy in occupancies:
-            occupancy_gauge.set(occupancy)
+        for name, what, samples in (
+            ("repro_queue_depth_max", "Peak admission-queue depth", depths),
+            ("repro_occupancy_max", "Peak batch-slot occupancy fraction", occupancies),
+        ):
+            gauge = registry.gauge(name, what)
+            if samples:
+                gauge.set(max(samples))

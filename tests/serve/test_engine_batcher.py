@@ -69,6 +69,7 @@ class TestServeEquivalence:
         assert np.array_equal(
             [r.exit_timestep for r in results], reference.exit_timesteps
         )
+        # Serve-vs-offline batch composition: docs/NUMERICS.md, "The one tolerance".
         np.testing.assert_allclose(
             [r.score for r in results], reference.scores, rtol=1e-6, atol=1e-7
         )

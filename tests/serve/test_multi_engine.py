@@ -14,8 +14,8 @@ its neighbours' trajectories, the shared registry, or the stem memo.
 steady} arrivals must all be decision-exact against the sequential oracle —
 the per-sample batch invariance contract is composition-blind, so neither
 the worker count, the worker *kind*, nor the arrival pattern may move a
-prediction or an exit timestep (scores carry the documented 1e-6
-cross-composition tolerance from BLAS GEMM blocking).
+prediction or an exit timestep (scores carry the one cross-composition
+tolerance, owned by docs/NUMERICS.md "The one tolerance").
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class TestSharedPlanServing:
     def test_two_workers_match_single_worker(self):
         """Concurrent workers stealing from one queue must not perturb any
         sample's *decisions*.  Worker assignment changes each step's batch
-        composition, so scores get the same tolerance the suite already
-        grants cross-composition references (BLAS GEMM blocking shifts the
-        last float32 bits); predictions and exit timesteps stay exact."""
+        composition, so scores get the cross-composition tolerance
+        (docs/NUMERICS.md, "The one tolerance"); predictions and exit
+        timesteps stay exact."""
         model = _model()
         xs = _inputs(48)
         _, reference = _serve(model, xs, num_workers=1)

@@ -137,11 +137,18 @@ class TestWorkerCrash:
         self, trained_model, tiny_dataset
     ):
         _, test = tiny_dataset
-        server = Server(trained_model, EntropyExitPolicy(0.5), batch_width=2).start()
-        # Wrong sample shape: the conv forward raises inside the worker.
-        bad = server.submit(np.zeros((3, 3), dtype=np.float32))
-        with pytest.raises(Exception):
-            bad.result(timeout=10.0)
+        server = Server(trained_model, EntropyExitPolicy(0.5), batch_width=2)
+
+        def faulty_step():
+            raise FloatingPointError("injected kernel fault")
+
+        # A kernel fault inside the worker (a malformed input no longer
+        # reaches one: it is a typed rejection, test_malformed_input.py).
+        server.batchers[0].engine.step = faulty_step
+        server.start()
+        doomed = server.submit(test.inputs[0])
+        with pytest.raises(ServerClosedError, match="injected kernel fault"):
+            doomed.result(timeout=10.0)
         # The worker fail-stops: admissions close and later submits are refused
         # instead of hanging forever.
         deadline = time.monotonic() + 5.0
@@ -152,4 +159,4 @@ class TestWorkerCrash:
             server.submit(test.inputs[0])
         # The crash is recorded on the server, not re-raised out of the thread.
         server.drain(timeout=5.0)
-        assert isinstance(server.worker_error, Exception)
+        assert isinstance(server.worker_error, FloatingPointError)
