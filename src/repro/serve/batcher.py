@@ -73,21 +73,13 @@ def complete_round(
             # crosses the boundary; ``now`` is the honest finish, since no
             # client can observe the result before this round resolves it.
             start_time = now - max(0.0, sample.finish_time - start_time)
+        # Positional, in RequestResult's field order: 14 keywords cost 0.6 us
+        # a request in the call alone.
         results.append(RequestResult(
-            request_id=request.request_id,
-            prediction=sample.prediction,
-            exit_timestep=sample.exit_timestep,
-            score=sample.score,
-            label=request.label,
-            threshold=sample.threshold,
-            arrival_time=request.arrival_time,
-            start_time=start_time,
-            finish_time=now,
-            energy=energy,
-            edp=edp,
-            epoch=sample.epoch,
-            brownout=sample.brownout,
-            horizon=sample.horizon,
+            request.request_id, sample.prediction, sample.exit_timestep,
+            sample.score, request.label, sample.threshold,
+            request.arrival_time, start_time, now, energy, edp,
+            sample.epoch, sample.brownout, sample.horizon,
         ))
     if trace is not None:
         for sample, result in zip(finished, results):

@@ -180,9 +180,14 @@ class _RelayResponse:
         self._outbox = outbox
 
     def set_exception(self, exception: BaseException) -> None:
-        self._outbox.append(
-            (self._request_id, f"{type(exception).__name__}: {exception}")
-        )
+        # The parent re-raises whatever is relayed as AdmissionRejectedError
+        # (``_reject``): a failure already of that type travels as its bare
+        # message, so ``str(error)`` reads the same on thread and replica
+        # compositions; any other failure keeps its type in the text.
+        text = str(exception)
+        if not isinstance(exception, AdmissionRejectedError):
+            text = f"{type(exception).__name__}: {text}"
+        self._outbox.append((self._request_id, text))
 
 
 def _stage_round(entries: Sequence[tuple], rings: ReplicaRings,

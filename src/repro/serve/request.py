@@ -157,7 +157,7 @@ class EpochLedger:
             return self._current
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """A single-sample inference request.
 
@@ -179,7 +179,7 @@ class Request:
     epoch: Optional[ThresholdEpoch] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestResult:
     """Everything the server knows about one completed request."""
 
@@ -221,28 +221,53 @@ class RequestResult:
 
 
 class Response:
-    """A minimal thread-safe future resolved by the serving worker."""
+    """The future of one request: a one-shot latch plus the outcome it guards.
+
+    The latch is a raw lock, taken at construction by the submitter and
+    released exactly once by whichever thread resolves the future; a waiter
+    acquires it and hands it straight on, so any number of concurrent
+    ``result()`` callers pass it hand to hand.  It is not a mutex — nothing
+    runs under it, it is never entered with ``with`` and it is not in the
+    lock hierarchy (docs/ANALYSIS.md) — and not a ``threading.Event``, whose
+    ``Condition`` + lock + waiter deque cost 11 allocations per request that
+    almost never has more than one waiter (docs/ARCHITECTURE.md, "The
+    request lifecycle").
+    """
+
+    __slots__ = ("_latch", "_result", "_exception")
 
     def __init__(self):
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self._result: Optional[RequestResult] = None
         self._exception: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        # The outcome, not ``not locked()``: a waiter handing the latch on
+        # holds it for an instant after resolution.
+        return self._result is not None or self._exception is not None
+
+    def _open(self) -> None:
+        try:
+            self._latch.release()
+        except RuntimeError:
+            # Already open: a second resolution, or one that landed while a
+            # waiter held the latch (whose own release then lands here).
+            pass
 
     def set_result(self, result: RequestResult) -> None:
         self._result = result
-        self._event.set()
+        self._open()
 
     def set_exception(self, exception: BaseException) -> None:
         self._exception = exception
-        self._event.set()
+        self._open()
 
     def result(self, timeout: Optional[float] = None) -> RequestResult:
         """Block until the request completes; raise its failure if it failed."""
-        if not self._event.wait(timeout):
+        if not self._latch.acquire(True, -1 if timeout is None else max(0.0, timeout)):
             raise TimeoutError("request did not complete within the timeout")
+        self._open()
         if self._exception is not None:
             raise self._exception
         assert self._result is not None

@@ -8,8 +8,9 @@ submit: ``ServerClosedError``).  On the compiled-plan path the engine now
 proves the first round's encoded frame servable with
 ``planverify.verify_plan(plan, input_shape=...)`` inside the admission
 ``try``, so the round is a typed rejection and its neighbours are served
-bit-exact.  Thread mode on the fast path only: the replica and
-``use_runtime=False`` rows of the matrix are ROADMAP 4(a).
+bit-exact.  The Tensor oracle (``use_runtime=False``) borrows the model's
+plan for the same proof, and a replica relays its engine's rejection with the
+text thread mode produces.
 """
 
 from __future__ import annotations
@@ -90,32 +91,38 @@ class GatedPolicy(EntropyExitPolicy):
         return super().score(cumulative_logits)
 
 
+def _first_request_rejection(shape, **server_kwargs):
+    """A malformed FIRST request on an idle server, then the well-formed
+    stream one request at a time (served alone, like the oracle's rows, so
+    scores are bitwise too); returns the rejection it raised."""
+    model, xs = _model(), _inputs()
+    server = Server(
+        model, EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS, batch_width=2,
+        **server_kwargs,
+    ).start()
+    try:
+        first = server.submit(np.zeros(shape, dtype=np.float32))
+        with pytest.raises(AdmissionRejectedError) as rejection:
+            first.result(timeout=30.0)
+        assert server.worker_error is None
+        assert server.telemetry.snapshot()["rejected"] == 1
+        served = [
+            _decision(server.submit(inputs).result(timeout=30.0)) for inputs in xs
+        ]
+    finally:
+        server.shutdown(drain=True)
+    assert served == _oracle(model, xs, 0.5)
+    assert server.worker_error is None
+    assert server.telemetry.completed == len(xs)
+    assert server.telemetry.rejected == 1 and server.telemetry.shed == 0
+    return rejection.value
+
+
 @pytest.mark.parametrize("shape", MALFORMED.values(), ids=MALFORMED.keys())
 class TestMalformedRequestOnOneWorker:
     def test_first_request_on_an_idle_server(self, shape):
-        model, xs = _model(), _inputs()
-        oracle = _oracle(model, xs, 0.5)
         spans = SpanTracker()
-        server = Server(
-            model, EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
-            batch_width=2, spans=spans,
-        ).start()
-        try:
-            first = server.submit(np.zeros(shape, dtype=np.float32))
-            with pytest.raises(AdmissionRejectedError):
-                first.result(timeout=30.0)
-            assert server.worker_error is None
-            assert server.telemetry.snapshot()["rejected"] == 1
-            # Served alone, like the oracle's rows: scores are bitwise too.
-            served = [
-                _decision(server.submit(inputs).result(timeout=30.0)) for inputs in xs
-            ]
-        finally:
-            server.shutdown(drain=True)
-        assert served == oracle
-        assert server.worker_error is None
-        assert server.telemetry.completed == len(xs)
-        assert server.telemetry.rejected == 1 and server.telemetry.shed == 0
+        _first_request_rejection(shape, spans=spans)
         assert spans.open_spans() == []
         failed = [span for span in spans.spans() if "error" in span.tags]
         assert [span.tags["error"] for span in failed] == ["AdmissionRejectedError"]
@@ -146,6 +153,17 @@ class TestMalformedRequestOnOneWorker:
         assert server.worker_error is None
         assert server.telemetry.rejected == 1
         assert server.telemetry.completed == len(xs) + 1
+
+
+@pytest.mark.parametrize("composition", [{"use_runtime": False}, {"num_replicas": 1}],
+                         ids=["tensor-oracle", "one-replica"])
+@pytest.mark.parametrize("shape", MALFORMED.values(), ids=MALFORMED.keys())
+def test_first_request_on_the_other_compositions(shape, composition):
+    """The rows the thread-mode fast path left open: the Tensor oracle proves
+    the shape on the model's plan, and a replica relays its engine's
+    rejection under thread mode's text (not a type name inside the type)."""
+    error = _first_request_rejection(shape, **composition)
+    assert str(error) == str(_first_request_rejection(shape))
 
 
 @pytest.mark.parametrize("encoder,shape", [

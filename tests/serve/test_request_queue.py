@@ -1,6 +1,7 @@
 """Admission queue and future primitives: capacity, backpressure, close."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -127,13 +128,16 @@ class TestAdmissionQueue:
         assert got and got[0][0].request_id == 7
 
 
+def _result():
+    return RequestResult(request_id=1, prediction=3, exit_timestep=2, score=0.1)
+
+
 class TestResponse:
     def test_result_blocks_until_resolved(self):
         response = Response()
         with pytest.raises(TimeoutError):
             response.result(timeout=0.01)
-        result = RequestResult(request_id=1, prediction=3, exit_timestep=2, score=0.1)
-        response.set_result(result)
+        response.set_result(_result())
         assert response.done()
         assert response.result(timeout=0.1).prediction == 3
 
@@ -142,6 +146,148 @@ class TestResponse:
         response.set_exception(RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
             response.result(timeout=0.1)
+
+    def test_done_before_and_after(self):
+        for resolve in (
+            lambda r: r.set_result(_result()),
+            lambda r: r.set_exception(RuntimeError("boom")),
+        ):
+            response = Response()
+            assert not response.done()
+            resolve(response)
+            assert response.done()
+
+    def test_zero_timeout_polls(self):
+        response = Response()
+        start = time.monotonic()
+        for timeout in (0, 0.0, -1.0):  # a spent budget polls, like Event.wait
+            with pytest.raises(TimeoutError):
+                response.result(timeout=timeout)
+        assert time.monotonic() - start < 1.0
+        response.set_result(_result())
+        assert response.result(timeout=0).prediction == 3
+
+    def test_resolved_before_wait_never_blocks(self):
+        response = Response()
+        result = _result()
+        response.set_result(result)
+        for timeout in (None, 0, 5.0):
+            assert response.result(timeout=timeout) is result
+        assert response.done()
+
+    def test_no_timeout_blocks_until_another_thread_resolves(self):
+        response = Response()
+        result = _result()
+        waiting = threading.Event()
+
+        def resolve():
+            assert waiting.wait(5.0)
+            time.sleep(0.05)
+            response.set_result(result)
+
+        thread = threading.Thread(target=resolve, daemon=True)
+        thread.start()
+        waiting.set()
+        assert response.result() is result  # timeout=None: parked until resolved
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+    def test_concurrent_waiters_all_get_the_same_result(self):
+        response = Response()
+        result = _result()
+        got, parked = [], threading.Barrier(9)
+
+        def wait():
+            parked.wait(5.0)
+            got.append(response.result(timeout=10.0))
+
+        threads = [threading.Thread(target=wait, daemon=True) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        parked.wait(5.0)
+        time.sleep(0.05)  # let them park in result()
+        assert got == []
+        response.set_result(result)
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8 and all(item is result for item in got)
+        assert response.done() and response.result(timeout=0) is result
+
+    def test_concurrent_waiters_all_raise_the_failure(self):
+        response = Response()
+        raised = []
+
+        def wait():
+            try:
+                response.result(timeout=10.0)
+            except RuntimeError as error:
+                raised.append(error)
+
+        threads = [threading.Thread(target=wait, daemon=True) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        response.set_exception(RuntimeError("boom"))
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(raised) == 8
+
+    def test_a_second_resolution_does_not_raise(self):
+        """Nothing in src/ resolves a future twice, but a late second
+        resolution (a crash monitor racing a collector) must be harmless.
+        The outcome is whatever ``result()`` always did: a stored exception
+        wins over a stored result, the later of two like resolutions wins."""
+        first, second = _result(), _result()
+
+        response = Response()
+        response.set_result(first)
+        response.set_exception(RuntimeError("late"))
+        with pytest.raises(RuntimeError, match="late"):
+            response.result(timeout=0)
+
+        response = Response()
+        response.set_exception(RuntimeError("early"))
+        response.set_result(first)
+        with pytest.raises(RuntimeError, match="early"):
+            response.result(timeout=0)
+
+        response = Response()
+        response.set_result(first)
+        response.set_result(second)
+        assert response.result(timeout=0) is second
+
+        response = Response()
+        response.set_exception(RuntimeError("one"))
+        response.set_exception(RuntimeError("two"))
+        with pytest.raises(RuntimeError, match="two"):
+            response.result(timeout=0)
+        assert response.done()
+
+    def test_a_second_resolution_races_waiters_harmlessly(self):
+        """Waiters pass the latch hand to hand; a second resolution landing
+        while one of them holds it must neither raise nor strand anyone."""
+        for _ in range(50):
+            response = Response()
+            result = _result()
+            got, errors = [], []
+
+            def wait():
+                try:
+                    got.append(response.result(timeout=10.0))
+                except BaseException as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=wait, daemon=True) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            response.set_result(result)
+            response.set_result(result)
+            for thread in threads:
+                thread.join(5.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and len(got) == 4
+            assert response.done() and response.result(timeout=0) is result
 
 
 class TestRequestResult:
