@@ -62,11 +62,19 @@ def complete_round(
     """
     if not finished:
         return []
-    priced = [price_request(cost_model, sample.exit_timestep) for sample in finished]
+    # A price is a function of the exit timestep alone: one per distinct
+    # timestep of the round (at most the horizon), not one per request.
+    prices = {}
+    if cost_model is not None:
+        for exit_timestep in {sample.exit_timestep for sample in finished}:
+            prices[exit_timestep] = price_request(cost_model, exit_timestep)
+    energy = edp = None
     now = clock()
     results: List[RequestResult] = []
-    for sample, (energy, edp) in zip(finished, priced):
+    for sample in finished:
         request = sample.request
+        if prices:
+            energy, edp = prices[sample.exit_timestep]
         start_time = sample.start_time
         if sample.finish_time is not None:
             # Retired on another process's clock: only the service duration

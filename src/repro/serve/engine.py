@@ -35,7 +35,7 @@ from ..core.policies import ExitPolicy
 from ..runtime import executor_for, plan_for
 from ..snn.encoding import DirectEncoder
 from ..snn.network import SpikingNetwork
-from .request import Request, Response, clip_digest, clone_exception
+from .request import Request, Response, clone_exception
 
 __all__ = ["AdmissionRejectedError", "CompletedSample", "InferenceEngine"]
 
@@ -353,15 +353,17 @@ class InferenceEngine:
         The memo key must determine the encoded frame bytes: for a
         deterministic encoder those are a pure function of (clip content,
         recorded-frame index), so one :func:`~repro.serve.request.clip_digest`
-        per request replaces per-row-per-step ``tobytes()`` copies.  Replayed
+        per request replaces per-row-per-step ``tobytes()`` copies — and the
+        request carries it on to the trace recorder, if there is one.  Replayed
         clips digest identically and keep their cross-request hits; padded
         tail timesteps share a frame index and keep their free dedupe.  What
         a digest key trades away (collisions at ~2^-64, no entry sharing
         between *different* clips with a byte-identical frame) is in
         docs/ARCHITECTURE.md, "Stem-memo key interning".
         """
-        self.stem_hash_count += 1
-        return clip_digest(request.inputs)
+        if request.digest is None:
+            self.stem_hash_count += 1
+        return request.clip_digest()
 
     def fail_active(self, exception: BaseException) -> int:
         """Abort every in-flight request (non-graceful shutdown).

@@ -16,8 +16,8 @@ import hashlib
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,19 +38,32 @@ __all__ = [
 ]
 
 
+# shape -> the bytes clip_digest hashes ahead of the clip's own.  A server
+# sees one shape; the cap only keeps a shape-fuzzing caller from growing it.
+_DIGEST_PREFIXES: Dict[Tuple[int, ...], bytes] = {}
+_DIGEST_PREFIX_LIMIT = 64
+
+
 def clip_digest(inputs: np.ndarray) -> bytes:
     """128-bit BLAKE2b content digest of one clip (shape/dtype-prefixed).
 
     THE identity of a request's payload: the serving engine interns it as
     the stem-memo key prefix and the trace WAL content-addresses its clip
     store by it — one function, so a trace deduplicates replayed traffic
-    exactly the way the stem memo does.
+    exactly the way the stem memo does.  Its value is frozen (recorded clip
+    stores are keyed by it; tests/serve/test_stem_key_interning.py holds the
+    goldens); :meth:`Request.clip_digest` is the once-per-request form.
     """
     array = np.ascontiguousarray(inputs, dtype=np.float32)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr((array.shape, array.dtype.str)).encode())
-    # The array buffer, not tobytes(): that would re-copy the whole clip.
-    digest.update(array.data)
+    shape = array.shape
+    prefix = _DIGEST_PREFIXES.get(shape)
+    if prefix is None:
+        if len(_DIGEST_PREFIXES) >= _DIGEST_PREFIX_LIMIT:
+            _DIGEST_PREFIXES.clear()
+        prefix = _DIGEST_PREFIXES[shape] = repr((shape, array.dtype.str)).encode()
+    digest = hashlib.blake2b(prefix, digest_size=16)
+    # The array's own buffer, not tobytes(): that would re-copy the whole clip.
+    digest.update(array)
     return digest.digest()
 
 
@@ -167,7 +180,8 @@ class Request:
     ``priority`` is a storm-guard admission class (0=high, 1=normal, 2=low;
     see :mod:`repro.serve.storm`); ``deadline`` is an *absolute* time in the
     server's clock domain after which dispatch drops the request instead of
-    serving it; ``epoch`` is the threshold epoch stamped at admission.
+    serving it; ``epoch`` is the threshold epoch stamped at admission;
+    ``digest`` is the clip's content digest once somebody asked for it.
     """
 
     request_id: int
@@ -177,6 +191,16 @@ class Request:
     priority: int = 1
     deadline: Optional[float] = None
     epoch: Optional[ThresholdEpoch] = None
+    digest: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def clip_digest(self) -> bytes:
+        """:func:`clip_digest` of ``inputs``, computed by whoever asks first
+        (the engine's stem-key interning or the trace recorder) and carried
+        from then on — ``inputs`` is never rewritten after submission."""
+        digest = self.digest
+        if digest is None:
+            digest = self.digest = clip_digest(self.inputs)
+        return digest
 
 
 @dataclass(slots=True)

@@ -15,9 +15,10 @@ files:
 * ``<path>.clips`` — the **clip store**: the raw input arrays, framed as
   ``magic | digest | dtype | shape | payload | crc`` records and written
   once per *unique* clip (content-addressed by the same 128-bit BLAKE2b
-  digest the serving engine interns), so replayed traffic costs one frame no
-  matter how often it recurs.  A truncated tail frame is likewise dropped at
-  load.
+  digest the serving engine interns), so replayed traffic costs one frame
+  however often it recurs within the recorder's dedupe window
+  (``CLIP_DEDUP_WINDOW`` distinct clips).  A truncated tail frame is
+  likewise dropped at load.
 
 Records reference clips by digest, which is what makes a trace *replayable*:
 :class:`repro.serve.replay.TraceReplayer` resubmits the recorded clips in
@@ -29,12 +30,21 @@ server's (injectable) clock domain — a trace is a relative schedule, not a
 wall-clock log, so replays can honor or compress it deterministically.
 
 Overhead: recording is OFF unless a recorder is passed to
-:class:`~repro.serve.Server`; when on, a completion pays one digest, one dict
-and one serialisation (the CRC is taken over the bytes written, not over a
-second encoding), appended to the file object's buffer.  The completion sink
+:class:`~repro.serve.Server`; when on, a completion pays one digest (the one
+the engine already took for its stem key, when it took one — the request
+carries it), one fill of the spelled ``request`` template, one CRC over the
+bytes written and one buffered write.  ``_encode_line`` — a dict through
+``JSONEncoder`` — writes the header and the ``reject`` lines, takes every
+completion the template cannot spell (a non-finite float, an ``sla`` class),
+and is the referee the template is held to, byte for byte
+(``tests/property/test_wal_properties.py``).  The completion sink
 (:func:`repro.serve.batcher.complete_round`) flushes once per round, before
 any of the round's futures resolves — so a crashed server loses at most the
-round in flight, none of whose clients had an answer yet.
+round in flight, none of whose clients had an answer yet.  Measured between
+the round's NumPy calls (``round_budget_observed``, docs/OBSERVABILITY.md §4)
+a line costs 17-18 us, 5 of them the digest; the same call in a tight
+loop reads 10 — Python-heavy code runs ~1.5-2x dearer in situ, so size a
+change against the replay, not against ``timeit``.
 """
 
 from __future__ import annotations
@@ -44,13 +54,14 @@ import json
 import os
 import struct
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.lockorder import named_lock
-from .request import Request, RequestResult, clip_digest
+from .request import Request, RequestResult
 
 __all__ = [
     "TRACE_VERSION",
@@ -61,6 +72,11 @@ __all__ = [
 ]
 
 TRACE_VERSION = 1
+
+# The clip store is deduplicated within the newest this-many distinct clips a
+# recorder framed (its only per-clip state, ~100 B a digest); beside
+# ``SpanTracker``'s 65,536 spans, the other bound on what a sink remembers.
+CLIP_DEDUP_WINDOW = 65536
 
 # Clip-store framing: magic, 16-byte digest, dtype string, shape, payload, crc.
 _CLIP_MAGIC = b"RPCL"
@@ -143,13 +159,64 @@ class Trace:
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _encode_line(payload: Dict[str, Any]) -> str:
-    """One WAL line: ``payload`` serialised once, the CRC of exactly those
-    bytes spliced in as the last member.  (The decoder pops ``crc`` wherever
-    it sits, so traces that carry it in sorted position still verify.)"""
-    canonical = _canonical(payload)
+def _seal(canonical: str) -> str:
+    """``canonical`` (one JSON object, however it was spelled) as a WAL line:
+    the CRC of exactly those bytes spliced in as the last member."""
     crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
     return f'{canonical[:-1]},"crc":{crc}}}\n'
+
+
+def _encode_line(payload: Dict[str, Any]) -> str:
+    """One WAL line: ``payload`` serialised once and sealed.  (The decoder
+    pops ``crc`` wherever it sits, so traces that carry it in sorted position
+    still verify.)"""
+    return _seal(_canonical(payload))
+
+
+# A ``request`` line as ``_encode_line`` spells it — its 17 keys in the order
+# ``sort_keys`` puts them, ``"crc"`` to follow — with the values left to fill.
+# ``%r`` of a finite float or an int is what ``json`` emits for one; a ``%s``
+# slot takes such a number or ``true`` / ``false`` / ``null``.  Whatever else
+# a completion can carry — a non-finite float, an ``sla`` string, a ``bool``
+# label — the encoder spells, and the template never sees.
+_REQUEST_LINE = (
+    '{"arrival":%r,"brownout":%s,"digest":"%s","energy":%s,"epoch":%s,'
+    '"exit_t":%r,"horizon":%s,"id":%r,"kind":"request","label":%s,'
+    '"prediction":%r,"priority":%r,"queue_delay":%r,"score":%r,"service":%r,'
+    '"sla":null,"threshold":%s}'
+)
+
+_SPELLED_LIMIT = 64
+
+
+def _spell(spelled: Dict[float, str], value: float) -> str:
+    """``repr(value)`` for a float ``spelled`` does not hold, remembered there
+    — cleared, not grown, past its limit, and never a zero: ``0.0 == -0.0``
+    is one key with two spellings."""
+    text = repr(value)
+    if value:
+        if len(spelled) >= _SPELLED_LIMIT:
+            spelled.clear()
+        spelled[value] = text
+    return text
+
+
+def _plain(value: Any) -> Any:
+    """A NumPy scalar as the Python value it holds (a dataset's labels are
+    ``np.int64``, and ``json`` spells no NumPy type); anything else as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _optional(value: Any, kind: type) -> Any:
+    """An optional field as ``_REQUEST_LINE`` takes it: ``"null"``, or the
+    finite ``kind`` (exactly ``float`` or ``int``) it holds; ``None`` when
+    only the encoder can spell it."""
+    if value is None:
+        return "null"
+    value = _plain(value)
+    if value.__class__ is kind and value - value == 0:  # nan - nan is nan
+        return value
+    return None
 
 
 def _decode_line(line: str) -> Optional[Dict[str, Any]]:
@@ -181,6 +248,12 @@ class TraceRecorder:
     OS had not persisted — call :meth:`close`, which fsyncs, at drain for
     full durability.
 
+    The clip store is deduplicated within a window, not globally: the
+    recorder remembers the newest ``CLIP_DEDUP_WINDOW`` distinct digests it
+    framed (its memory stays bounded however much byte-unique traffic it
+    sees), and a clip that recurs after leaving the window is framed again —
+    same digest, same array; :func:`load_trace` keeps the later frame.
+
     Parameters
     ----------
     path:
@@ -200,7 +273,8 @@ class TraceRecorder:
         self.clips_path = self.path + ".clips"
         self._lock = named_lock("serve.trace.wal")
         self._store_clips = bool(store_clips)
-        self._seen_digests: set = set()
+        self._framed: OrderedDict[bytes, None] = OrderedDict()  # oldest first
+        self._spelled: Dict[float, str] = {}  # float -> its repr, see _spell
         self._base: Optional[float] = None
         self._closed = False
         self.records_written = 0
@@ -225,9 +299,11 @@ class TraceRecorder:
         return float(timestamp) - self._base
 
     def _write_clip(self, digest: bytes, inputs: np.ndarray) -> None:
-        if self._clips is None or digest in self._seen_digests:
-            return
-        self._seen_digests.add(digest)
+        """Frame a clip the window does not hold; the oldest digest leaves to
+        make room, and is framed again if its clip ever recurs."""
+        if len(self._framed) >= CLIP_DEDUP_WINDOW:
+            self._framed.popitem(last=False)
+        self._framed[digest] = None
         array = np.ascontiguousarray(inputs, dtype=np.float32)
         dtype = array.dtype.str.encode("ascii")
         body = io.BytesIO()
@@ -249,30 +325,74 @@ class TraceRecorder:
         """Buffer one completed request's line (and flush its clip, if new);
         the caller — the completion sink — owes a :meth:`flush` before the
         request's future resolves."""
-        digest = clip_digest(request.inputs)
+        digest = request.clip_digest()
+        arrival, start = result.arrival_time, result.start_time
+        queue_delay = round(float(start - arrival), 9)
+        service = round(float(result.finish_time - start), 9)
+        score = float(result.score)
+        # Finite iff every float added is: inf - inf and nan - nan are nan.
+        floats = queue_delay + service + score
+        # The five optional fields, each exactly the type ``Server`` hands
+        # over or left to ``_optional``.
+        threshold, energy = result.threshold, result.energy
+        label, epoch, horizon = result.label, result.epoch, result.horizon
+        # Few-valued floats — a threshold moves with the epoch, a price with
+        # the exit timestep — are spelled once and looked up after.
+        spelled = self._spelled
+        if threshold.__class__ is float:
+            floats += threshold
+            threshold = spelled.get(threshold) or _spell(spelled, threshold)
+        else:
+            threshold = _optional(threshold, float)
+        if energy.__class__ is float:
+            floats += energy
+            energy = spelled.get(energy) or _spell(spelled, energy)
+        else:
+            energy = _optional(energy, float)
+        if label.__class__ is not int:
+            label = _optional(label, int)
+        if epoch.__class__ is not int:
+            epoch = _optional(epoch, int)
+        if horizon.__class__ is not int:
+            horizon = _optional(horizon, int)
         with self._lock:
             if self._closed:
                 return
-            self._write_clip(digest, request.inputs)
-            self._wal.write(_encode_line({
-                "kind": "request",
-                "id": int(result.request_id),
-                "digest": digest.hex(),
-                "arrival": round(self._offset(result.arrival_time), 9),
-                "exit_t": int(result.exit_timestep),
-                "prediction": int(result.prediction),
-                "score": float(result.score),
-                "threshold": result.threshold,
-                "label": result.label,
-                "queue_delay": round(float(result.queue_delay), 9),
-                "service": round(float(result.service_time), 9),
-                "energy": result.energy,
-                "sla": sla_class,
-                "epoch": result.epoch,
-                "horizon": result.horizon,
-                "brownout": bool(result.brownout),
-                "priority": int(request.priority),
-            }))
+            if self._clips is not None and digest not in self._framed:
+                self._write_clip(digest, request.inputs)
+            arrival = round(self._offset(arrival), 9)
+            floats += arrival
+            if (floats - floats == 0.0 and sla_class is None
+                    and threshold is not None and energy is not None
+                    and label is not None and epoch is not None
+                    and horizon is not None):
+                line = _seal(_REQUEST_LINE % (
+                    arrival, "true" if result.brownout else "false", digest.hex(),
+                    energy, epoch, int(result.exit_timestep), horizon,
+                    int(result.request_id), label, int(result.prediction),
+                    int(request.priority), queue_delay, score, service, threshold,
+                ))
+            else:
+                line = _encode_line({
+                    "kind": "request",
+                    "id": int(result.request_id),
+                    "digest": digest.hex(),
+                    "arrival": arrival,
+                    "exit_t": int(result.exit_timestep),
+                    "prediction": int(result.prediction),
+                    "score": score,
+                    "threshold": _plain(result.threshold),
+                    "label": _plain(result.label),
+                    "queue_delay": queue_delay,
+                    "service": service,
+                    "energy": _plain(result.energy),
+                    "sla": sla_class,
+                    "epoch": _plain(result.epoch),
+                    "horizon": _plain(result.horizon),
+                    "brownout": bool(result.brownout),
+                    "priority": int(request.priority),
+                })
+            self._wal.write(line)
             self.records_written += 1
 
     def record_rejection(self, request: Request, timestamp: float,
@@ -283,7 +403,7 @@ class TraceRecorder:
         queue-full backpressure, "storm" for storm-guard class sheds,
         "deadline" for deadline-expired dispatch drops.
         """
-        digest = clip_digest(request.inputs)
+        digest = request.clip_digest()
         with self._lock:
             if self._closed:
                 return

@@ -1,6 +1,6 @@
 """Property and fuzz tests for the trace WAL writer and decoder.
 
-Three contracts, pinned before and across the one-serialisation writer:
+Four contracts, pinned before and across the one-serialisation writer:
 
 1. **Line layout** — whatever a completion carries (``None`` knobs, NaN/±inf
    and −0.0 scores, ids past 2⁶³, non-ASCII SLA classes), the written line is
@@ -15,6 +15,12 @@ Three contracts, pinned before and across the one-serialisation writer:
    truncation or insertion in a recorded WAL or clip store loads as a prefix
    of what was written, flagged ``truncated``; the loader never raises and
    never yields a record or clip that differs from the original.
+4. **The encoder is the referee** — however ``record_request`` spells a
+   ``request`` line (a filled template, since PR 23), the line is byte for
+   byte ``_encode_line`` of the payload's Python values: for NumPy-typed
+   fields, for −0.0 / subnormal / 1e300 floats, and on every arm that takes
+   the encoder itself (non-finite floats, an ``sla`` string, a ``bool``
+   label).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from repro.serve import (
     clip_digest,
     load_trace,
 )
-from repro.serve.trace import TRACE_VERSION, _decode_line
+from repro.serve.trace import TRACE_VERSION, _decode_line, _encode_line
 from repro.snn import spiking_vgg
 from repro.utils import seed_everything
 
@@ -130,6 +136,57 @@ def test_written_line_is_the_canonical_payload_plus_a_trailing_crc(fields):
         assert record.brownout is fields["brownout"]
         assert _canonical([record.score, record.threshold, record.energy]) == (
             _canonical([fields["score"], fields["threshold"], fields["energy"]]))
+
+
+# Contract 4.  NumPy scalar types a caller of the public pieces can hand over
+# (a dataset's labels are ``np.int64``; ``Server.submit`` casts, ``Request``
+# and ``ThresholdEpoch`` do not), per field; ``id`` stays an ``int`` (2**80).
+NUMPY_TYPES = {
+    "exit_t": [np.int32, np.int64], "prediction": [np.int64, np.uint16],
+    "score": [np.float64, np.float32], "threshold": [np.float64, np.float32],
+    "label": [np.int64, np.int16], "energy": [np.float64, np.float32],
+    "epoch": [np.int64, np.uint64], "horizon": [np.int64, np.uint8],
+    "brownout": [np.bool_], "priority": [np.int8, np.int64],
+}
+edge_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-7, 1e16])
+SLA_CLASSES = ['gold', 'q"uote', "back\\slash", "ünï☃", "line\nbreak", ""]
+referee_completions = st.fixed_dictionaries({
+    "fields": completions,
+    "edges": st.fixed_dictionaries({}, optional={
+        name: edge_floats for name in ("score", "threshold", "energy", "queue_delay")}),
+    "odd": st.fixed_dictionaries({}, optional={
+        "label": st.sampled_from([True, False, 2.0, "seven"]),
+        "threshold": st.sampled_from([1, True, "half"]),
+        "sla": st.sampled_from(SLA_CLASSES),
+    }),
+    "types": st.fixed_dictionaries({}, optional={
+        name: st.sampled_from(types) for name, types in NUMPY_TYPES.items()}),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(referee_completions)
+def test_a_request_line_is_what_the_encoder_writes_for_its_python_values(drawn):
+    plain = {**drawn["fields"], **drawn["edges"], **drawn["odd"]}
+    typed = dict(plain)
+    with np.errstate(over="ignore"):  # 1e300 as float32 is inf: an encoder arm
+        for name, numpy_type in drawn["types"].items():
+            if type(plain[name]) in (bool, int, float):
+                typed[name] = numpy_type(plain[name])
+                plain[name] = typed[name].item()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "t.jsonl")
+        with TraceRecorder(path, store_clips=False) as recorder:
+            _record(recorder, typed, origin=plain["arrival"])
+        with open(path, encoding="utf-8") as handle:
+            _, line = handle.read().splitlines(keepends=True)
+        with TraceRecorder(path, store_clips=False) as recorder:
+            expected = _record(recorder, plain, origin=plain["arrival"])
+        with open(path, encoding="utf-8") as handle:
+            _, plain_line = handle.read().splitlines(keepends=True)
+    assert line == plain_line == _encode_line(expected)
+    assert _canonical(_decode_line(line)) == _canonical(expected)
 
 
 @settings(max_examples=150, deadline=None)

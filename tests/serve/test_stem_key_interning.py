@@ -11,10 +11,15 @@ pin the three things that must hold:
 * cache semantics survive the key change — replayed clips still hit across
   requests/engines, padded tail frames still dedupe within a clip;
 * decisions and scores stay bitwise-identical to the Tensor oracle (the memo
-  contract: caching may never cost a bit).
+  contract: caching may never cost a bit);
+* the digest is one *computation* as well as one value — a request carries it
+  from the engine to the trace recorder — and its value is frozen: recorded
+  clip stores are keyed by it.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -24,11 +29,13 @@ from repro.serve import (
     InferenceEngine,
     Request,
     Response,
+    Server,
     Telemetry,
     TraceRecorder,
     clip_digest,
     load_trace,
 )
+from repro.serve import request as request_module
 from repro.serve.batcher import complete_round
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
@@ -168,3 +175,76 @@ class TestKeyInterningRegression:
             return _run_all(engine, xs)
 
         assert outcomes(True) == outcomes(False)
+
+
+class TestOneDigestOneComputation:
+    def test_an_event_server_with_a_wal_digests_each_clip_once(self, tmp_path,
+                                                               monkeypatch):
+        """Engine (stem-memo key) and recorder (clip-store key) want the same
+        digest of the same clip: whoever asks first computes it, the request
+        carries it, the other reads it."""
+        computed = []
+        original = request_module.clip_digest
+
+        def counting(inputs):
+            computed.append(inputs)
+            return original(inputs)
+
+        monkeypatch.setattr(request_module, "clip_digest", counting)
+        xs = _clips(12, seed=31)
+        path = str(tmp_path / "wal.jsonl")
+        recorder = TraceRecorder(path)
+        server = Server(_model(seed=37), EntropyExitPolicy(0.5),
+                        max_timesteps=TIMESTEPS, batch_width=4,
+                        use_runtime=True, trace=recorder).start()
+        try:
+            for future in [server.submit(x) for x in xs]:
+                future.result(timeout=60.0)
+        finally:
+            server.shutdown(drain=True)
+            recorder.close()
+        assert server.batchers[0].engine.stem_hash_count == len(xs)
+        assert len(computed) == len(xs)
+        assert {record.digest for record in load_trace(path).records} == {
+            original(x).hex() for x in xs}
+
+    def test_a_carried_digest_is_not_charged_to_the_engine_again(self):
+        xs = _clips(2, seed=41)
+        requests = [Request(request_id=i, inputs=x) for i, x in enumerate(xs)]
+        assert requests[0].clip_digest() == clip_digest(xs[0])  # asked first
+        engine = InferenceEngine(_model(), EntropyExitPolicy(0.0),
+                                 max_timesteps=TIMESTEPS, use_runtime=True)
+        engine.admit_batch([(request, Response(), 0.0) for request in requests])
+        assert engine.stem_hash_count == 1
+        assert [slot.stem_key for slot in engine._slots] == [
+            clip_digest(x) for x in xs]
+
+
+class TestDigestIsFrozen:
+    """A "cheaper digest" that changes one of these orphans every recorded
+    clip store: the WAL's records name their clips by this value."""
+
+    GOLDEN = {
+        "e1c0ed77eb79827e600fd3e6dc1679c9":
+            np.arange(300, dtype=np.float32).reshape(3, 10, 10),
+        "2600e9baddf80dac05f49dc2fbc7b7e1":
+            np.arange(1200, dtype=np.float64).reshape(6, 2, 10, 10) * 0.5,
+        "f1fd674740659b6ddc37f6dcc670fe53": np.arange(7, dtype=np.int32),
+        "0776ff6b6410dfa1275a4cb0820c40e9": np.float64(3.5),
+    }
+
+    def test_goldens(self):
+        for golden, array in self.GOLDEN.items():
+            assert clip_digest(array).hex() == golden
+            # Twice: the second call takes the shape's remembered prefix.
+            assert clip_digest(array).hex() == golden
+
+    def test_the_prefix_table_stays_bounded_and_right(self):
+        for size in range(1, 1001):
+            array = np.full((size,), 0.25, dtype=np.float32)
+            reference = hashlib.blake2b(digest_size=16)
+            reference.update(repr(((size,), "<f4")).encode())
+            reference.update(array.tobytes())
+            assert clip_digest(array) == reference.digest()
+            assert len(request_module._DIGEST_PREFIXES) <= (
+                request_module._DIGEST_PREFIX_LIMIT)

@@ -17,6 +17,11 @@ Three contracts pinned here:
    once, before any of the round's futures resolves: a resolved future's
    line and clip are already readable through a second file handle, on the
    thread batcher and through the replica collector alike.
+5. **Typed values and the clip window** — NumPy-typed request fields reach
+   the WAL as the values they hold (they used to kill the worker with the
+   round's futures unresolved), and the recorder's clip dedupe remembers a
+   bounded window of digests: a clip that left it is framed again, which
+   loads as the same clip.
 
 The model, clip batches and the canonical recorded trace come from the
 session-scoped fixtures in ``tests/serve/conftest.py`` (shared with the
@@ -36,10 +41,12 @@ from repro.imc import IMCChip
 from repro.serve import (
     AdaptiveThresholdController,
     Request,
+    RequestResult,
     Response,
     Server,
     SpanTracker,
     Telemetry,
+    ThresholdEpoch,
     Trace,
     TraceRecord,
     TraceRecorder,
@@ -47,6 +54,7 @@ from repro.serve import (
     clip_digest,
     load_trace,
 )
+from repro.serve import trace as trace_module
 from repro.serve.batcher import complete_round
 from repro.serve.engine import CompletedSample
 
@@ -441,8 +449,9 @@ class TestDurabilityOrder:
     def test_a_round_pays_only_for_the_sinks_attached(self, tmp_path, served_model,
                                                       make_clips, monkeypatch):
         """Bare round: one clock read, no WAL flush, no pricing, no span.
-        Every sink attached: one flush per ROUND, two clock reads, the
-        per-request sinks entered once per request — and futures last."""
+        Every sink attached: one flush per ROUND, two clock reads, one price
+        per DISTINCT exit timestep of the round, the per-request sinks
+        entered once per request — and futures last."""
         order = []
         for owner, name in ((TraceRecorder, "record_request"), (TraceRecorder, "flush"),
                             (IMCChip, "energy"), (IMCChip, "latency"),
@@ -486,10 +495,97 @@ class TestDurabilityOrder:
             results = complete_round(round_of(5), clock, telemetry, chip,
                                      controller, recorder, spans)
         assert order == (
-            ["energy", "latency"] * 5 + ["clock"] + ["record_request"] * 5
+            ["energy", "latency"] * 2 + ["clock"] + ["record_request"] * 5
             + ["flush"] + ["on_completion"] * 5 + ["clock"]
             + ["record_result"] * 5 + ["set_result"] * 5
         )
         assert all(r.energy == chip.energy(r.exit_timestep) and r.finish_time == 11.0
                    for r in results)
         assert {span.events["completed"] for span in spans.spans()} == {12.0}
+
+
+# --------------------------------------------------------------------------- #
+class TestTypedValuesReachTheWal:
+    def test_numpy_typed_requests_complete_on_a_thread_server(self, tmp_path,
+                                                              served_model,
+                                                              make_clips):
+        """``Server.submit`` casts, but ``Request`` / ``AdmissionQueue`` are
+        public: a dataset's ``np.int64`` label, an ``np.int64`` epoch number
+        and an ``np.float32`` threshold used to raise ``TypeError`` out of
+        ``complete_round`` — the worker died before the round's futures
+        resolved (sinks run before futures)."""
+        path = str(tmp_path / "t.jsonl")
+        recorder = TraceRecorder(path)
+        server = _server(served_model, trace=recorder).start()
+        epoch = ThresholdEpoch(epoch=np.int64(2), threshold=np.float32(0.5))
+        xs = make_clips(6)
+        try:
+            futures = []
+            for index, x in enumerate(xs):
+                request = Request(request_id=100 + index, inputs=x,
+                                  label=np.int64(index % NUM_CLASSES),
+                                  priority=np.int8(1), epoch=epoch)
+                futures.append(Response())
+                server.queue.put(request, futures[-1])
+            results = [future.result(timeout=60.0) for future in futures]
+        finally:
+            server.shutdown(drain=True)
+            recorder.close()
+        assert server.worker_error is None
+        trace = load_trace(path)
+        assert not trace.truncated
+        assert [(r.request_id, r.label, r.epoch, r.threshold, r.priority)
+                for r in sorted(trace.records, key=lambda r: r.request_id)] == [
+            (100 + index, index % NUM_CLASSES, 2, 0.5, 1) for index in range(len(xs))]
+        assert {r.request_id: r.exit_timestep for r in trace.records} == {
+            r.request_id: r.exit_timestep for r in results}
+
+    def test_a_typed_line_is_the_line_of_the_values_it_holds(self, tmp_path, make_clips):
+        (clip,) = make_clips(1)
+
+        def line(path, **fields):
+            with TraceRecorder(str(path), store_clips=False) as recorder:
+                recorder.record_request(
+                    Request(request_id=1, inputs=clip, priority=fields.pop("priority")),
+                    RequestResult(request_id=1, prediction=2, exit_timestep=3,
+                                  score=0.25, arrival_time=1.0, start_time=1.5,
+                                  finish_time=2.0, **fields))
+            return path.read_text(encoding="utf-8").splitlines()[1]
+
+        typed = line(tmp_path / "typed.jsonl", label=np.int64(3),
+                     threshold=np.float32(0.1), energy=np.float64(1e4),
+                     epoch=np.int64(2), horizon=np.uint8(4),
+                     brownout=np.bool_(True), priority=np.int16(2))
+        plain = line(tmp_path / "plain.jsonl", label=3,
+                     threshold=float(np.float32(0.1)), energy=1e4, epoch=2,
+                     horizon=4, brownout=True, priority=2)
+        assert typed == plain and '"threshold":0.10000000149011612,' in typed
+
+
+class TestClipDedupWindow:
+    def test_a_clip_that_left_the_window_is_framed_again_and_loads_the_same(
+            self, tmp_path, make_clips, monkeypatch):
+        """The recorder remembers the newest ``CLIP_DEDUP_WINDOW`` distinct
+        digests, not every digest it ever framed: the clip store is
+        deduplicated within the window.  A second frame of a clip is the same
+        digest and the same array; the loader keeps the later one."""
+        window = 4
+        monkeypatch.setattr(trace_module, "CLIP_DEDUP_WINDOW", window)
+        xs = make_clips(window + 1)
+        order = list(range(window + 1)) + [window, 0, 0]  # in-window, evicted, in-window
+        path = str(tmp_path / "t.jsonl")
+        with TraceRecorder(path) as recorder:
+            for request_id, index in enumerate(order):
+                recorder.record_request(
+                    Request(request_id=request_id, inputs=xs[index]),
+                    RequestResult(request_id=request_id, prediction=0,
+                                  exit_timestep=1, score=0.5))
+                assert len(recorder._framed) <= window
+        frame_bytes = os.path.getsize(path + ".clips") / (window + 2)
+        assert frame_bytes == int(frame_bytes) > xs[0].nbytes  # window + 1 clips, one twice
+        trace = load_trace(path)
+        assert not trace.truncated and len(trace.clips) == window + 1
+        assert [record.digest for record in trace.records] == [
+            clip_digest(xs[index]).hex() for index in order]
+        for x in xs:
+            np.testing.assert_array_equal(trace.clips[clip_digest(x).hex()], x)
