@@ -11,7 +11,9 @@ This benchmark measures the per-timestep forward cost of both paths on the
 same trained model at serving batch widths, plus the no-stem-cache variant
 (what an event-stream encoder pays), the per-op-class split of a fast-path
 step (``REPRO_TRACE_OPS=1``), a width walk: the batch alternating
-between 8 and 5 rows, the move continuous batching makes every round — and
+between 8 and 5 rows, the move an open-loop lull or a drain makes — with the
+price of a *turnover* (5 of 8 rows replaced: compacted and re-appended vs
+recycled in place, what a closed-loop round does) — and
 the *round budget*: the whole serving round (``submit`` → fill → ``step`` →
 ``complete_round``) replayed on one thread, the GIL-free per-stage cost the
 threaded ``perf/`` trace cannot attribute.
@@ -28,7 +30,10 @@ Assertions:
 4. the round budget's four stages sum to the replay's wall time within 5 %
    (smoke mode too): a stage that is not timed cannot hide — bare and with
    every sink attached, where ``complete`` is split per sink and the split
-   sums to the stage within 5 % as well.
+   sums to the stage within 5 % as well,
+5. the closed replay never compacts after warm-up (smoke mode too): every
+   freed row is refilled where it is, so ``compact_calls`` and
+   ``row_moves_per_round`` are 0.
 """
 
 import copy
@@ -50,6 +55,7 @@ from repro.serve.batcher import complete_round
 BATCH_WIDTHS = (1, 4, 8, 16)
 SERVE_WIDTH = 8  # the serving layer's default batch width
 WALK_WIDTHS = (8, 5)
+TURNOVER_ROWS = (0, 2, 3, 5, 6)  # the rows of a width-8 batch one round replaces
 ROUNDS = 40
 BUDGET_ROUNDS = 300 if SMOKE else 2000
 BUDGET_WARMUP = 200
@@ -140,7 +146,38 @@ def _width_walk(model, frames):
         executor.compact_rows(keep)
         stepping += _time_steps(executor, 1)
     bindings = max(len(scratch.bindings) for scratch in executor._scratch)
-    return constant, stepping / (4 * ROUNDS), bindings
+    return constant, stepping / (4 * ROUNDS), bindings, _turnover_us(executor, frames)
+
+
+def _turnover_us(executor, frames):
+    """Microseconds to replace ``TURNOVER_ROWS`` of a ``SERVE_WIDTH`` batch:
+    survivors compacted forward and the newcomers appended (what every
+    serving round did before rows stayed) vs the newcomers written into the
+    freed rows (``extend_rows(..., recycle=)``).  Both include the admitted
+    rows' stem pass, which dominates either way."""
+    gone = np.array(TURNOVER_ROWS)
+    keep = np.ones(SERVE_WIDTH, dtype=bool)
+    keep[gone] = False
+    fresh = frames[: gone.size]
+    executor.reset_state()
+    executor.extend_rows(SERVE_WIDTH, frames[:SERVE_WIDTH])
+    executor.step(None)  # materialise the membranes
+
+    def compact_extend():
+        executor.compact_rows(keep)
+        executor.extend_rows(gone.size, fresh)
+
+    def recycle():
+        executor.extend_rows(gone.size, fresh, recycle=gone)
+
+    turnover = {}
+    for name, replace in (("compact_extend", compact_extend), ("recycle", recycle)):
+        replace()
+        start = time.perf_counter()
+        for _ in range(4 * ROUNDS):
+            replace()
+        turnover[name] = 1e6 * (time.perf_counter() - start) / (4 * ROUNDS)
+    return turnover
 
 
 def _round_budget(model, threshold, samples, timesteps, **sinks):
@@ -186,12 +223,24 @@ def _round_budget(model, threshold, samples, timesteps, **sinks):
             for name in names:
                 target = getattr(batcher, owner)
                 setattr(target, name, timed(sink, getattr(target, name)))
+    # Compactions and the survivor rows they moved: 0 while every freed row
+    # is refilled before the next step (counted on the instance — a wrapper
+    # that is never entered costs the replay nothing).
+    compact, moved = engine._executor.compact_rows, {"calls": 0, "rows": 0}
+
+    def counted_compact(keep):
+        moved["calls"] += 1
+        moved["rows"] += int(np.count_nonzero(keep))
+        return compact(keep)
+
+    engine._executor.compact_rows = counted_compact
     spent = dict.fromkeys(BUDGET_STAGES, 0.0)
     served = cursor = 0
     for index in range(BUDGET_WARMUP + BUDGET_ROUNDS):
         if index == BUDGET_WARMUP:
             spent = dict.fromkeys(BUDGET_STAGES, 0.0)
             inside.update(dict.fromkeys(inside, 0.0))
+            moved.update(calls=0, rows=0)
             served = 0
             began = clock()
         submitted = clock()
@@ -221,6 +270,8 @@ def _round_budget(model, threshold, samples, timesteps, **sinks):
         "rounds": BUDGET_ROUNDS,
         "requests": served,
         "admissions_per_round": served / BUDGET_ROUNDS,
+        "compact_calls": moved["calls"],
+        "row_moves_per_round": moved["rows"] / BUDGET_ROUNDS,
         "us_per_round": {k: 1e6 * v / BUDGET_ROUNDS for k, v in spent.items()},
         "us_per_request": {k: 1e6 * v / served for k, v in spent.items()},
         "total_us_per_request": 1e6 * total / served,
@@ -289,7 +340,7 @@ def test_runtime_fastpath_speedup(benchmark, suite):
 
     rows, speedups, splits, walk, budget, observed = benchmark.pedantic(
         run, rounds=1, iterations=1)
-    constant, alternating_s, bindings = walk
+    constant, alternating_s, bindings, turnover = walk
     walk_ratio = alternating_s / (sum(constant.values()) / len(constant))
 
     print_section("Runtime fast path — per-timestep forward cost vs Tensor oracle")
@@ -312,6 +363,9 @@ def test_runtime_fastpath_speedup(benchmark, suite):
          f"{1e6 * alternating_s:.1f} us/step alternating vs "
          + " / ".join(f"{1e6 * constant[w]:.1f} us at a constant {w}" for w in WALK_WIDTHS)
          + f" ({walk_ratio:.2f}x their mean; {bindings} bindings per op)")
+    emit(f"turnover, {len(TURNOVER_ROWS)} of {SERVE_WIDTH} rows replaced: "
+         f"{turnover['compact_extend']:.1f} us compacted + appended vs "
+         f"{turnover['recycle']:.1f} us recycled in place")
     emit(f"\nround budget (one thread, width {SERVE_WIDTH}, "
          f"{budget['admissions_per_round']:.2f} admissions/round):")
     emit(format_table(
@@ -320,7 +374,9 @@ def test_runtime_fastpath_speedup(benchmark, suite):
          for stage in BUDGET_STAGES],
         float_format="{:.2f}"))
     emit(f"stages sum to {budget['stage_sum_over_total']:.3f} of the replay's "
-         f"{budget['total_us_per_request']:.1f} us/request")
+         f"{budget['total_us_per_request']:.1f} us/request; "
+         f"{budget['compact_calls']} compactions, "
+         f"{budget['row_moves_per_round']:.2f} rows moved per round")
     sinks = observed["complete_us_per_request"]
     emit("\nround budget, observed (WAL with clips + spans + IMCChip attached):")
     emit(format_table(
@@ -356,6 +412,8 @@ def test_runtime_fastpath_speedup(benchmark, suite):
             "alternating_us_per_step": 1e6 * alternating_s,
             "alternating_over_constant_mean": walk_ratio,
             "bindings_per_op": bindings,
+            "turnover_rows": list(TURNOVER_ROWS),
+            "turnover_us": turnover,
         },
         "round_budget": budget,
         "round_budget_observed": observed,
@@ -369,6 +427,9 @@ def test_runtime_fastpath_speedup(benchmark, suite):
     assert abs(budget["stage_sum_over_total"] - 1.0) < 0.05
     assert abs(observed["stage_sum_over_total"] - 1.0) < 0.05
     assert abs(sum(sinks.values()) / observed["us_per_request"]["complete"] - 1.0) < 0.05
+    # A closed loop refills every freed row where it is: nothing is compacted.
+    for replay in (budget, observed):
+        assert replay["compact_calls"] == 0 and replay["row_moves_per_round"] == 0
 
     # Wall-clock assertions hold on a quiet machine but not on oversubscribed
     # CI runners; smoke mode keeps the (deterministic) bitwise checks above

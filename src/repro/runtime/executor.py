@@ -6,14 +6,19 @@ the stem cache, and every op's scratch buffers.  The state-surgery API
 :class:`~repro.snn.SpikingNetwork` row for row, so the serving engine and the
 dynamic-timestep loop drive the fast path exactly the way they drove the
 Tensor model — the membrane rows of the plan and the slots of the batcher
-stay in lockstep.
+stay in lockstep.  The offline loop compacts at every exit; the serving
+engine leaves a retired row where it is and hands it back through
+``extend_rows(..., recycle=rows)`` — ``reset_rows`` zeroes its membranes, the
+newcomer's stem row is written over the old one — and calls ``compact_rows``
+only for rows no admission took.
 
 Scratch buffers, membranes and aligned stem rows live in one capacity
 buffer each, sized to the widest batch the session has run (a serving
 engine's ``batch_width``), and are reused across timesteps, requests and the
-whole serve session: the live rows are the leading rows, compaction moves
-the survivors forward in place and admission zeroes / fills the rows behind
-them, so the width changes of continuous batching allocate nothing.  A
+whole serve session: the rows are the leading rows, admission zeroes / fills
+the rows it recycles and the ones it appends behind them, and compaction
+moves the survivors forward in place, so the turnover and the width changes
+of continuous batching allocate nothing.  A
 membrane lives in its LIF op's scratch (the op rewrites it every step); the
 aligned stem rows live in buffers the executor owns, because no op rewrites
 them.  Because every kernel is bitwise-faithful to its autograd counterpart
@@ -206,40 +211,57 @@ class PlanExecutor:
         if self._stem is not None:
             self._stem = {reg: compacted(value) for reg, value in self._stem.items()}
 
-    def extend_rows(self, count: int, frames: Optional[np.ndarray] = None) -> None:
-        """Append ``count`` fresh rows (newly admitted samples).
+    def extend_rows(self, count: int, frames: Optional[np.ndarray] = None,
+                    recycle: Optional[np.ndarray] = None) -> None:
+        """Admit ``count`` fresh rows (newly admitted samples).
 
-        Membrane rows start at zero; a ``None`` membrane stays ``None`` (the
-        ``None == fresh`` identity: it only materializes on the first
-        integration, exactly like :meth:`LIFNeuron.extend_state_rows`).  When
-        the stem cache is active, ``frames`` must hold the new samples'
-        encoder frames: their stem rows are computed once, here, and written
-        behind the live ones.  Omitting it — or extending live rows whose
-        stem was invalidated — leaves the cache empty, which is safe but
-        costs one full-width stem run at the next step (which then needs
-        the frame, see :attr:`needs_frame`).
+        The first ``len(recycle)`` of them take the free rows ``recycle``
+        names (ascending indices below the current width, whose samples left
+        the batch and were not compacted out): their membranes are zeroed in
+        place through :meth:`reset_rows`.  The rest are appended behind the
+        last row.  Membrane rows start at zero; a ``None`` membrane stays
+        ``None`` (the ``None == fresh`` identity: it only materializes on the
+        first integration, exactly like :meth:`LIFNeuron.extend_state_rows`).
+        When the stem cache is active, ``frames`` must hold the new samples'
+        encoder frames, in admission order: their stem rows are computed
+        once, here, and written at the same rows.  Omitting it — or admitting
+        into rows whose stem was invalidated, recycled rows included — leaves
+        the cache empty, which is safe but costs one full-width stem run at
+        the next step (which then needs the frame, see :attr:`needs_frame`).
         """
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
             return
+        reused = 0 if recycle is None else len(recycle)
         live = self._rows
-        self._rows = live + count
-        for index, membrane in enumerate(self._membranes):
-            if membrane is not None:
-                membrane = self._membranes[index] = self._lif_scratch[index].grown(
-                    "membrane", membrane, count
-                )
-                membrane[live:] = 0
+        self._rows = live + count - reused
+        if reused:
+            self.reset_rows(recycle)
+        if count > reused:
+            for index, membrane in enumerate(self._membranes):
+                if membrane is not None:
+                    membrane = self._membranes[index] = self._lif_scratch[index].grown(
+                        "membrane", membrane, count - reused
+                    )
+                    membrane[live:] = 0
         if not self.stem_enabled:
             return
         if frames is None or frames.shape[0] != count or (self._stem is None and live):
             self._stem = None
             return
-        self._append_stem(self._run_stem(frames), live)
+        fresh = self._run_stem(frames)
+        if reused:
+            for reg, value in fresh.items():
+                self._stem[reg][recycle] = value[:reused]
+        if count > reused:
+            self._append_stem(
+                {reg: value[reused:] for reg, value in fresh.items()}, live
+            )
 
     def reset_rows(self, rows: np.ndarray) -> None:
-        """Zero the membranes of specific batch rows (recycled slots)."""
+        """Zero the membranes of specific batch rows (recycled slots: the
+        recycle arm of :meth:`extend_rows`)."""
         for membrane in self._membranes:
             if membrane is not None:
                 membrane[rows] = 0.0

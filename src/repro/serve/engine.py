@@ -12,9 +12,12 @@ That identity requires a *deterministic* encoder (direct or event-frame, the
 paper's settings); a stochastic encoder such as Poisson rate coding draws
 from a shared RNG, so its spike trains inherently depend on batch composition.
 
-Exited samples are compacted out immediately, so the forward width always
-equals the number of live requests: early exit buys back real FLOPs, which is
-what the serving layer converts into throughput.
+An exited sample's row stays where it is, *free*: the next
+:meth:`admit_batch` writes its newcomers into the free rows and :meth:`step`
+first compacts out whatever nobody took.  So the forward width always equals
+the number of live requests — early exit buys back real FLOPs, which is what
+the serving layer converts into throughput — and under closed-loop traffic,
+where every freed row is refilled before the next step, no survivor moves.
 
 By default each step executes through the :mod:`repro.runtime` compiled plan
 (graph-free fused kernels, per-slot stem cache) when the model lowers; the
@@ -130,12 +133,17 @@ class InferenceEngine:
             and self._executor.memo_enabled
             and hasattr(model.encoder, "frame_index")
         )
-        self._slots: List[_Slot] = []
-        # Array-resident slot state: row i belongs to self._slots[i], the
-        # live rows are the leading ones, and the arrays only ever grow to
-        # the widest batch admitted (the batcher's batch_width).  Written at
-        # admission and compaction — exactly how the executor treats its
-        # membranes — so step() reads them without a per-slot Python loop.
+        self._slots: List[Optional[_Slot]] = []
+        # Rows whose request retired and nobody has taken yet, ascending:
+        # the next admit_batch writes its newcomers into them, and step()
+        # compacts out whatever is still free when it starts.
+        self._free: List[int] = []
+        # Array-resident slot state: row i belongs to self._slots[i] (None
+        # while the row is free), the rows are the leading ones, and the
+        # arrays only ever grow to the widest batch admitted (the batcher's
+        # batch_width).  Written at admission and compaction — exactly how
+        # the executor treats its membranes — so step(), which only ever
+        # sees closed rows, reads them without a per-slot Python loop.
         # _local_t: timesteps consumed; _stamped: the epoch-pinned
         # threshold, NaN where the slot follows the live policy knob;
         # _horizons: the effective timestep cap.
@@ -150,6 +158,9 @@ class InferenceEngine:
         # arrays of the real shape, and a mismatch would otherwise escape
         # admit_batch's guard and take down the whole worker.
         self._sample_shape: Optional[Tuple[int, ...]] = None
+        # Admission frame buffer (aligned-stem path): a round's inputs are
+        # copied straight into it, cast to float32 on the way.
+        self._frames: Optional[np.ndarray] = None
         # (capacity, num_classes) once the first logits fix width and dtype.
         self._running_sum: Optional[np.ndarray] = None
         # Work counters: the serving benchmark compares these against the
@@ -163,11 +174,11 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     @property
     def active_count(self) -> int:
-        return len(self._slots)
+        return len(self._slots) - len(self._free)
 
     @property
     def idle(self) -> bool:
-        return not self._slots
+        return len(self._slots) == len(self._free)
 
     @property
     def fast_path(self) -> bool:
@@ -201,6 +212,11 @@ class InferenceEngine:
         the request alone (fresh zero membranes, per-slot timestep counters,
         deterministic encoding — per-sample batch invariance).
 
+        Placement is one rule on both engine paths: the round's first
+        requests take the free rows (retired, not yet closed) in ascending
+        order, written in place; the rest are appended behind the last row.
+        A rejected round places nothing, so the free rows stay free.
+
         Batching matters on bursty traffic: state extension (`running_sum`,
         executor membranes / Tensor-path LIF rows) happens **once** per call
         instead of once per request, and under direct encoding the whole
@@ -209,7 +225,8 @@ class InferenceEngine:
         request stays flat in the burst size.  The stem rows are replayed
         from cache for every subsequent :meth:`step` of each slot's
         lifetime; the Tensor oracle (``use_runtime=False``) performs the
-        same splice through :meth:`SpikingNetwork.extend_state`.
+        same splice through :meth:`SpikingNetwork.reset_state_rows` and
+        :meth:`SpikingNetwork.extend_state`.
 
         The first round on an unpinned engine fixes the served sample shape,
         and only after the model's compiled plan has proved its encoded
@@ -281,10 +298,12 @@ class InferenceEngine:
                         f"(got {type(encoder).__name__}); time-varying "
                         "encoders use the keyed stem memo instead"
                     )
-                inputs = np.stack(
-                    [request.inputs for request, _, _ in admissions]
-                ).astype(np.float32, copy=False)
-                frames = encoder(inputs, 0).data
+                inputs = self._frames
+                if inputs is None or inputs.shape[0] < count or inputs.shape[1:] != expected:
+                    inputs = self._frames = np.empty((count,) + expected, dtype=np.float32)
+                for row, (request, _, _) in enumerate(admissions):
+                    inputs[row] = request.inputs
+                frames = encoder(inputs[:count], 0).data
         except Exception as error:
             # Exception, not BaseException: KeyboardInterrupt/SystemExit must
             # shut the process down, not get absorbed as a round rejection.
@@ -298,11 +317,21 @@ class InferenceEngine:
                 response.set_exception(clone_exception(rejection))
             raise rejection
         self._sample_shape = expected
-        live = len(self._slots)
-        self._reserve(live + count)
-        self._local_t[live:live + count] = 0
+        # Place the round: free rows first, ascending, the rest behind the
+        # last row.  Both engine paths place through this one rule — a
+        # row's score depends on its position (docs/NUMERICS.md).
+        slots, free = self._slots, self._free
+        placed = free[:count]
+        recycled = len(placed)
+        appended = count - recycled
+        del free[:recycled]
+        placed.extend(range(len(slots), len(slots) + appended))
+        slots.extend([None] * appended)
+        self._reserve(len(slots))
+        rows = np.array(placed)
+        self._local_t[rows] = 0
         if self._running_sum is not None:
-            self._running_sum[live:live + count] = 0
+            self._running_sum[rows] = 0
         # A slot carrying a ThresholdEpoch runs under its *stamped*
         # threshold/horizon instead of the live knob (brown-out, replay
         # pinning), so the recorded value is the deciding one by
@@ -311,10 +340,10 @@ class InferenceEngine:
         # distinct epoch, not once per request.
         stamped, horizons = self._stamped, self._horizons
         resolved, threshold, horizon = None, np.nan, self.max_timesteps
-        for row, ((request, response, start_time), stem_key) in enumerate(
-            zip(admissions, stem_keys), start=live
+        for row, (request, response, start_time), stem_key in zip(
+            placed, admissions, stem_keys
         ):
-            self._slots.append(_Slot(request, response, start_time, stem_key))
+            slots[row] = _Slot(request, response, start_time, stem_key)
             epoch = request.epoch
             if epoch is not resolved:
                 resolved, threshold, horizon = epoch, np.nan, self.max_timesteps
@@ -326,9 +355,10 @@ class InferenceEngine:
             stamped[row] = threshold
             horizons[row] = horizon
         if self._executor is not None:
-            self._executor.extend_rows(count, frames=frames)
+            self._executor.extend_rows(count, frames=frames, recycle=rows[:recycled])
         else:
-            self.model.extend_state(count)
+            self.model.reset_state_rows(rows[:recycled])
+            self.model.extend_state(appended)
 
     def _reserve(self, rows: int) -> None:
         """Grow the slot-state arrays to ``rows`` rows, keeping their contents."""
@@ -379,9 +409,11 @@ class InferenceEngine:
         """
         failed = 0
         for slot in self._slots:
-            slot.response.set_exception(clone_exception(exception))
-            failed += 1
+            if slot is not None:
+                slot.response.set_exception(clone_exception(exception))
+                failed += 1
         self._slots = []
+        self._free = []
         self._running_sum = None
         # The shape pin exists to protect residual executor arrays from a
         # wrong-shaped idle-engine admission; the teardown below wipes those
@@ -444,7 +476,13 @@ class InferenceEngine:
         return np.stack(rows).astype(np.float32, copy=False), keys
 
     def step(self) -> List[CompletedSample]:
-        """Advance all occupied slots one timestep; return completed requests."""
+        """Advance all occupied slots one timestep; return completed requests.
+
+        Rows no admission took since the last step (an open-loop lull, a
+        drain) are compacted out first: everything below reads live rows only.
+        """
+        if self._free:
+            self._close_free_rows()
         active = len(self._slots)
         if not active:
             return []
@@ -501,8 +539,11 @@ class InferenceEngine:
 
     def _retire(self, exit_now: np.ndarray, cumulative: np.ndarray,
                 scores: np.ndarray, thresholds: np.ndarray) -> List[CompletedSample]:
-        """Complete the rows in ``exit_now``; move the survivors' state forward.
+        """Complete the rows in ``exit_now`` and mark them free; nothing moves.
 
+        The retired slots' references are dropped here (a finished request's
+        inputs must not stay pinned by an idle engine); the rows themselves
+        wait for the next :meth:`admit_batch` or :meth:`step`.
         ``thresholds`` holds each row's *effective* threshold — stamped, or
         the live knob as read before the decision; NaN where neither exists
         — so the recorded value is provably the deciding one.
@@ -517,7 +558,8 @@ class InferenceEngine:
         scores = scores.tolist()
         thresholds = thresholds.tolist()
         completed: List[CompletedSample] = []
-        for row in exit_now.nonzero()[0].tolist():
+        retired = exit_now.nonzero()[0].tolist()
+        for row in retired:
             slot = slots[row]
             epoch = slot.request.epoch
             threshold = thresholds[row]
@@ -531,13 +573,20 @@ class InferenceEngine:
                 False if epoch is None else epoch.brownout,
                 horizons[row],
             ))
-        keep = ~exit_now
+            slots[row] = None
+        self._free = retired
+        return completed
+
+    def _close_free_rows(self) -> None:
+        """Compact out the rows nobody took, in place, survivors' order kept."""
+        keep = np.ones(len(self._slots), dtype=bool)
+        keep[self._free] = False
         kept = keep.nonzero()[0]
-        self._slots = [slots[row] for row in kept.tolist()]
+        self._slots = [slot for slot in self._slots if slot is not None]
+        self._free = []
         for state in (self._local_t, self._stamped, self._horizons, self._running_sum):
             state[: kept.size] = state[kept]
         if self._executor is not None:
             self._executor.compact_rows(keep)
         else:
             self.model.compact_state(keep)
-        return completed

@@ -109,6 +109,11 @@ def test_engine_decides_once_per_step_like_the_two_call_form(
         for index, (pin, cap) in enumerate(knobs)
     ]
     live_ids, elapsed = [], [0] * len(knobs)
+    # The engine's row rule, mirrored: a retired row stays where it is, free
+    # (None); an admission round takes the free rows in ascending order and
+    # appends the rest; rows still free when a step starts are closed first,
+    # order preserved.
+    slot_rows = []
 
     def effective(index):
         pin, cap = knobs[index]
@@ -118,9 +123,14 @@ def test_engine_decides_once_per_step_like_the_two_call_form(
     def admit(round_):
         engine.admit_batch(round_)
         live_ids.extend(request.request_id for request, _, _ in round_)
+        free = [row for row, index in enumerate(slot_rows) if index is None]
+        for row, (request, _, _) in zip(free, round_):
+            slot_rows[row] = request.request_id
+        slot_rows.extend(request.request_id for request, _, _ in round_[len(free):])
 
     def step():
-        rows = list(live_ids)  # slot order: admission order, compacted in place
+        slot_rows[:] = [index for index in slot_rows if index is not None]
+        rows = list(slot_rows)  # slot order: the row rule above
         completed = {s.request.request_id: s for s in engine.step()}
         if not rows:
             assert not completed
@@ -146,6 +156,7 @@ def test_engine_decides_once_per_step_like_the_two_call_form(
             assert sample.threshold == threshold
             assert sample.horizon == horizon
             live_ids.remove(index)
+            slot_rows[slot_rows.index(index)] = None
 
     # Two admission rounds, the second landing mid-horizon.
     admit(admissions[:first_burst])

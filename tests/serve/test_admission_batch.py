@@ -218,9 +218,9 @@ class TestAdmissionCostRegression:
         extension_rounds = []
         original = PlanExecutor.extend_rows
 
-        def counting_extend(self, count, frames=None):
+        def counting_extend(self, count, frames=None, recycle=None):
             extension_rounds.append(count)
-            return original(self, count, frames=frames)
+            return original(self, count, frames=frames, recycle=recycle)
 
         monkeypatch.setattr(PlanExecutor, "extend_rows", counting_extend)
 
