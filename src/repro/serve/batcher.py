@@ -13,16 +13,16 @@ DT-SNN's average-timestep reduction turns into requests/second.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.accounting import InferenceCostModel
 from .controller import AdaptiveThresholdController
 from .engine import AdmissionRejectedError, CompletedSample, InferenceEngine
-from .request import AdmissionQueue, RequestResult
+from .request import AdmissionQueue, Request, RequestResult, Response, clone_exception
 from .storm import DeadlineExceededError
 from .telemetry import Telemetry
 
-__all__ = ["ContinuousBatcher", "complete_round", "price_request"]
+__all__ = ["ContinuousBatcher", "complete_round", "fail_round", "price_request"]
 
 
 def price_request(
@@ -106,6 +106,57 @@ def complete_round(
     return results
 
 
+def fail_round(
+    failed: Sequence[Tuple[Request, Optional[Response]]],
+    error: BaseException,
+    reason: str,
+    clock: Callable[[], float],
+    telemetry: Telemetry,
+    trace=None,
+    spans=None,
+) -> None:
+    """Count, record and fail one round of requests — THE failure chain,
+    beside :func:`complete_round` and called by every path that fails a
+    request: the door, the dispatch rounds, the replica pool, shutdown.
+
+    The order is fixed here and nowhere else: one clock read → the
+    telemetry writer ``reason`` names → a WAL ``reject`` line per request →
+    ``spans.record_failure`` → futures LAST, each with its own clone of
+    ``error`` (concurrent waiters must not re-raise one shared instance).
+    So the completion rule holds for failures too: *a failed future's
+    counter, span and flushed WAL line already exist*.  A pair whose
+    response is ``None`` is a door refusal: the caller raises to the client.
+
+    ``reason`` is one of ``"rejected"`` (queue full, engine rejection,
+    oversize ring frame, relayed or ring-integrity error; its WAL line
+    carries no ``reason`` key), ``"storm"``, ``"deadline"`` or ``"shed"``
+    (abort, worker or replica crash, failed start: accepted work nobody
+    will serve).  Callers hold no named lock.
+    """
+    if not failed:
+        return
+    now = clock()
+    if reason == "rejected":
+        telemetry.record_rejection(len(failed))
+    elif reason == "shed":
+        telemetry.record_shed(len(failed))
+    else:
+        by_class = {"storm": telemetry.record_storm_shed,
+                    "deadline": telemetry.record_deadline_drop}[reason]
+        for request, _ in failed:
+            by_class(request.priority)
+    if trace is not None:
+        logged = None if reason == "rejected" else reason
+        for request, _ in failed:
+            trace.record_rejection(request, now, logged)
+    if spans is not None:
+        for request, _ in failed:
+            spans.record_failure(request.request_id, now, error)
+    for _, response in failed:
+        if response is not None:
+            response.set_exception(clone_exception(error))
+
+
 class ContinuousBatcher:
     """Runs one engine at a fixed maximum width against an admission queue.
 
@@ -185,46 +236,37 @@ class ContinuousBatcher:
         # The round's one clock reading: the instant deadlines are compared
         # against, the one a drop records, and every admission's start time.
         now = self.clock()
-        admissions = []
+        admissions, expired = [], []
         for request, response in drained:
             # Deadline enforcement happens here, at dispatch: a request that
             # waited out its deadline in the queue is dropped before it can
             # occupy an engine slot — spending timesteps on an answer whose
             # client already gave up only deepens the backlog.
             if request.deadline is not None and now > request.deadline:
-                error = DeadlineExceededError(
-                    f"request {request.request_id} missed its deadline "
-                    f"before dispatch"
-                )
-                self.telemetry.record_deadline_drop(request.priority)
-                if self.trace is not None:
-                    self.trace.record_rejection(request, now, reason="deadline")
-                if self.spans is not None:
-                    self.spans.record_failure(request.request_id, now, error)
-                response.set_exception(error)
+                expired.append((request, response))
                 continue
             admissions.append((request, response, now))
+        if expired:
+            self._fail(expired, DeadlineExceededError(
+                "request missed its deadline before dispatch"), "deadline", now)
         try:
             self.engine.admit_batch(admissions)
         except AdmissionRejectedError as error:
-            # The engine rejected the round before mutating any state and
-            # already resolved every future in it with the error, so one
-            # malformed request costs its own round — not the worker, the
-            # in-flight neighbours, or the server's admission queue.
+            # The engine rejected the round before mutating any state, so
+            # one malformed request costs its own round — not the worker,
+            # the in-flight neighbours, or the server's admission queue.
+            # These requests already left the queue: failing them here is
+            # the only way their clients ever hear about it.
             self.rejected_rounds += 1
-            # Every rejection must still be ACCOUNTED: request conservation
-            # (submitted == completed + rejected + shed + deadline_drops)
-            # holds only if each failed future lands in exactly one counter,
-            # and the WAL/span record is what lets a trace consumer see the
-            # rejection at all.
-            for request, _, _ in admissions:
-                self.telemetry.record_rejection()
-                if self.trace is not None:
-                    self.trace.record_rejection(request, now)
-                if self.spans is not None:
-                    self.spans.record_failure(request.request_id, now, error)
+            self._fail([admission[:2] for admission in admissions], error,
+                       "rejected", now)
             return 0
         return len(admissions)
+
+    def _fail(self, failed, error: BaseException, reason: str, now: float) -> None:
+        # Recorded at the fill round's one reading, not a second one.
+        fail_round(failed, error, reason, lambda: now, self.telemetry,
+                   self.trace, self.spans)
 
     # ------------------------------------------------------------------ #
     def advance(self, wait_timeout: Optional[float] = None) -> List[CompletedSample]:

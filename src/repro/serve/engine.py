@@ -38,7 +38,7 @@ from ..core.policies import ExitPolicy
 from ..runtime import executor_for, plan_for
 from ..snn.encoding import DirectEncoder
 from ..snn.network import SpikingNetwork
-from .request import Request, Response, clone_exception
+from .request import Request, Response
 
 __all__ = ["AdmissionRejectedError", "CompletedSample", "InferenceEngine"]
 
@@ -47,11 +47,11 @@ class AdmissionRejectedError(RuntimeError):
     """A whole admission round was rejected *before any state mutation*.
 
     Raised by :meth:`InferenceEngine.admit_batch` when validation fails
-    (shape mismatch against the live batch, encoder precondition).  Two
-    guarantees let callers keep serving: the engine's state is untouched
-    (no slots, no membrane rows), and every future in the rejected round has
-    already been resolved with this error — which is why
-    :class:`~repro.serve.ContinuousBatcher` absorbs it instead of
+    (shape mismatch against the live batch, encoder precondition).  The
+    engine's state is untouched (no slots, no membrane rows) and so is every
+    future in the round: the caller fails them — the
+    :class:`~repro.serve.ContinuousBatcher` through
+    :func:`~repro.serve.batcher.fail_round`, then keeps serving instead of
     fail-stopping the worker.  The original error is chained as
     ``__cause__``.
     """
@@ -242,9 +242,7 @@ class InferenceEngine:
         # Validate and encode BEFORE touching any engine state, so a raise
         # here (wrong encoder type, heterogeneous input shapes) leaves the
         # engine consistent — no slots without matching state rows.  The
-        # whole drained round fails together: these requests were already
-        # popped from the queue, so resolving their futures with the error
-        # is the only way their clients ever hear about it.
+        # whole round is rejected together; its futures are the caller's.
         try:
             # Shape homogeneity holds on EVERY path (oracle and event
             # encoders stack lazily at step() time, where a mismatch would
@@ -307,15 +305,9 @@ class InferenceEngine:
         except Exception as error:
             # Exception, not BaseException: KeyboardInterrupt/SystemExit must
             # shut the process down, not get absorbed as a round rejection.
-            rejection = AdmissionRejectedError(
+            raise AdmissionRejectedError(
                 f"admission round of {count} rejected: {error}"
-            )
-            rejection.__cause__ = error
-            for _, response, _ in admissions:
-                # Per-future clone: concurrent result() callers re-raise the
-                # stored exception and would race on one shared traceback.
-                response.set_exception(clone_exception(rejection))
-            raise rejection
+            ) from error
         self._sample_shape = expected
         # Place the round: free rows first, ascending, the rest behind the
         # last row.  Both engine paths place through this one rule — a
@@ -395,8 +387,10 @@ class InferenceEngine:
             self.stem_hash_count += 1
         return request.clip_digest()
 
-    def fail_active(self, exception: BaseException) -> int:
-        """Abort every in-flight request (non-graceful shutdown).
+    def fail_active(self) -> List[Tuple[Request, Response]]:
+        """Abort every in-flight request (non-graceful shutdown): returns the
+        ``(request, response)`` pairs it removed, futures untouched — the
+        caller fails them (:func:`~repro.serve.batcher.fail_round`).
 
         Only this engine's *own* state is torn down: its slots, running sums
         and executor rows (membranes + aligned stem).  On the fast path the
@@ -407,11 +401,8 @@ class InferenceEngine:
         memo also survives: its entries are pure functions of frozen weights
         and frame bytes, never of slot state.
         """
-        failed = 0
-        for slot in self._slots:
-            if slot is not None:
-                slot.response.set_exception(clone_exception(exception))
-                failed += 1
+        failed = [(slot.request, slot.response) for slot in self._slots
+                  if slot is not None]
         self._slots = []
         self._free = []
         self._running_sum = None

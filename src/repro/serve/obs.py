@@ -139,8 +139,9 @@ class SpanTracker:
     ) -> None:
         """Stamp the terminal stage of a FAILED request.
 
-        Every failure path (deadline drop, admission rejection, replica
-        crash, shutdown shed) must land here: a request that already got a
+        Every failure path (door refusal, deadline drop, admission
+        rejection, replica crash, shutdown shed) lands here through
+        :func:`~repro.serve.batcher.fail_round`: a request that already got a
         ``queued``/``dispatched`` stamp would otherwise sit in the tracker
         as a dangling open span until capacity eviction, and "no open spans
         after drain" is the invariant the conservation suite leans on.  The

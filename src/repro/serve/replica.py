@@ -93,7 +93,7 @@ from ..runtime.rings import (
     attach_rings,
 )
 from ..snn.network import SpikingNetwork
-from .batcher import ContinuousBatcher, complete_round
+from .batcher import ContinuousBatcher, complete_round, fail_round
 from .controller import AdaptiveThresholdController
 from .engine import AdmissionRejectedError, CompletedSample, InferenceEngine
 from .request import (
@@ -102,7 +102,6 @@ from .request import (
     Response,
     ServerClosedError,
     ThresholdEpoch,
-    clone_exception,
 )
 from .storm import DeadlineExceededError
 from .telemetry import Telemetry
@@ -169,8 +168,8 @@ class _RelayResponse:
 
     In a replica nobody waits on a future and nothing resolves one: retired
     samples leave through the completion ring for the parent's sink.  Only
-    failures (admission rejections) land here, captured for the main loop
-    to relay — so the stand-in allocates no ``threading.Event``.
+    failures (admission rejections, through the child batcher's
+    ``fail_round``) land here, captured for the main loop to relay.
     """
 
     __slots__ = ("_request_id", "_outbox")
@@ -629,7 +628,8 @@ class ReplicaPool:
         self._retired = True
 
     def abort(self) -> None:
-        """Non-graceful stop: kill the replicas, fail their in-flight work."""
+        """Non-graceful stop: kill the replicas, fail their in-flight work
+        and everything still queued (:class:`ServerClosedError`, shed)."""
         if self._retired:
             return
         self._aborting = True
@@ -654,8 +654,7 @@ class ReplicaPool:
         self._finished.set()
         if self._collector is not None:
             self._collector.join(5.0)
-        with self._lock:
-            self._fail_stranded_locked()
+        self._fail_stranded()
         if self._monitor is None:
             # Aborting a fleet whose monitor never started (spawn failure
             # mid-start): nobody else will release the spawned processes'
@@ -751,38 +750,26 @@ class ReplicaPool:
         """Deadline enforcement stays parent-side (one clock domain): a
         request that waited out its deadline in the shared queue is dropped
         here, before it costs a slab slot and a cross-process round trip."""
-        kept = []
+        kept, expired = [], []
         now = self.clock()
-        for request, response in batch:
-            if request.deadline is None or now <= request.deadline:
-                kept.append((request, response))
-                continue
-            error = DeadlineExceededError(
-                f"request {request.request_id} missed its deadline before dispatch"
-            )
-            self.telemetry.record_deadline_drop(request.priority)
-            if self.trace is not None:
-                self.trace.record_rejection(request, now, reason="deadline")
-            if self.spans is not None:
-                self.spans.record_failure(request.request_id, now, error)
-            response.set_exception(error)
-            self._window_sems[index].release()
+        for pair in batch:
+            deadline = pair[0].deadline
+            if deadline is None or now <= deadline:
+                kept.append(pair)
+            else:
+                expired.append(pair)
+        if expired:
+            self._fail(expired, DeadlineExceededError(
+                "request missed its deadline before dispatch"), "deadline")
+            self._window_sems[index].release(len(expired))
         return kept
 
-    def _reject(self, request: Request, response: Response, text: str) -> None:
-        """Refuse one request the way the thread-mode door does
-        (``Server.submit``'s rejection path): without these records replica
-        mode under-counts vs. thread mode and request conservation
-        (submitted == completed + rejected + shed + deadline_drops)
-        silently breaks."""
-        error = AdmissionRejectedError(text)
-        now = self.clock()
-        self.telemetry.record_rejection()
-        if self.trace is not None:
-            self.trace.record_rejection(request, now)
-        if self.spans is not None:
-            self.spans.record_failure(request.request_id, now, error)
-        response.set_exception(error)
+    def _fail(self, failed, error: BaseException, reason: str) -> None:
+        """:func:`~repro.serve.batcher.fail_round` with this pool's sinks —
+        never under ``self._lock``: casualties leave the pool-lock section
+        first, so no sink's lock is ever taken inside it."""
+        fail_round(failed, error, reason, self.clock, self.telemetry,
+                   self.trace, self.spans)
 
     def _publish(self, index: int, batch: List[Tuple[Request, Response]]) -> bool:
         """Write the round's frames, register it, ship its tickets.  False
@@ -797,12 +784,11 @@ class ReplicaPool:
         for request, response in batch:
             ticket = writer.try_write(request.inputs)
             if ticket is None:
-                self._reject(
-                    request, response,
+                self._fail([(request, response)], AdmissionRejectedError(
                     f"request {request.request_id} frame of "
                     f"{request.inputs.nbytes} bytes exceeds the replica ring's "
                     f"slot capacity of {writer.spec.slot_bytes} bytes",
-                )
+                ), "rejected")
                 self._window_sems[index].release()
             else:
                 entries.append((request, response, ticket))
@@ -859,28 +845,29 @@ class ReplicaPool:
         or, during drain, fail them typed."""
         for _, _, ticket in entries:
             self._ring_writers[index].release(ticket[0])
+        pairs = [entry[:2] for entry in entries]
         with self._lock:
-            if self.queue.closed:
-                # Crash during drain: the surviving forwarders have (or soon
-                # will have) sent their drain sentinels and exited, so
-                # nobody is left to pop a re-pooled round — fail it typed
-                # instead of stranding it.  The round holds this replica's
-                # own window permits, so the total loss stays within its
-                # in-flight window.
-                self._shed(
-                    [entry[:2] for entry in entries],
-                    ReplicaCrashError(f"replica {index} crashed during drain "
-                                      f"before its last round was dispatched"),
-                )
-            else:
-                # Lost the race with a crash mid-traffic: hand the requests
-                # back to the pool so a surviving replica serves them.  If
-                # the monitor's last-replica cleanup already ran (or runs
-                # concurrently), nobody will ever pop the pool again —
-                # re-check and fail the strays ourselves.
-                self._overflow.extend(entry[:2] for entry in entries)
-                if self._live == 0 or self._aborting:
-                    self._fail_stranded_locked()
+            draining = self.queue.closed and not self._aborting
+            if not draining:
+                # Lost the race with a crash mid-traffic (or with an abort):
+                # hand the requests back to the pool so a surviving replica
+                # serves them — or the abort fails them with its own error.
+                self._overflow.extend(pairs)
+                stranded = self._live == 0 or self._aborting
+        if draining:
+            # Crash during drain: the surviving forwarders have (or soon
+            # will have) sent their drain sentinels and exited, so nobody
+            # is left to pop a re-pooled round — fail it typed instead of
+            # stranding it.  The round holds this replica's own window
+            # permits, so the total loss stays within its in-flight window.
+            self._fail(pairs, ReplicaCrashError(
+                f"replica {index} crashed during drain before its last round "
+                f"was dispatched"), "shed")
+        elif stranded:
+            # The monitor's last-replica cleanup already ran (or runs
+            # concurrently): nobody will ever pop the pool again, so fail
+            # the strays ourselves.
+            self._fail_stranded()
 
     # ------------------------------------------------------------------ #
     # Completion (single collector thread)
@@ -964,8 +951,9 @@ class ReplicaPool:
             relayed = message[2]
             entries = self._pop_round(index, [request_id for request_id, _ in relayed])
             for entry, (_, text) in zip(entries, relayed):
+                # Accounted exactly like a thread-mode engine rejection.
                 if entry is not None:
-                    self._reject(entry[0], entry[1], text)
+                    self._fail([entry[:2]], AdmissionRejectedError(text), "rejected")
         elif kind == _MSG_READY:
             with self._lock:
                 self._rebound[index] = int(message[2])
@@ -1040,59 +1028,36 @@ class ReplicaPool:
                 # (moot for a dead replica, but the free list must balance
                 # for the bookkeeping invariants).
                 self._ring_writers[index].release(slot)
-            self._shed([entry[:2] for entry in inflight], error)
+            self._fail([entry[:2] for entry in inflight], error, "shed")
         # Unblock the forwarder so it can observe the dead flag and exit.
         self._window_sems[index].release(self.window)
         self.arena.release()
         if live == 0 and not self._aborting:
-            # Nobody left to serve: close the door and resolve every queued
+            # Nobody left to serve: close the door and fail every queued
             # future so no client blocks forever.  On a graceful drain the
-            # queue is already closed and empty and both calls no-op.
+            # queue is already closed and empty and this no-ops.
             self.queue.close()
-            with self._lock:
-                self._fail_stranded_locked()
-            failed = self.queue.drain_pending(
-                ReplicaCrashError("all serving replicas exited while work was queued")
-                if self._crashed
-                else None
-            )
-            if failed:
-                self.telemetry.record_shed(failed)
+            self._fail_stranded()
 
-    def _stranded_error(self) -> BaseException:
-        if self._aborting:
-            return ServerClosedError("server shut down")
-        if self._crashed:
-            return ReplicaCrashError(
-                "all serving replicas exited while work was queued"
-            )
-        return ServerClosedError("server shut down before serving")
+    def _fail_stranded(self) -> None:
+        """Fail every re-pooled or queued request nobody is left to serve.
 
-    def _fail_stranded_locked(self) -> None:
-        """Resolve every re-pooled request nobody is left to serve.
-
-        Caller holds ``self._lock``.  Runs from whichever side loses the
-        crash race last — the monitor's last-replica cleanup or a forwarder
-        re-pooling a popped batch after its replica died — and from
-        :meth:`abort`; popping under the lock makes the duplicate calls
-        safe.
+        Runs from whichever side loses the crash race last — the monitor's
+        last-replica cleanup or a forwarder re-pooling a popped batch after
+        its replica died — and from :meth:`abort`.  The casualties are
+        popped (under the pool lock, then the queue's), so the duplicate
+        calls are safe, and failed after both sections are left.
         """
-        stranded = list(self._overflow)
-        self._overflow.clear()
-        self._shed(stranded, self._stranded_error())
-
-    def _shed(self, casualties: List[Tuple[Request, Response]],
-              error: BaseException) -> None:
-        """Fail requests nobody will serve: a clone of ``error`` per future
-        (their waiters re-raise concurrently and must not share one
-        traceback), a terminal span each, one ``shed`` count."""
-        now = self.clock()
-        for request, response in casualties:
-            response.set_exception(clone_exception(error))
-            if self.spans is not None:
-                self.spans.record_failure(request.request_id, now, error)
-        if casualties:
-            self.telemetry.record_shed(len(casualties))
+        with self._lock:
+            stranded = list(self._overflow)
+            self._overflow.clear()
+        stranded += self.queue.drain_pending()
+        if self._crashed and not self._aborting:
+            error: BaseException = ReplicaCrashError(
+                "all serving replicas exited while work was queued")
+        else:
+            error = ServerClosedError("server shut down")
+        self._fail(stranded, error, "shed")
 
 
 def _close_ends(ends) -> None:

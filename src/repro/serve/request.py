@@ -17,7 +17,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -443,22 +443,13 @@ class AdmissionQueue:
             self._not_empty.notify_all()
             self._not_full.notify_all()
 
-    def drain_pending(self, error: Optional[BaseException] = None) -> int:
-        """Fail every queued request (non-graceful shutdown); returns the count.
-
-        ``error`` overrides the default :class:`QueueClosedError` so callers
-        can surface *why* the queue died (e.g. a typed replica-crash error
-        when the last serving process exits with work still queued).
-        """
-        if error is None:
-            error = QueueClosedError("server shut down before serving")
+    def drain_pending(self) -> List[Tuple[Request, Response]]:
+        """Remove every queued request (non-graceful shutdown) and return
+        the ``(request, response)`` pairs, futures untouched: the caller
+        fails them (:func:`~repro.serve.batcher.fail_round`) outside the
+        queue lock, with the error that says *why* the queue died."""
         with self._lock:
-            failed = 0
-            while self._items:
-                _, response = self._items.popleft()
-                # Per-future clone: concurrent result() callers must not
-                # re-raise (and mutate the traceback of) one shared object.
-                response.set_exception(clone_exception(error))
-                failed += 1
+            drained = list(self._items)
+            self._items.clear()
             self._not_full.notify_all()
-            return failed
+        return drained

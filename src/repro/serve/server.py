@@ -33,7 +33,7 @@ import numpy as np
 from ..core.accounting import InferenceCostModel
 from ..core.policies import ExitPolicy
 from ..snn.network import SpikingNetwork
-from .batcher import ContinuousBatcher
+from .batcher import ContinuousBatcher, fail_round
 from .controller import AdaptiveThresholdController
 from .engine import InferenceEngine
 from .replica import ReplicaPool
@@ -270,11 +270,11 @@ class Server:
                         "process tracebacks on stderr"
                     )
             except BaseException:
+                # abort() also fails what a concurrent submitter slipped
+                # into the queue after _started flipped, shed like any
+                # other shutdown casualty.
                 self.queue.close()
                 self.replicas.abort()
-                # Anything a concurrent submitter slipped into the queue
-                # after _started flipped must not strand its client.
-                self.queue.drain_pending()
                 raise
             return self
         for index, batcher in enumerate(self.batchers):
@@ -296,10 +296,9 @@ class Server:
             # clients see the error instead of hanging until their timeout.
             failure = ServerClosedError(f"serving worker crashed: {error!r}")
             failure.__cause__ = error
-            shed = batcher.engine.fail_active(failure)
+            casualties = batcher.engine.fail_active()
             self.queue.close()
-            shed += self.queue.drain_pending()
-            self.telemetry.record_shed(shed)
+            self._fail(casualties + self.queue.drain_pending(), failure, "shed")
             # Visible without raising out of the thread: the traceback goes
             # to stderr and the error stays readable on the server.
             traceback.print_exc()
@@ -332,19 +331,18 @@ class Server:
         self.queue.close()
         if self.replicas is not None:
             self.replicas.abort()
-            self.telemetry.record_shed(self.queue.drain_pending())
-            if self.trace is not None:
-                self.trace.flush()
             return
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout)
-        shed = self.queue.drain_pending()
+        casualties = self.queue.drain_pending()
         for batcher in self.batchers:
-            shed += batcher.engine.fail_active(ServerClosedError("server shut down"))
-        self.telemetry.record_shed(shed)
-        if self.trace is not None:
-            self.trace.flush()
+            casualties += batcher.engine.fail_active()
+        self._fail(casualties, ServerClosedError("server shut down"), "shed")
+
+    def _fail(self, failed, error: BaseException, reason: str) -> None:
+        fail_round(failed, error, reason, self.clock, self.telemetry,
+                   self.trace, self.spans)
 
     def refresh_replicas(self) -> int:
         """Propagate an in-place weight reload (``load_state_dict``) to the
@@ -406,12 +404,8 @@ class Server:
             self.storm.observe()
             try:
                 self.storm.admit(request.priority)
-            except StormShedError:
-                self.telemetry.record_storm_shed(request.priority)
-                if self.trace is not None:
-                    self.trace.record_rejection(
-                        request, self.clock(), reason="storm"
-                    )
+            except StormShedError as error:
+                self._fail([(request, None)], error, "storm")
                 raise
         # Stamp the epoch AFTER the admission gate: the stamped knobs are the
         # ones in force at the instant this request enters the system.
@@ -433,10 +427,8 @@ class Server:
         )
         try:
             self.queue.put(request, response, block=block, timeout=timeout)
-        except QueueFullError:
-            self.telemetry.record_rejection()
-            if self.trace is not None:
-                self.trace.record_rejection(request, self.clock())
+        except QueueFullError as error:
+            self._fail([(request, None)], error, "rejected")
             raise
         except QueueClosedError as error:
             raise ServerClosedError(str(error)) from error

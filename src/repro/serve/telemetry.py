@@ -115,9 +115,9 @@ class Telemetry:
         with self._lock:
             self._occupancies.append(active / width if width else 0.0)
 
-    def record_rejection(self) -> None:
+    def record_rejection(self, count: int = 1) -> None:
         with self._lock:
-            self._rejected += 1
+            self._rejected += int(count)
 
     def record_shed(self, count: int = 1) -> None:
         """Requests failed *after* admission (abort/crash drain), as opposed

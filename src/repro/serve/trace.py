@@ -397,11 +397,15 @@ class TraceRecorder:
 
     def record_rejection(self, request: Request, timestamp: float,
                          reason: Optional[str] = None) -> None:
-        """Record one shed/rejected submission.
+        """Record one failed request (written by
+        :func:`~repro.serve.batcher.fail_round` only).
 
-        ``reason`` distinguishes the shed paths: ``None``/"queue" for
-        queue-full backpressure, "storm" for storm-guard class sheds,
-        "deadline" for deadline-expired dispatch drops.
+        ``reason`` names the failure path: ``None`` for a rejection (queue
+        full, engine rejection, oversize ring frame, relayed or
+        ring-integrity error — the line carries no ``reason`` key),
+        "storm" for storm-guard class sheds, "deadline" for
+        deadline-expired dispatch drops, "shed" for accepted work nobody
+        will serve (abort, worker or replica crash, failed start).
         """
         digest = request.clip_digest()
         with self._lock:

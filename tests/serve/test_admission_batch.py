@@ -32,7 +32,9 @@ from repro.serve import (
     InferenceEngine,
     Request,
     Response,
+    Telemetry,
 )
+from repro.serve.batcher import fail_round
 from repro.snn import SpikingNetwork, spiking_vgg
 from repro.snn.encoding import DirectEncoder, EventFrameEncoder
 from repro.utils import seed_everything
@@ -284,9 +286,11 @@ class TestAlignedStemPrecondition:
             engine.step()
 
     def test_failed_admission_round_resolves_every_future(self):
-        """A raise during admission validation must fail the whole drained
-        round's futures — those requests already left the queue, so leaving
-        them pending would strand their clients until timeout."""
+        """A raise during admission validation rejects the whole drained
+        round and leaves its futures to the caller; the batcher's
+        ``fail_round`` then fails every one of them — those requests already
+        left the queue, so leaving them pending would strand their clients
+        until timeout."""
         engine = InferenceEngine(
             _build("direct"), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
             use_runtime=True,
@@ -298,9 +302,14 @@ class TestAlignedStemPrecondition:
             # Malformed shape: np.stack over the round raises.
             (Request(request_id=1, inputs=np.zeros((3, 3), dtype=np.float32)), bad, 0.0),
         ]
-        with pytest.raises(AdmissionRejectedError):
+        with pytest.raises(AdmissionRejectedError) as rejection:
             engine.admit_batch(admissions)
         assert engine.idle and engine.active_count == 0  # no orphan state
+        assert not good.done() and not bad.done()  # the engine resolves nothing
+        telemetry = Telemetry()
+        fail_round([admission[:2] for admission in admissions], rejection.value,
+                   "rejected", lambda: 0.0, telemetry)
+        assert telemetry.rejected == 2
         for response in (good, bad):
             assert response.done()
             with pytest.raises(AdmissionRejectedError):
@@ -330,7 +339,8 @@ class TestAlignedStemPrecondition:
                 Request(request_id=1, inputs=np.zeros((3, 3), dtype=np.float32)),
                 bad_response, 0.0,
             )
-        assert bad_response.done()  # its client hears about it
+        # Its client hears about it from the caller's fail_round, not here.
+        assert not bad_response.done()
         # The neighbour is untouched and finishes normally.
         assert engine.active_count == 1
         outcomes: dict = {}
@@ -362,7 +372,7 @@ class TestAlignedStemPrecondition:
                 Request(request_id=1, inputs=np.zeros((3, 5, 5), dtype=np.float32)),
                 bad_response, 0.0,
             )
-        assert bad_response.done()
+        assert not bad_response.done()  # the caller's to fail
         # The engine survives and keeps serving correctly shaped traffic.
         engine.admit(Request(request_id=2, inputs=good[1]), Response(), 0.0)
         while not engine.idle:
@@ -371,7 +381,7 @@ class TestAlignedStemPrecondition:
         # fail_active wipes the residual arrays the pin protects, so the
         # pin resets with them: a recovered engine is not chained to a
         # shape adopted before any request ever met the model.
-        engine.fail_active(RuntimeError("worker abort"))
+        assert engine.fail_active() == []
         assert engine._sample_shape is None
 
     def test_event_engine_uses_keyed_memo_not_aligned_cache(self):

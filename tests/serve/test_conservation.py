@@ -43,10 +43,14 @@ from repro.serve import (
     Request,
     Response,
     Server,
+    ServerClosedError,
     SpanTracker,
+    Telemetry,
     TraceRecorder,
     load_trace,
 )
+from repro.serve.batcher import fail_round
+from repro.serve.replica import ReplicaPool
 from repro.serve.request import clone_exception
 from repro.serve.telemetry import GAUGE_WINDOW
 from repro.snn import spiking_vgg
@@ -296,6 +300,32 @@ def test_replica_drain_ships_occupancy_and_only_the_parent_counts_failures():
     assert len(telemetry.occupancy_samples()) == GAUGE_WINDOW
 
 
+def test_a_failed_start_counts_what_it_drains(monkeypatch):
+    """A request a concurrent client queued while the replicas were coming
+    up is shed — typed like every other shutdown casualty and counted —
+    when no replica becomes ready, instead of vanishing from every counter
+    behind a ``QueueClosedError``."""
+    server = Server(
+        _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+        batch_width=2, num_replicas=1,
+    )
+    futures = []
+
+    def none_ready(self, timeout=None):
+        futures.append(server.submit(_inputs(1)[0]))
+        return 0
+
+    monkeypatch.setattr(ReplicaPool, "start", lambda self: self)
+    monkeypatch.setattr(ReplicaPool, "wait_ready", none_ready)
+    with pytest.raises(ServerClosedError, match="no serving replica"):
+        server.start()
+    (future,) = futures
+    with pytest.raises(ServerClosedError):
+        future.result(timeout=1.0)
+    assert server.telemetry.shed == 1
+    _assert_conserved(1, server.telemetry)
+
+
 # --------------------------------------------------------------------- #
 # Per-future exception instances (unit pins)
 # --------------------------------------------------------------------- #
@@ -311,12 +341,19 @@ def test_clone_exception_preserves_type_args_and_cause():
 
 
 def test_drain_pending_gives_each_future_its_own_exception():
+    """The queue hands its casualties out untouched; ``fail_round`` gives
+    each one its own instance."""
     queue = AdmissionQueue(capacity=8)
     responses = [Response() for _ in range(3)]
     for index, response in enumerate(responses):
         queue.put(Request(request_id=index, inputs=np.zeros(1)), response)
     queue.close()
-    assert queue.drain_pending(RuntimeError("shutting down")) == 3
+    drained = queue.drain_pending()
+    assert [response for _, response in drained] == responses
+    assert not any(response.done() for response in responses)
+    telemetry = Telemetry()
+    fail_round(drained, RuntimeError("shutting down"), "shed", lambda: 0.0, telemetry)
+    assert telemetry.shed == 3
     errors = []
     for response in responses:
         with pytest.raises(RuntimeError, match="shutting down"):
@@ -339,8 +376,12 @@ def test_admit_batch_rejection_gives_each_future_its_own_exception():
         (Request(request_id=0, inputs=good), Response(), 0.0),
         (Request(request_id=1, inputs=bad), Response(), 0.0),
     ]
-    with pytest.raises(AdmissionRejectedError):
+    with pytest.raises(AdmissionRejectedError) as rejection:
         engine.admit_batch(admissions)
+    # The engine resolves no future; the batcher's fail_round does.
+    assert not any(response.done() for _, response, _ in admissions)
+    fail_round([admission[:2] for admission in admissions], rejection.value,
+               "rejected", lambda: 0.0, Telemetry())
     errors = []
     for _, response, _ in admissions:
         try:
@@ -349,3 +390,6 @@ def test_admit_batch_rejection_gives_each_future_its_own_exception():
             errors.append(error)
     assert len(errors) == 2
     assert len({id(error) for error in errors}) == len(errors)
+    # Each clone keeps the validation error that caused the rejection.
+    assert all(error.__cause__ is rejection.value.__cause__ for error in errors)
+    assert isinstance(rejection.value.__cause__, ValueError)

@@ -33,7 +33,9 @@ from repro.serve import (
     Response,
     Server,
     ServerClosedError,
+    Telemetry,
 )
+from repro.serve.batcher import fail_round
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
 from repro.utils import seed_everything
@@ -256,8 +258,11 @@ class TestReplicaAbortConsistency:
 
         survivor.step()  # survivor is mid-horizon…
         doomed.step()
-        failed = doomed.fail_active(ServerClosedError("replica abort"))
-        assert failed == 3
+        failed = doomed.fail_active()
+        assert [response for _, response in failed] == doomed_responses
+        assert not any(response.done() for response in doomed_responses)
+        fail_round(failed, ServerClosedError("replica abort"), "shed",
+                   lambda: 0.0, Telemetry())
         for response in doomed_responses:
             with pytest.raises(ServerClosedError):
                 response.result(timeout=0.1)
@@ -289,7 +294,8 @@ class TestReplicaAbortConsistency:
         memo = plan_for(model).stem_cache
         entries_before = len(memo)
         assert entries_before > 0
-        engine.fail_active(ServerClosedError("abort"))
+        live = engine.active_count
+        assert len(engine.fail_active()) == live
         assert len(memo) == entries_before  # no stale-row scrubbing needed
 
         def outcomes_for(use_runtime):
@@ -321,5 +327,6 @@ class TestReplicaAbortConsistency:
         assert any(
             layer.membrane is not None for layer in model.lif_layers()
         )
-        engine.fail_active(ServerClosedError("abort"))
+        live = engine.active_count
+        assert len(engine.fail_active()) == live
         assert all(layer.membrane is None for layer in model.lif_layers())

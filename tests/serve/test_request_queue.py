@@ -13,7 +13,10 @@ from repro.serve import (
     Request,
     RequestResult,
     Response,
+    ServerClosedError,
+    Telemetry,
 )
+from repro.serve.batcher import fail_round
 
 
 def make_item(request_id=0):
@@ -91,11 +94,18 @@ class TestAdmissionQueue:
         assert queue.get(timeout=0.1) is None  # closed and empty: no blocking
 
     def test_drain_pending_fails_queued_futures(self):
+        """The queue hands out what it held, futures untouched; the caller's
+        ``fail_round`` fails them outside the queue lock."""
         queue = AdmissionQueue(capacity=4)
         _, response = make_item(0)
-        queue.put(Request(request_id=0, inputs=np.zeros(3, dtype=np.float32)), response)
-        assert queue.drain_pending() == 1
-        with pytest.raises(QueueClosedError):
+        request = Request(request_id=0, inputs=np.zeros(3, dtype=np.float32))
+        queue.put(request, response)
+        drained = queue.drain_pending()
+        assert drained == [(request, response)] and queue.depth() == 0
+        assert not response.done()
+        fail_round(drained, ServerClosedError("server shut down"), "shed",
+                   lambda: 0.0, Telemetry())
+        with pytest.raises(ServerClosedError):
             response.result(timeout=0.1)
 
     def test_invalid_capacity(self):

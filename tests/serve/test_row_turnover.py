@@ -34,8 +34,10 @@ from repro.serve import (
     Response,
     Server,
     ServerClosedError,
+    Telemetry,
     ThresholdEpoch,
 )
+from repro.serve.batcher import fail_round
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
 from repro.utils import seed_everything
@@ -337,8 +339,7 @@ class TestFreeRowsUnderHostileMoments:
                 (Request(request_id=90, inputs=inputs[0]), Response(), 0.0),
                 (Request(request_id=91, inputs=inputs[0][:, :5]), bad, 0.0),
             ])
-        with pytest.raises(AdmissionRejectedError):
-            bad.result(timeout=0.0)
+        assert not bad.done()  # the caller's fail_round fails it
         assert engine._free == free and _row_ids(engine) == rows
 
         take = second[:len(free)]
@@ -359,7 +360,14 @@ class TestFreeRowsUnderHostileMoments:
         live = engine.active_count
         assert live == WIDTH - len(retired)
 
-        assert engine.fail_active(ServerClosedError("abort")) == live
+        failed = engine.fail_active()
+        # Exactly the live requests, none resolved: the caller fails them.
+        assert sorted(request.request_id for request, _ in failed) == sorted(
+            set(responses) - retired)
+        assert [response for _, response in failed] == [
+            responses[request.request_id] for request, _ in failed]
+        assert not any(response.done() for response in responses.values())
+        fail_round(failed, ServerClosedError("abort"), "shed", lambda: 0.0, Telemetry())
         for index, response in responses.items():
             # A retired request's future belongs to the completion sink.
             assert response.done() == (index not in retired)

@@ -4,7 +4,9 @@
 Reads a WAL trace recorded with ``python -m repro.cli serve --record-trace``
 and prints a human-readable breakdown:
 
-* traffic — request count, duration, offered rate, rejection/truncation info;
+* traffic — request count, duration, offered rate, truncation info, and the
+  rejections broken down by WAL ``reason`` (rejected at the door or by an
+  engine / ``storm`` / ``deadline`` / ``shed``): why requests failed;
 * decisions — exit-timestep histogram, threshold(s), accuracy when labels
   were recorded;
 * time breakdown — queue-delay and service-time percentiles per request, the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +61,12 @@ def report(path: str, ops_json: str | None = None) -> int:
     if trace.truncated:
         print("note: truncated tail recovered (crash mid-append); totals "
               "cover the durable prefix")
+    # Why requests failed: one count per WAL ``reason`` (none = rejected).
+    reasons = Counter(line.get("reason", "rejected") for line in trace.rejections)
+    if reasons:
+        print(f"failed: {len(trace.rejections)} ("
+              + ", ".join(f"{reason} {count}" for reason, count in sorted(reasons.items()))
+              + ")")
     if not records:
         print("no request records")
         return 1
@@ -66,7 +75,7 @@ def report(path: str, ops_json: str | None = None) -> int:
     offsets = [r.arrival_offset for r in records]
     span = max(offsets) - min(offsets)
     print(f"\ntraffic: {len(records)} requests, "
-          f"{len(trace.rejections)} rejections, "
+          f"{len(trace.rejections)} failed, "
           f"arrival span {span:.3f}s"
           + (f", offered ~{len(records) / span:.1f} req/s" if span > 0 else ""))
     unique = len({r.digest for r in records})
