@@ -1,6 +1,6 @@
 """Command-line interface for the DT-SNN reproduction.
 
-Six subcommands cover the day-to-day workflow a user of the library needs
+Eight subcommands cover the day-to-day workflow a user of the library needs
 without writing Python:
 
 * ``train``      — train a spiking VGG/ResNet on one of the synthetic datasets
@@ -37,11 +37,7 @@ Example
 from __future__ import annotations
 
 import argparse
-import glob
-import os
-import signal
 import sys
-import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -65,26 +61,18 @@ from .data import (
 )
 from .imc import IMCChip, format_breakdown, format_table
 from .serve import (
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
     AdaptiveThresholdController,
     BacktestSweep,
     LoadGenerator,
     MetricsRegistry,
-    ReplicaCrashError,
     Server,
     SpanTracker,
-    StormConfig,
-    StormState,
     ThresholdSchedule,
     TraceRecorder,
     TraceReplayer,
     calibrated_threshold_bounds,
     load_trace,
-    priority_cycle,
     request_stream,
-    storm_phases,
 )
 from .snn import EventFrameEncoder, spiking_resnet, spiking_vgg
 from .training import (
@@ -198,20 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--self-test", action="store_true",
                        help="small deterministic run verifying serve-path equivalence; "
                             "exits non-zero on failure")
-    serve.add_argument("--storm", action="store_true",
-                       help="with --self-test: drive a 4x-capacity load storm "
-                            "through the storm-guard admission FSM and verify "
-                            "the resilience invariants (conservation of "
-                            "outcomes, shed-by-class monotonicity, bounded "
-                            "high-priority p99, brown-out engagement, NORMAL "
-                            "recovery, epoch-exact per-request thresholds)")
-    serve.add_argument("--kill-replica", action="store_true",
-                       help="with --self-test and --replicas >= 2: SIGKILL one "
-                            "replica process mid-traffic over the ring "
-                            "transport and verify the fault invariants (every "
-                            "client answered, blast radius bounded by the "
-                            "in-flight window, survivors bitwise-exact, no "
-                            "/dev/shm leak)")
     serve.add_argument("--record-trace", default=None, metavar="PATH",
                        help="record served traffic to a replayable WAL trace at "
                             "PATH (clips land at PATH.clips)")
@@ -518,7 +492,7 @@ def _trace_meta(args: argparse.Namespace, policy) -> Dict[str, object]:
 
 
 def _build_server(args: argparse.Namespace, model, policy, controller, cost_model,
-                  trace=None, spans=None, storm=None) -> Server:
+                  trace=None, spans=None) -> Server:
     server = Server(
         model,
         policy,
@@ -532,7 +506,6 @@ def _build_server(args: argparse.Namespace, model, policy, controller, cost_mode
         use_runtime=False if args.reference_path else None,
         trace=trace,
         spans=spans,
-        storm=storm,
     )
     if server.replicas is not None:
         arena = server.replicas.arena
@@ -598,327 +571,29 @@ def _write_stats_dump(path: str, server: Server, spans, max_timesteps: int) -> N
     print(f"wrote stats dump to {path} (+ {prom_path})")
 
 
-def _oracle_mismatches(model, stream, completions, timesteps: int):
+def _oracle_mismatches(model, stream, completions, threshold: float, timesteps: int):
     """Judge ``(stream index, result)`` pairs bitwise against the Tensor oracle
-    (``model.forward`` runs the Tensor graph), one group of *stamped*
-    ``(threshold, horizon)`` at a time — a single group under a fixed knob:
-    the recorded threshold IS the one the engine slot evaluated, whatever the
-    knob did meanwhile.  Returns ``(sizes, diverged)``: requests per group,
-    and ``(group, index, served, expected)`` per disagreement, the last two
-    being ``(prediction, exit_timestep)`` pairs."""
+    (``model.forward`` runs the Tensor graph) under the one fixed threshold
+    the self-test serves with.  Returns ``(served, expected)`` per
+    disagreement, each a ``(prediction, exit_timestep)`` pair."""
     inputs = np.stack([clip for clip, _ in stream])
     logits = np.concatenate(
         [model.forward(inputs[start:start + 64], timesteps).cumulative_numpy()
          for start in range(0, inputs.shape[0], 64)],
         axis=1,
     )
-    groups: Dict[tuple, list] = {}
-    for index, result in completions:
-        horizon = timesteps if result.horizon is None else int(result.horizon)
-        groups.setdefault((float(result.threshold), horizon), []).append((index, result))
-    diverged = []
-    for group, members in sorted(groups.items()):
-        threshold, horizon = group
-        reference = DynamicTimestepInference(
-            policy=EntropyExitPolicy(threshold), max_timesteps=horizon
-        ).infer_from_logits(logits[:horizon, [index for index, _ in members], :])
-        expected = zip(reference.predictions.tolist(), reference.exit_timesteps.tolist())
-        diverged.extend(
-            (group, index, (result.prediction, result.exit_timestep), decision)
-            for (index, result), decision in zip(members, expected)
-            if (result.prediction, result.exit_timestep) != decision
-        )
-    return {group: len(members) for group, members in groups.items()}, diverged
-
-
-def _serve_storm_self_test(args: argparse.Namespace) -> int:
-    """`serve --self-test --storm`: overload-resilience smoke test.
-
-    Two runs over the identical deterministic stream: a closed-loop
-    calibration run measuring serving capacity, then a storm-guarded run
-    whose offered load follows calm → 4x-capacity storm → calm, with a
-    deterministic priority mix and per-request deadlines.  Verifies the
-    resilience invariants end to end: conservation of outcomes, shed-by-class
-    monotonicity, bounded high-priority p99, brown-out engagement under
-    STORM, recovery to NORMAL, and — per epoch group — bitwise equality of
-    every completed decision against the Tensor oracle under the *stamped*
-    threshold/horizon (the PR 5 threshold-consistency fix, observable).
-    """
-    args.checkpoint = None
-    args.samples = min(args.samples, 160)
-    # More requests than the plain self-test cap: the storm phase needs
-    # enough arrivals to outgrow the WARN-level shedding and cross the
-    # STORM watermark.
-    args.num_requests = min(args.num_requests, 144)
-    args.train_epochs = min(args.train_epochs, 4)
-    # A small queue keeps the watermark crossings deterministic at this
-    # request count (growth during the storm must clear queue_storm), and a
-    # narrow batch keeps service capacity well below the rate one Python
-    # submission loop can offer — otherwise "4x capacity" is not reachable
-    # and the storm never materializes.  Calibration runs under the same
-    # knobs, so the measured capacity matches the storm-run server.
-    args.queue_capacity = min(args.queue_capacity, 32)
-    args.batch_width = min(args.batch_width, 2)
-    if args.target_p95_ms is not None:
-        print("storm self-test: ignoring --target-p95-ms (the FSM must be "
-              "queue-signal-driven for deterministic recovery)")
-        args.target_p95_ms = None
-    if args.record_trace:
-        print("storm self-test: ignoring --record-trace (use a plain serve "
-              "run to record traffic)")
-        args.record_trace = None
-    model, test, collected, policy, controller, cost_model = _prepare_serving(args)
-    stream = list(request_stream(test, args.num_requests, seed=args.stream_seed))
-
-    # ---- calibration: closed-loop capacity + calm p95 ------------------- #
-    server = _build_server(args, model, policy, None, cost_model).start()
-    calibration = LoadGenerator(server).run(iter(stream))
-    server.shutdown(drain=True)
-    capacity = max(calibration.throughput_rps, 1.0)
-    calm_p95 = float(calibration.stats.get("latency_p95", 0.0))
-    sla_target = max(4.0 * calm_p95, 0.1)
-    print(f"calibration: capacity {capacity:.1f} req/s, calm p95 "
-          f"{1000.0 * calm_p95:.2f} ms, SLA target {1000.0 * sla_target:.2f} ms")
-
-    # ---- storm run: calm -> 4x capacity -> calm ------------------------- #
-    # Aggressive brown-out knob: double the calibrated threshold, clamped to
-    # the normalized-entropy ceiling (exit as early as confidence allows).
-    brownout = min(1.0, 2.0 * float(policy.threshold))
-    # Watermarks below the defaults: at self-test scale the WARN-level LOW
-    # shedding slows queue growth enough that the default 0.85 STORM line
-    # is a coin flip; 0.65 keeps the crossing deterministic while still
-    # exercising the full NORMAL -> WARN -> STORM -> recovery arc.
-    storm_config = StormConfig(
-        queue_warn=0.4,
-        queue_storm=0.65,
-        horizon_cap=max(1, args.timesteps - 1),
-        brownout_threshold=brownout,
-    )
-    total = len(stream)
-    warm_count = max(4, total // 6)
-    storm_count = max(8, (7 * total) // 12)
-    recovery_count = max(1, total - warm_count - storm_count)
-    base_rate = 0.5 * capacity  # the storm phase offers 8x that: 4x capacity
-    phases = storm_phases(
-        base_rate, storm_multiplier=8.0, warmup=warm_count / base_rate,
-        storm=storm_count / (8.0 * base_rate), recovery=recovery_count / base_rate,
-    )
-    spans = SpanTracker() if args.stats_dump else None
-    server = _build_server(args, model, policy, None, cost_model,
-                           spans=spans, storm=storm_config).start()
-    # Uniform priority mix: every class is offered equally often, so raw
-    # shed counts (not just shed rates) must come out monotone by class.
-    mix_cycle = [PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW]
-    generator = LoadGenerator(
-        server,
-        block=False,
-        phases=phases,
-        priorities=priority_cycle({p: 1 for p in mix_cycle}),
-        deadline=sla_target,
-    )
-    report = generator.run(iter(stream))
-    # The stream is exhausted and every accepted request resolved, so the
-    # queue is empty: force calm evaluations until the FSM walks home.
-    for _ in range(10 * storm_config.cooldown):
-        if server.storm.observe() == StormState.NORMAL:
-            break
-    final_state = server.storm.state
-    peak = server.telemetry.storm_peak
-    sheds = server.telemetry.storm_shed_by_class
-    server.shutdown(drain=True)
-
-    _print_serving_report(args, report, server)
-    shed_high = sheds.get(PRIORITY_HIGH, 0)
-    shed_normal = sheds.get(PRIORITY_NORMAL, 0)
-    shed_low = sheds.get(PRIORITY_LOW, 0)
-    print()
-    print(format_table(
-        ["metric", "value"],
-        [["offered", float(report.offered)],
-         ["completed", float(report.completed)],
-         ["dropped (shed + queue-full)", float(report.dropped)],
-         ["expired (deadline)", float(report.expired)],
-         ["storm sheds (high)", float(shed_high)],
-         ["storm sheds (normal)", float(shed_normal)],
-         ["storm sheds (low)", float(shed_low)],
-         ["peak storm state (0=normal,2=storm)", float(peak)],
-         ["final storm state (code)", float(StormState.CODES[final_state])]],
-        title="Storm run", float_format="{:.0f}"))
-    if args.stats_dump:
-        _write_stats_dump(args.stats_dump, server, spans, args.timesteps)
-
-    failures = []
-    if report.completed + report.dropped + report.expired != report.offered:
-        failures.append(
-            f"outcome conservation broken: {report.completed} completed + "
-            f"{report.dropped} dropped + {report.expired} expired != "
-            f"{report.offered} offered")
-    if peak < StormState.CODES[StormState.STORM]:
-        failures.append(f"the 4x storm never drove the FSM to STORM "
-                        f"(peak state code {peak})")
-    if final_state != StormState.NORMAL:
-        failures.append(f"FSM failed to recover to NORMAL (final: {final_state})")
-    if not (shed_low >= shed_normal >= shed_high):
-        failures.append(
-            f"shed counts not monotone by priority class: "
-            f"low={shed_low} normal={shed_normal} high={shed_high}")
-
-    # High-priority p99: accepted HIGH requests must stay within 2x the SLA
-    # target — the deadline bounds queue wait, brown-out bounds service time.
-    high_latencies = [
-        result.latency
-        for result, index in zip(report.results, report.accepted_indices)
-        if mix_cycle[index % len(mix_cycle)] == PRIORITY_HIGH
+    reference = DynamicTimestepInference(
+        policy=EntropyExitPolicy(threshold), max_timesteps=timesteps
+    ).infer_from_logits(logits)
+    expected = list(zip(reference.predictions.tolist(), reference.exit_timesteps.tolist()))
+    return [
+        ((result.prediction, result.exit_timestep), expected[index])
+        for index, result in completions
+        if (result.prediction, result.exit_timestep) != expected[index]
     ]
-    if not high_latencies:
-        failures.append("no high-priority request completed the storm run")
-    else:
-        p99_high = float(np.percentile(np.asarray(high_latencies), 99))
-        print(f"high-priority accepted p99: {1000.0 * p99_high:.2f} ms "
-              f"(bound: {2000.0 * sla_target:.2f} ms)")
-        if p99_high > 2.0 * sla_target:
-            failures.append(
-                f"high-priority p99 {1000.0 * p99_high:.2f} ms exceeds 2x "
-                f"SLA target {2000.0 * sla_target:.2f} ms")
-
-    # Brown-out must have engaged, and browned requests must carry the
-    # aggressive knobs they actually ran under.
-    browned = [r for r in report.results if r.brownout]
-    if not browned:
-        failures.append("no completed request carries a brown-out epoch "
-                        "(STORM admitted no high-priority traffic?)")
-    for result in browned:
-        if float(result.threshold) != brownout:
-            failures.append(
-                f"request {result.request_id}: brown-out threshold "
-                f"{result.threshold} != configured {brownout}")
-            break
-        if result.exit_timestep > storm_config.horizon_cap:
-            failures.append(
-                f"request {result.request_id}: exit timestep "
-                f"{result.exit_timestep} exceeds brown-out horizon cap "
-                f"{storm_config.horizon_cap}")
-            break
-
-    # Epoch-exact decisions, per stamped (threshold, horizon) group.
-    groups, diverged = _oracle_mismatches(
-        model, stream, zip(report.accepted_indices, report.results), args.timesteps)
-    for (threshold, horizon), size in sorted(groups.items()):
-        exact = all(group != (threshold, horizon) for group, *_ in diverged)
-        print(f"epoch group (threshold={threshold:.4f}, horizon={horizon}): "
-              f"{size} request(s) "
-              f"{'bitwise-exact' if exact else 'DIVERGED'}")
-        if not exact:
-            failures.append(
-                f"epoch group (threshold={threshold}, horizon={horizon}): "
-                "decisions diverge from infer_from_logits under the stamped "
-                "knobs")
-
-    if failures:
-        for failure in failures:
-            print(f"STORM SELF-TEST FAIL: {failure}")
-        return 1
-    print(f"STORM SELF-TEST PASS: {report.offered} offered / "
-          f"{report.completed} completed under a 4x-capacity storm; sheds "
-          f"monotone (low={shed_low} >= normal={shed_normal} >= "
-          f"high={shed_high}), {len(browned)} brown-out completion(s), "
-          f"recovered to NORMAL, {len(groups)} epoch group(s) bitwise-exact")
-    return 0
-
-
-def _serve_kill_self_test(args: argparse.Namespace) -> int:
-    """`serve --self-test --kill-replica`: fault-injection smoke test.
-
-    Serves the deterministic stream on process replicas over the ring
-    transport, SIGKILLs one replica once traffic is demonstrably flowing,
-    and verifies the crash contract end to end: every client gets an answer
-    (a result or the typed :class:`ReplicaCrashError`), the blast radius is
-    bounded by the victim's in-flight window, every surviving completion is
-    bitwise-identical to the Tensor-oracle reference, and the drained fleet
-    leaves no ``/dev/shm`` arena or ring segment behind.
-    """
-    if args.replicas < 2:
-        print("--kill-replica needs --replicas >= 2 (a survivor must keep "
-              "serving the backlog)")
-        return 2
-    args.checkpoint = None
-    args.samples = min(args.samples, 160)
-    args.num_requests = min(args.num_requests, 96)
-    args.train_epochs = min(args.train_epochs, 4)
-    if args.target_p95_ms is not None:
-        print("kill self-test: ignoring --target-p95-ms (needs a fixed "
-              "threshold)")
-        args.target_p95_ms = None
-    model, test, collected, policy, controller, cost_model = _prepare_serving(args)
-    before = set(glob.glob("/dev/shm/repro-arena-*")
-                 + glob.glob("/dev/shm/repro-rings-*"))
-    server = _build_server(args, model, policy, controller, cost_model).start()
-    window = server.replicas.window
-    victim = server.replicas.processes[0]
-    stream = list(request_stream(test, args.num_requests, seed=args.stream_seed))
-    # The load generator tolerates only deadline errors; the crash test
-    # expects typed failures, so it owns its futures directly.
-    futures = [server.submit(inputs, label=label) for inputs, label in stream]
-    deadline = time.monotonic() + 60.0
-    while server.telemetry.completed < 2:
-        if time.monotonic() > deadline:
-            server.shutdown(drain=True)
-            print("FAULT SELF-TEST FAIL: no completions before fault injection")
-            return 1
-        time.sleep(0.005)
-    os.kill(victim.pid, signal.SIGKILL)
-    completed: Dict[int, object] = {}
-    crashed = []
-    for index, future in enumerate(futures):
-        try:
-            completed[index] = future.result(timeout=120.0)
-        except ReplicaCrashError:
-            crashed.append(index)
-    server.shutdown(drain=True)
-
-    failures = []
-    if len(completed) + len(crashed) != len(stream):
-        failures.append(
-            f"stranded clients: {len(completed)} completed + {len(crashed)} "
-            f"crashed != {len(stream)} submitted"
-        )
-    if len(crashed) > window:
-        failures.append(
-            f"blast radius {len(crashed)} exceeds the in-flight window {window}"
-        )
-    if len(completed) < len(stream) - window:
-        failures.append(
-            f"survivor served only {len(completed)} of the "
-            f"{len(stream) - window} guaranteed completions"
-        )
-    # Bitwise exactness of every survivor against the Tensor oracle.
-    _, diverged = _oracle_mismatches(model, stream, completed.items(), args.timesteps)
-    for _, index, served, expected in diverged[:1]:
-        failures.append(f"request {index} diverged from the oracle: {served} vs {expected}")
-    leaked = set(glob.glob("/dev/shm/repro-arena-*")
-                 + glob.glob("/dev/shm/repro-rings-*")) - before
-    if leaked:
-        failures.append(f"shared-memory segments leaked past drain: {leaked}")
-    if failures:
-        for failure in failures:
-            print(f"FAULT SELF-TEST FAIL: {failure}")
-        return 1
-    print(f"FAULT SELF-TEST PASS: {len(completed)} completed bitwise-exact, "
-          f"{len(crashed)} crashed (window {window}), no shared-memory leak")
-    return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.storm:
-        if not args.self_test:
-            print("--storm is a self-test profile; pass --self-test too")
-            return 2
-        return _serve_storm_self_test(args)
-    if args.kill_replica:
-        if not args.self_test:
-            print("--kill-replica is a self-test profile; pass --self-test too")
-            return 2
-        return _serve_kill_self_test(args)
     if args.self_test:
         args.checkpoint = None
         args.samples = min(args.samples, 160)
@@ -964,11 +639,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     failures = []
     if report.completed != len(stream):
         failures.append(f"drain incomplete: {report.completed}/{len(stream)} requests")
-    _, diverged = _oracle_mismatches(
-        model, stream, zip(report.accepted_indices, report.results), args.timesteps)
-    if any(served[0] != expected[0] for *_, served, expected in diverged):
+    diverged = _oracle_mismatches(
+        model, stream, zip(report.accepted_indices, report.results),
+        policy.threshold, args.timesteps)
+    if any(served[0] != expected[0] for served, expected in diverged):
         failures.append("serve predictions diverge from infer_from_logits")
-    if any(served[1] != expected[1] for *_, served, expected in diverged):
+    if any(served[1] != expected[1] for served, expected in diverged):
         failures.append("serve exit timesteps diverge from infer_from_logits")
     if failures:
         for failure in failures:

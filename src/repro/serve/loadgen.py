@@ -88,8 +88,8 @@ def storm_phases(
 
     ``base_rate`` should be at or below the measured serving capacity so the
     warmup and recovery segments are genuinely calm; the storm segment
-    offers ``storm_multiplier`` times that (the storm self-test and
-    ``bench_serve_storm.py`` run half capacity → 8x that, i.e. 4x capacity).
+    offers ``storm_multiplier`` times that (``bench_serve_storm.py`` runs
+    half capacity → 8x that, i.e. 4x capacity).
     Give recovery at least the storm's length so the FSM's cooldown
     hysteresis has room to walk the guard back to NORMAL inside the run.
     """

@@ -420,7 +420,7 @@ class TestReplicaFaultInjection:
         # threshold 0: nothing exits early, every request runs the full
         # horizon — a long, deterministic backlog to crash into.
         reference = _oracle_decisions(model, xs, threshold=0.0)
-        before = _arena_segments()
+        before = _arena_segments() | _ring_segments()
         server = _replica_server(
             model, threshold=0.0, num_replicas=2, batch_width=3,
             queue_capacity=len(xs),
@@ -457,8 +457,8 @@ class TestReplicaFaultInjection:
         # ...decision-exact versus the sequential oracle.
         for index, decision in completed.items():
             assert decision == reference[index], f"request {index}"
-        # And the crash did not pin the arena.
-        assert _arena_segments() <= before, "arena leaked past drain"
+        # And the crash pinned neither the arena nor the victim's rings.
+        assert _arena_segments() | _ring_segments() <= before, "segment leaked"
         assert server.stats()["live_replicas"] == 0.0
 
     def test_all_replicas_dead_fails_queued_clients_typed(self):

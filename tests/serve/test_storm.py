@@ -723,15 +723,20 @@ class TestDeterministicStormArc:
 # --------------------------------------------------------------------------- #
 class TestStormWithLoadGenerator:
     """Threaded end-to-end smoke: the LoadGenerator storm profile against a
-    real server.  Only timing-free invariants are asserted."""
+    real server, in a worker thread and in a replica process.  Only
+    timing-free invariants are asserted."""
 
-    def test_phase_profile_conserves_outcomes_and_aligns_indices(self):
+    @pytest.mark.parametrize(
+        "composition", [{"num_workers": 1}, {"num_replicas": 1}],
+        ids=["1-worker", "1-replica"],
+    )
+    def test_phase_profile_conserves_outcomes_and_aligns_indices(self, composition):
         model = _model()
         server = Server(
             model, EntropyExitPolicy(THRESHOLD), max_timesteps=TIMESTEPS,
-            batch_width=2, queue_capacity=8, num_workers=1,
-            use_runtime=True,
+            batch_width=2, queue_capacity=8, use_runtime=True,
             storm=StormConfig(queue_warn=0.25, queue_storm=0.5, cooldown=2),
+            **composition,
         ).start()
         try:
             xs = _inputs(36, seed=5)

@@ -5,7 +5,7 @@ import glob
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _oracle_mismatches, build_parser, main
 from repro.utils import load_json, load_state_dict
 
 
@@ -133,10 +133,10 @@ class TestServingCommands:
         assert main([*self.SELF_TEST, *flags]) == 0
         assert "SELF-TEST PASS" in capsys.readouterr().out
 
-    def test_storm_self_test_writes_a_stats_dump(self, tmp_path, capsys):
+    def test_self_test_writes_a_stats_dump(self, tmp_path, capsys):
         dump = tmp_path / "stats.json"
-        assert main(["serve", "--self-test", "--storm", "--stats-dump", str(dump)]) == 0
-        assert "STORM SELF-TEST PASS" in capsys.readouterr().out
+        assert main([*self.SELF_TEST, "--stats-dump", str(dump)]) == 0
+        assert "SELF-TEST PASS" in capsys.readouterr().out
         assert {"metrics", "snapshot", "spans"} <= set(load_json(dump))
         samples = [
             line.rsplit(" ", 1)
@@ -145,20 +145,24 @@ class TestServingCommands:
         ]
         assert samples and all(float(value) >= 0.0 for _, value in samples)
 
-    def test_kill_replica_self_test_leaves_no_shared_memory(self, capsys):
+    def test_replica_self_test_leaves_no_shared_memory(self, capsys):
         before = set(glob.glob("/dev/shm/repro-*"))
-        assert main([*self.SELF_TEST, "--kill-replica", "--replicas", "2"]) == 0
-        assert "FAULT SELF-TEST PASS" in capsys.readouterr().out
+        assert main([*self.SELF_TEST, "--replicas", "2"]) == 0
+        assert "SELF-TEST PASS" in capsys.readouterr().out
         assert set(glob.glob("/dev/shm/repro-*")) <= before
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["serve", "--storm"],
-         ["serve", "--self-test", "--kill-replica", "--replicas", "1"]],
-        ids=["storm-without-self-test", "kill-without-a-survivor"],
-    )
-    def test_refused_profiles_exit_2(self, argv):
-        assert main(argv) == 2
+    def test_self_test_fails_when_the_oracle_disagrees(self, monkeypatch, capsys):
+        # Judge the served stream against an oracle at threshold 0 (nothing
+        # exits early): the calibrated serve path exits some requests early,
+        # so the gate must see the exit timesteps diverge and exit 1.
+        def judged_at_zero(model, stream, completions, threshold, timesteps):
+            return _oracle_mismatches(model, stream, completions, 0.0, timesteps)
+
+        monkeypatch.setattr("repro.cli._oracle_mismatches", judged_at_zero)
+        assert main(self.SELF_TEST) == 1
+        output = capsys.readouterr().out
+        assert "SELF-TEST FAIL: serve exit timesteps diverge" in output
+        assert "SELF-TEST PASS" not in output
 
     def test_record_replay_backtest_round_trip(self, tmp_path, capsys):
         trace, sweep = str(tmp_path / "trace.jsonl"), tmp_path / "sweep.json"
