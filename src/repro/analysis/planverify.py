@@ -41,7 +41,8 @@ the same gates the Tensor path applies in
 input geometry is known — a window op's im2col gather index — is checked
 by :func:`verify_gather_index` where it is built (once per op and input
 geometry, never per step): range, length, and agreement with
-``autograd.ops.im2col`` on a probe.  That proof is what lets the kernels
+``autograd.ops.im2col`` on a probe laid out channels-last, like every
+buffer a window op gathers from.  That proof is what lets the kernels
 gather with a non-raising ``np.take`` mode, i.e. without a per-step bounds
 check.
 
@@ -313,7 +314,8 @@ class _Interp:
     ) -> Shape:
         shape = self._require_chw(index, op)
         target = int(op.output_size)
-        for size in (shape[2], shape[3]):
+        height, width = shape[2], shape[3]
+        for size in (height, width):
             if size is not None and (size < target or size % target):
                 raise PlanVerificationError(
                     "adaptive pool needs spatial dims divisible by its "
@@ -321,7 +323,10 @@ class _Interp:
                     op_index=index, register=op.src,
                     expected=f"multiple of {target}", found=size,
                 )
-        return ("chw", shape[1], target, target)
+        # functional.adaptive_avg_pool2d sizes a square window from the
+        # height, so a non-square map keeps its aspect ratio.
+        out_width = None if None in (height, width) else width // (height // target)
+        return ("chw", shape[1], target, out_width)
 
     def _t_flatten(self, index: int, op: FlattenOp) -> Shape:
         shape = self.shapes[op.src]
@@ -553,11 +558,14 @@ def verify_gather_index(
 ) -> np.ndarray:
     """Verify an im2col gather index against its geometry; returns it.
 
-    ``index`` addresses one zero-padded ``(C, H + 2p, W + 2p)`` sample,
-    flattened (:func:`repro.runtime.kernels.gather_index`).  It must hold
+    ``index`` addresses one zero-padded channels-last ``(H + 2p, W + 2p, C)``
+    sample, flattened — the layout of every source buffer a window op
+    gathers from (:func:`repro.runtime.kernels.gather_index`).
+    ``input_shape`` is the logical ``(C, H, W)``.  The index must hold
     ``out_h * out_w * C * kernel**2`` entries, each inside the padded
-    sample, and gathering a probe whose every element is distinct must
-    reproduce ``autograd.ops.im2col`` of that probe exactly.  The kernels
+    sample, and gathering from a probe whose every element is distinct,
+    laid out channels-last, must reproduce ``autograd.ops.im2col`` of the
+    channels-first probe exactly.  The kernels
     then gather with a non-raising ``np.take`` mode, which would silently
     redirect a bad entry — so this runs wherever an index is built (per op
     and input geometry, not per step), and a failure names ``op``.
@@ -584,8 +592,8 @@ def verify_gather_index(
     probe = np.arange(1, channels * height * width + 1, dtype=np.intp)
     probe = probe.reshape(1, channels, height, width)
     reference, _, _ = im2col(probe, kernel, stride, padding)
-    border = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    gathered = np.pad(probe, border).reshape(-1)[index]
+    border = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+    gathered = np.pad(probe.transpose(0, 2, 3, 1), border).reshape(-1)[index]
     if not np.array_equal(gathered, reference.reshape(-1)):
         mismatch = int(np.flatnonzero(gathered != reference.reshape(-1))[0])
         raise PlanVerificationError(

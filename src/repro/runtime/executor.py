@@ -21,9 +21,12 @@ moves the survivors forward in place, so the turnover and the width changes
 of continuous batching allocate nothing.  A
 membrane lives in its LIF op's scratch (the op rewrites it every step); the
 aligned stem rows live in buffers the executor owns, because no op rewrites
-them.  Because every kernel is bitwise-faithful to its autograd counterpart
-(see :mod:`repro.runtime.kernels`), an executor's logits are *identical* to
-the define-by-run path's logits, not merely close — which is what the
+them.  Like every register an op writes, membranes, aligned stem rows and
+the keyed memo's rows are channels-last ``(N, H, W, C)``; only the request
+frame is channels-first, and ops read it through a channels-last view.
+Because every kernel is bitwise-faithful to its autograd counterpart (see
+:mod:`repro.runtime.kernels`), an executor's logits are *identical* to the
+define-by-run path's logits, not merely close — which is what the
 equivalence test harness asserts.
 """
 
@@ -35,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..utils.validation import env_flag
-from .kernels import Scratch
+from .kernels import Scratch, channels_last
 from .plan import CompiledPlan, PlanOp, StemCache
 
 __all__ = ["PlanExecutor"]
@@ -284,7 +287,7 @@ class PlanExecutor:
         """
         plan = self.plan
         registers: List[Optional[np.ndarray]] = [None] * plan.num_registers
-        registers[0] = frame
+        registers[0] = channels_last(frame)
         self._run(self._stem_program, registers)
         return {reg: registers[reg] for reg in plan.stem_registers}
 
@@ -406,7 +409,7 @@ class PlanExecutor:
             self.reset_state()
             self._rows = frame.shape[0]
         registers = self._registers
-        registers[0] = frame
+        registers[0] = None if frame is None else channels_last(frame)
         if self.stem_enabled:
             if self._stem is None:
                 self._append_stem(self._run_stem(frame), 0)

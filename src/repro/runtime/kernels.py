@@ -9,6 +9,13 @@ reuses scratch buffers across timesteps.  That is what makes the
 compiled-plan executor provably equivalent to the define-by-run path: the
 floating-point work is *identical*, not merely close.
 
+Layout
+------
+Every activation a kernel writes is channels-last ``(N, H, W, C)``, the
+layout the im2col GEMM produces, while the patch matrix keeps the Tensor
+path's ``(out_h, out_w, C, k, k)`` column order — so the float ops are the
+Tensor path's (docs/NUMERICS.md, "Layout").
+
 Bind once, replay
 -----------------
 Each kernel comes as a pair.  ``bind_*`` runs once per (op scratch, input
@@ -59,6 +66,7 @@ from ..autograd.ops import conv_output_size
 __all__ = [
     "MAX_BINDINGS",
     "Scratch",
+    "channels_last",
     "gather_index",
     "bind_conv",
     "conv2d_step",
@@ -70,6 +78,8 @@ __all__ = [
     "max_pool_step",
     "bind_avg_pool_cols",
     "avg_pool_cols_step",
+    "bind_flatten",
+    "flatten_step",
     "linear_step",
     "bind_relu",
     "relu_step",
@@ -149,34 +159,40 @@ class Scratch:
         return binding
 
 
+def channels_last(array: np.ndarray) -> np.ndarray:
+    """An ``(N, C, H, W)`` map as the ``(N, H, W, C)`` view the kernels read;
+    any other rank passes through."""
+    return array.transpose(0, 2, 3, 1) if array.ndim == 4 else array
+
+
 # --------------------------------------------------------------------------- #
 # im2col as one gather
 # --------------------------------------------------------------------------- #
 def gather_index(channels: int, height: int, width: int,
                  kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Flat im2col gather index for one zero-padded ``(C, Hp, Wp)`` sample.
+    """Flat im2col gather index for one zero-padded ``(Hp, Wp, C)`` sample.
 
     ``np.take(padded.reshape(n, -1), index, axis=1)`` is then value-identical
-    to :func:`repro.autograd.ops.im2col` flattened to ``(n, P * C*k*k)``:
-    entries run in its exact ``(out_h, out_w, C, k, k)`` order.  A gather is
-    a pure copy, so the patch matrix is bitwise the Tensor path's.  The
-    index depends on the geometry only — not on the batch width — and costs
-    one ``intp`` per patch-matrix element of a single sample.
+    to :func:`repro.autograd.ops.im2col` of the channels-first sample,
+    flattened to ``(n, P * C*k*k)``: entries run in its exact
+    ``(out_h, out_w, C, k, k)`` order.  A gather is a pure copy, so the
+    patch matrix is bitwise the Tensor path's.  The index depends on the
+    geometry only — not on the batch width — and costs one ``intp`` per
+    patch-matrix element of a single sample.
     """
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
-    padded_w = width + 2 * padding
-    plane = (height + 2 * padding) * padded_w
+    row = (width + 2 * padding) * channels
 
     def offsets(count: int, step: int) -> np.ndarray:
         return np.arange(count, dtype=np.intp) * step
 
     index = sum(np.ix_(
-        offsets(out_h, stride * padded_w),  # window row
-        offsets(out_w, stride),             # window column
-        offsets(channels, plane),
-        offsets(kernel, padded_w),          # tap row
-        offsets(kernel, 1),                 # tap column
+        offsets(out_h, stride * row),       # window row
+        offsets(out_w, stride * channels),  # window column
+        offsets(channels, 1),
+        offsets(kernel, row),               # tap row
+        offsets(kernel, channels),          # tap column
     ))
     return index.reshape(-1)
 
@@ -188,15 +204,16 @@ class _Cols:
 
     def __init__(self, scratch: Scratch, x: np.ndarray, index: np.ndarray,
                  kernel: int, padding: int):
-        n, c, h, w = x.shape
-        if padding > 0:
+        n, h, w, c = x.shape
+        if padding > 0 or not x.flags.c_contiguous:
             # np.pad (the Tensor path) builds a fresh zero array each call;
             # here the border is zeroed once, at allocation, and only the
-            # interior is ever rewritten.
+            # interior is ever rewritten.  A strided input (the request
+            # frame's channels-last view) is staged here too: its transpose.
             padded = scratch.rows(
-                "pad", n, (c, h + 2 * padding, w + 2 * padding), x.dtype, np.zeros
+                "pad", n, (h + 2 * padding, w + 2 * padding, c), x.dtype, np.zeros
             )
-            self.interior = padded[:, :, padding : padding + h, padding : padding + w]
+            self.interior = padded[:, padding : padding + h, padding : padding + w]
             self.flat = padded.reshape(n, -1)
         else:
             self.interior = self.flat = None
@@ -224,21 +241,25 @@ class _Cols:
 # --------------------------------------------------------------------------- #
 class ConvBinding:
     __slots__ = ("dtype", "weight", "bias", "patches", "weight_t", "gemm",
-                 "bias_row", "gemm_t", "flat_out", "out")
+                 "bias_row", "out")
 
 
 def bind_conv(scratch: Scratch, x: np.ndarray, weight: np.ndarray,
               bias: Optional[np.ndarray], index: np.ndarray,
               kernel: int, stride: int, padding: int) -> ConvBinding:
-    """Bind ``functional.conv2d``'s forward for inputs shaped like ``x``.
+    """Bind ``functional.conv2d``'s forward for channels-last inputs shaped
+    like ``x``.
 
     The GEMM keeps the Tensor path's exact ``(N, P, CKK) @ (CKK, O)`` shape —
     a stack of per-sample matrix products — so every sample's result is
     independent of batch composition (the property the serving layer's slot
-    splicing and the stem cache both rely on).  The result is cast to the
-    input dtype, mirroring the Tensor path's trailing ``astype``.
+    splicing and the stem cache both rely on).  Its ``(N, P, O)`` result is
+    already the channels-last ``(N, out_h, out_w, O)`` output, so the GEMM
+    buffer *is* the output: the bias is added in place and nothing is
+    copied.  The result keeps the input dtype, mirroring the Tensor path's
+    trailing ``astype``.
     """
-    n, _, h, w = x.shape
+    n, h, w, _ = x.shape
     out_channels = weight.shape[0]
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
@@ -251,9 +272,7 @@ def bind_conv(scratch: Scratch, x: np.ndarray, weight: np.ndarray,
         "gemm", n, (out_h * out_w, out_channels), x.dtype
     )
     bound.bias_row = None if bias is None else bias.reshape(1, 1, -1)
-    bound.gemm_t = bound.gemm.transpose(0, 2, 1)
-    bound.out = scratch.rows("out", n, (out_channels, out_h, out_w), x.dtype)
-    bound.flat_out = bound.out.reshape(n, out_channels, out_h * out_w)
+    bound.out = bound.gemm.reshape(n, out_h, out_w, out_channels)
     return scratch.bind(x.shape, bound)
 
 
@@ -264,7 +283,6 @@ def conv2d_step(bound: ConvBinding, x: np.ndarray) -> np.ndarray:
     np.matmul(bound.patches.cols, bound.weight_t, out=gemm)
     if bound.bias_row is not None:
         np.add(gemm, bound.bias_row, out=gemm)
-    np.copyto(bound.flat_out, bound.gemm_t)
     return bound.out
 
 
@@ -347,11 +365,13 @@ class PoolTapsBinding:
 
 def bind_pool_taps(scratch: Scratch, x: np.ndarray, kernel: int,
                    stride: int) -> PoolTapsBinding:
-    n, c, h, w = x.shape
+    # Channels-last: a tap slices the two spatial axes only, so each of its
+    # elements is a contiguous run of C channels.
+    n, h, w, c = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
     taps = [
-        x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        x[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
         for i in range(kernel)
         for j in range(kernel)
     ]
@@ -361,7 +381,7 @@ def bind_pool_taps(scratch: Scratch, x: np.ndarray, kernel: int,
     bound.second = taps[1] if len(taps) > 1 else None
     bound.rest = tuple(taps[2:])
     bound.window = kernel * kernel
-    bound.out = scratch.rows("out", n, (c, out_h, out_w), x.dtype)
+    bound.out = scratch.rows("out", n, (out_h, out_w, c), x.dtype)
     return scratch.bind(x.shape, bound)
 
 
@@ -402,12 +422,12 @@ def max_pool_step(bound: PoolTapsBinding) -> np.ndarray:
 
 
 class PoolColsBinding:
-    __slots__ = ("dtype", "patches", "windows", "pooled", "pooled_t", "flat_out", "out")
+    __slots__ = ("dtype", "patches", "windows", "pooled", "out")
 
 
 def bind_avg_pool_cols(scratch: Scratch, x: np.ndarray, index: np.ndarray,
                        kernel: int, stride: int) -> PoolColsBinding:
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
     bound = PoolColsBinding()
@@ -415,24 +435,43 @@ def bind_avg_pool_cols(scratch: Scratch, x: np.ndarray, index: np.ndarray,
     bound.patches = _Cols(scratch, x, index, kernel, 0)
     bound.windows = bound.patches.cols.reshape(n, out_h * out_w, c, kernel * kernel)
     bound.pooled = scratch.rows("pooled", n, (out_h * out_w, c), x.dtype)
-    bound.pooled_t = bound.pooled.transpose(0, 2, 1)
-    bound.out = scratch.rows("out", n, (c, out_h, out_w), x.dtype)
-    bound.flat_out = bound.out.reshape(n, c, out_h * out_w)
+    bound.out = bound.pooled.reshape(n, out_h, out_w, c)
     return scratch.bind(x.shape, bound)
 
 
 def avg_pool_cols_step(bound: PoolColsBinding, x: np.ndarray) -> np.ndarray:
     """Forward of ``functional.avg_pool2d`` for larger windows (the ResNet
-    global pool): the faithful im2col + ``mean`` form."""
+    global pool): the faithful im2col + ``mean`` form, whose ``(N, P, C)``
+    result is already the channels-last output."""
     bound.patches.fill(x)
     bound.windows.mean(axis=3, out=bound.pooled)
-    np.copyto(bound.flat_out, bound.pooled_t)
     return bound.out
 
 
 # --------------------------------------------------------------------------- #
-# Linear / ReLU / residual add
+# Flatten / Linear / ReLU / residual add
 # --------------------------------------------------------------------------- #
+class FlattenBinding:
+    __slots__ = ("dtype", "staged", "out")
+
+
+def bind_flatten(scratch: Scratch, x: np.ndarray) -> FlattenBinding:
+    """Bind ``Flatten`` of a channels-last ``(N, H, W, C)`` map: the rows
+    come out in the Tensor path's channels-first ``C*H*W`` order."""
+    n, h, w, c = x.shape
+    bound = FlattenBinding()
+    bound.dtype = x.dtype
+    bound.out = scratch.rows("out", n, (c * h * w,), x.dtype)
+    bound.staged = channels_last(bound.out.reshape(n, c, h, w))
+    return scratch.bind(x.shape, bound)
+
+
+def flatten_step(bound: FlattenBinding, x: np.ndarray) -> np.ndarray:
+    """The one place the plan leaves channels-last: a pure copy."""
+    np.copyto(bound.staged, x)
+    return bound.out
+
+
 def linear_step(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]) -> np.ndarray:
     """Forward of ``functional.linear``.
 

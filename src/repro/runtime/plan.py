@@ -101,6 +101,9 @@ class PlanOp:
     state, the ``stats`` statistics toggle — travel through :meth:`run`'s
     arguments instead of op attributes.
 
+    Every register an op writes holds channels-last ``(N, H, W, C)`` maps;
+    ops read the request frame in register 0 through a channels-last view.
+
     :meth:`run` is *bind once, replay* (:mod:`repro.runtime.kernels`): it
     looks the binding for its input's shape up in ``scratch`` (a
     :class:`~repro.runtime.kernels.Scratch`), rebinds when there is none or
@@ -147,12 +150,13 @@ class _WindowOp(PlanOp):
 
     def _gather_index(self, x: np.ndarray, kernel: int, stride: int,
                       padding: int) -> np.ndarray:
-        geometry = (x.shape[1:], kernel, stride, padding)
+        height, width, channels = x.shape[1:]
+        geometry = ((channels, height, width), kernel, stride, padding)
         cached = self._gather
         if cached is None or cached[0] != geometry:
             from ..analysis.planverify import verify_gather_index
 
-            index = kernels.gather_index(*x.shape[1:], kernel, stride, padding)
+            index = kernels.gather_index(channels, height, width, kernel, stride, padding)
             verify_gather_index(index, *geometry, op=self)
             cached = self._gather = (geometry, index)
         return cached[1]
@@ -299,7 +303,7 @@ class AdaptiveAvgPoolOp(_WindowOp):
         self.output_size = output_size
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
-        h, w = regs[self.src].shape[2:]
+        h, w = regs[self.src].shape[1:3]
         if h % self.output_size or w % self.output_size:
             raise ValueError("adaptive_avg_pool2d requires divisible spatial dims")
         kernel = h // self.output_size
@@ -307,11 +311,19 @@ class AdaptiveAvgPoolOp(_WindowOp):
 
 
 class FlattenOp(PlanOp):
+    """Flattens a map in the Tensor path's ``C*H*W`` order for ``Linear``."""
+
     __slots__ = ()
 
     def run(self, regs, scratch, state, stats: bool = True) -> None:
         x = regs[self.src]
-        regs[self.dst] = x.reshape(x.shape[0], -1)
+        if x.ndim != 4:
+            regs[self.dst] = x.reshape(x.shape[0], -1)
+            return
+        bound = scratch.bindings.get(x.shape)
+        if bound is None or bound.dtype != x.dtype:
+            bound = kernels.bind_flatten(scratch, x)
+        regs[self.dst] = kernels.flatten_step(bound, x)
 
 
 class LinearOp(PlanOp):

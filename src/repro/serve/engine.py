@@ -328,8 +328,9 @@ class InferenceEngine:
         # threshold/horizon instead of the live knob (brown-out, replay
         # pinning), so the recorded value is the deciding one by
         # construction.  The server stamps ONE epoch object into every
-        # request until a knob moves, so the knobs are resolved once per
-        # distinct epoch, not once per request.
+        # request until a knob moves (a replica child interns its wire
+        # stamps the same way), so the knobs are resolved once per distinct
+        # epoch, not once per request.
         stamped, horizons = self._stamped, self._horizons
         resolved, threshold, horizon = None, np.nan, self.max_timesteps
         for row, (request, response, start_time), stem_key in zip(

@@ -190,9 +190,16 @@ class _RelayResponse:
 
 
 def _stage_round(entries: Sequence[tuple], rings: ReplicaRings,
-                 local_queue: AdmissionQueue, outbox: List[Tuple[int, str]]) -> None:
+                 local_queue: AdmissionQueue, outbox: List[Tuple[int, str]],
+                 epochs: Dict[tuple, ThresholdEpoch]) -> None:
     """Validate one dispatch round's tickets and enqueue it, whole, in one
-    local-queue critical section."""
+    local-queue critical section.
+
+    ``epochs`` interns one :class:`ThresholdEpoch` per wire stamp for the
+    child's lifetime, as the parent stamps one object until a knob moves:
+    ``admit_batch`` resolves knobs once per epoch *object*.  Epochs are
+    monotone, so it keeps the last stamp only.
+    """
     staged = []
     for request_id, ticket, label, stamp in entries:
         try:
@@ -202,9 +209,12 @@ def _stage_round(entries: Sequence[tuple], rings: ReplicaRings,
             # admission failure; the parent accounts it as a rejection.
             outbox.append((request_id, f"{type(error).__name__}: {error}"))
             continue
+        epoch = epochs.get(stamp)
+        if epoch is None and stamp is not None:
+            epochs.clear()
+            epoch = epochs[stamp] = ThresholdEpoch(*stamp)
         staged.append((
-            Request(request_id=request_id, inputs=inputs, label=label,
-                    epoch=None if stamp is None else ThresholdEpoch(*stamp)),
+            Request(request_id=request_id, inputs=inputs, label=label, epoch=epoch),
             _RelayResponse(request_id, outbox),
         ))
     local_queue.put_many(staged)
@@ -250,6 +260,7 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
         )
         rings = attach_rings(ring_spec, index)
         outbox: List[Tuple[int, str]] = []
+        epochs: Dict[tuple, ThresholdEpoch] = {}
         draining = False
         work_ready = select.poll()
         work_ready.register(work_conn.fileno(), select.POLLIN)
@@ -272,7 +283,7 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
                 if message[0] == _MSG_DRAIN:
                     draining = True
                 else:
-                    _stage_round(message[1], rings, local_queue, outbox)
+                    _stage_round(message[1], rings, local_queue, outbox, epochs)
             # Weight-reload propagation: rebind at the round boundary so a
             # refreshed arena serves coherent constants from the next step.
             # The ack tells the parent this replica no longer reads the

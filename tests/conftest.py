@@ -68,6 +68,35 @@ def rng():
     return np.random.default_rng(0)
 
 
+def _channels_first(array):
+    """A compiled-plan ``(N, H, W, C)`` map as the Tensor path's
+    ``(N, C, H, W)`` view; any other rank passes through."""
+    return array.transpose(0, 3, 1, 2) if array.ndim == 4 else array
+
+
+def _executor_state(executor):
+    """``(membranes, stem rows)`` of a compiled-plan executor in the Tensor
+    path's channels-first layout — the one way tests compare them.
+
+    First asserts that every 4-D array the executor holds — each register
+    an op wrote, each membrane, each aligned stem row — is C-contiguous:
+    no op hands a strided view downstream.
+    """
+    stem = executor._stem or {}
+    written = [executor._registers[op.dst] for op in executor.plan.ops]
+    for array in (*written, *executor._membranes, *stem.values()):
+        if array is not None and array.ndim == 4:
+            assert array.flags.c_contiguous, f"strided {array.shape} activation"
+    membranes = [None if m is None else _channels_first(m) for m in executor._membranes]
+    return membranes, {reg: _channels_first(rows) for reg, rows in stem.items()}
+
+
+@pytest.fixture
+def executor_state():
+    """:func:`_executor_state`, for tests that inspect executor internals."""
+    return _executor_state
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Export the lock-acquisition graph when the tracked shard asks for it.
 

@@ -4,9 +4,11 @@ The fast path's contract is not "numerically close" — it is *bitwise
 identical*: same logits, same exit timesteps, same predictions, same policy
 scores, same spike statistics.  These tests sweep architectures (VGG /
 ResNet, bn / tdbn / no norm, residual projections, hidden-LIF classifiers,
-pooling variants), encoders (direct and event-frame), batch sizes and exit
-policies, always building the model twice from the same seed and running one
-copy through the runtime and one through the define-by-run oracle.
+pooling variants, a strided padding-0 stem on a non-square frame — every
+op class the lowerer emits, run channels-last), encoders (direct and
+event-frame), batch sizes and exit policies, always building the model
+twice from the same seed and running one copy through the runtime and one
+through the define-by-run oracle.
 
 Nothing here needs a trained model: equivalence must hold for any weights,
 so random initialization gives the cheapest possible coverage.  Classifier
@@ -77,6 +79,26 @@ def _custom_stack() -> SpikingNetwork:
     return SpikingNetwork(features, classifier, default_timesteps=TIMESTEPS)
 
 
+def _strided_stack() -> SpikingNetwork:
+    """Layout coverage on a non-square frame: a stride-2 padding-0 stem conv
+    (the channels-first frame staged channels-last), an adaptive pool
+    reading a non-square map, a padding-0 conv gathering a contiguous
+    register in place, and a non-square flatten."""
+    features = Sequential(
+        Conv2d(3, 8, 3, stride=2, padding=0),   # (3, 10, 14) -> (8, 4, 6)
+        LIFNeuron(tau=0.6, v_threshold=0.4),
+        AdaptiveAvgPool2d(2),                   # -> (8, 2, 3)
+        Conv2d(8, 12, 2, stride=1, padding=0),  # -> (12, 1, 2)
+        LIFNeuron(v_threshold=0.2),
+    )
+    head = Linear(24, NUM_CLASSES)
+    for parameter in head.parameters():
+        # Softened so that, sharpened, exits still spread over timesteps.
+        parameter.data = parameter.data * np.float32(0.1)
+    classifier = Sequential(Flatten(), head)
+    return SpikingNetwork(features, classifier, default_timesteps=TIMESTEPS)
+
+
 MODEL_BUILDERS = {
     "vgg-bn": lambda: spiking_vgg(
         "tiny", num_classes=NUM_CLASSES, input_size=IMAGE_SIZE, default_timesteps=TIMESTEPS
@@ -101,7 +123,10 @@ MODEL_BUILDERS = {
         default_timesteps=TIMESTEPS, encoder=EventFrameEncoder(),
     ),
     "custom-stack": _custom_stack,
+    "strided-stack": _strided_stack,
 }
+# Frame shape (C, H, W) where a builder does not take the square default.
+INPUT_SHAPES = {"strided-stack": (3, 10, 14)}
 
 # The Poisson encoder draws from its own seeded RNG, so two *fresh* models
 # built from the same seed produce identical spike trains — but a second
@@ -137,7 +162,8 @@ def _inputs(name: str, batch: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if name == "vgg-event":
         return rng.random((batch, TIMESTEPS + 1, 3, IMAGE_SIZE, IMAGE_SIZE)).astype(np.float32)
-    return rng.random((batch, 3, IMAGE_SIZE, IMAGE_SIZE)).astype(np.float32)
+    shape = INPUT_SHAPES.get(name, (3, IMAGE_SIZE, IMAGE_SIZE))
+    return rng.random((batch, *shape)).astype(np.float32)
 
 
 # --------------------------------------------------------------------------- #
@@ -192,17 +218,18 @@ def test_infer_bitwise(name, policy_name):
 
 
 def test_sweep_produces_mixed_exits():
-    """Guard the sweep's coverage: at least one config must compact mid-run.
+    """Guard the sweep's coverage: these configs must compact mid-run.
 
     If sharpening ever stops producing a spread of exit timesteps, the
     compaction/stem-surgery branches above would silently stop being tested.
     """
-    model = _build("vgg-bn", seed=23)
-    engine = DynamicTimestepInference(
-        model, EntropyExitPolicy(0.35), max_timesteps=TIMESTEPS
-    )
-    result = engine.infer(_inputs("vgg-bn", batch=9, seed=7))
-    assert len(np.unique(result.exit_timesteps)) >= 2
+    for name in ("vgg-bn", "strided-stack"):
+        model = _build(name, seed=23)
+        engine = DynamicTimestepInference(
+            model, EntropyExitPolicy(0.35), max_timesteps=TIMESTEPS
+        )
+        result = engine.infer(_inputs(name, batch=9, seed=7))
+        assert len(np.unique(result.exit_timesteps)) >= 2, name
 
 
 # --------------------------------------------------------------------------- #
@@ -233,7 +260,8 @@ def _drive_engine(engine: InferenceEngine, stream, admit_chunks):
     return outcomes
 
 
-@pytest.mark.parametrize("name", ["vgg-bn", "resnet-bn", "vgg-event", "custom-stack"])
+@pytest.mark.parametrize(
+    "name", ["vgg-bn", "resnet-bn", "vgg-event", "custom-stack", "strided-stack"])
 def test_engine_mid_horizon_equivalence(name):
     inputs = _inputs(name, batch=12, seed=31)
     # Mid-horizon splicing: 5 requests up front, then 2 per step, then a

@@ -7,7 +7,8 @@ replays them; these tests pin what that must not change and what it buys:
   serving engine's moves) stays bitwise on the Tensor oracle — logits,
   every membrane, the aligned stem rows, the LIF counters — on the VGG and
   ResNet families, and a replaced weight or running statistic is seen on
-  the very next step;
+  the very next step (the executor's channels-last state is compared
+  through its channels-first view, and must be C-contiguous);
 * a step whose statistics nobody reads performs no reduction;
 * a steady-state step allocates its logits and nothing else, and the
   bindings an op keeps are capped however many widths a session walks.
@@ -79,13 +80,15 @@ class _Oracle:
             ).data
 
 
-def _assert_same_state(executor, oracle: _Oracle, live: np.ndarray, where: str):
+def _assert_same_state(executor, oracle: _Oracle, live: np.ndarray, where: str,
+                       executor_state):
     plan = executor.plan
     fast_layers = [op.module for op in plan.ops if isinstance(op, LIFOp)]
     slow_layers = oracle.model.lif_layers()
     assert len(fast_layers) == len(slow_layers) == plan.num_lif
+    membranes, stem = executor_state(executor)
     for index, (fast, slow) in enumerate(zip(fast_layers, slow_layers)):
-        membrane = executor._membranes[index]
+        membrane = membranes[index]
         assert membrane.dtype == slow.membrane.data.dtype, where
         assert np.array_equal(membrane, slow.membrane.data), f"{where}: membrane {index}"
         for counter in ("total_spikes", "total_neuron_updates", "last_spike_rate"):
@@ -94,12 +97,12 @@ def _assert_same_state(executor, oracle: _Oracle, live: np.ndarray, where: str):
             )
     (register,) = plan.stem_registers
     expected = oracle.stem(live)
-    assert executor._stem[register].dtype == expected.dtype, where
-    assert np.array_equal(executor._stem[register], expected), f"{where}: stem rows"
+    assert stem[register].dtype == expected.dtype, where
+    assert np.array_equal(stem[register], expected), f"{where}: stem rows"
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_width_walk_is_bitwise_on_the_oracle(kind):
+def test_width_walk_is_bitwise_on_the_oracle(kind, executor_state):
     """8 -> 3 -> 8 -> 1 -> 6 rows by compaction and admission, two steps at
     each width, a conv weight and a running_var replaced on the way."""
     model, twin = _build(kind), _build(kind)
@@ -117,7 +120,7 @@ def test_width_walk_is_bitwise_on_the_oracle(kind):
         slow = oracle.step(live)
         assert fast.dtype == slow.dtype, where
         assert np.array_equal(fast, slow), f"{where}: logits"
-        _assert_same_state(executor, oracle, live, where)
+        _assert_same_state(executor, oracle, live, where, executor_state)
 
     def compact(keep_rows) -> np.ndarray:
         keep = np.zeros(live.shape[0], dtype=bool)

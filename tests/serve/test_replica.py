@@ -34,6 +34,7 @@ import pytest
 from repro.core.policies import EntropyExitPolicy
 from repro.runtime import plan_registry
 from repro.serve import (
+    AdmissionQueue,
     AdmissionRejectedError,
     InferenceEngine,
     ReplicaCrashError,
@@ -41,9 +42,11 @@ from repro.serve import (
     Response,
     Server,
     ServerClosedError,
+    ThresholdEpoch,
     TraceRecorder,
     load_trace,
 )
+from repro.serve.replica import _stage_round
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
 from repro.utils import seed_everything
@@ -383,6 +386,49 @@ class TestReplicaServing:
         model.features = Mystery()  # the lowerer rejects unknown modules
         with pytest.raises(ValueError, match="lower"):
             _replica_server(model, num_replicas=1)
+
+
+def test_staged_rounds_intern_one_epoch_object_per_stamp():
+    """A replica child rebuilds ``ThresholdEpoch`` objects from wire stamps
+    once per distinct stamp, across rounds, so ``admit_batch`` resolves the
+    knobs once per epoch as in thread mode — and the decisions are those of
+    the same requests carrying one fresh epoch object each.  (Replica
+    decisions under stamped epochs against the oracle: TestReplicaServing.)"""
+
+    class FrameRings:
+        def request_view(self, ticket):
+            return ticket  # the ticket is the frame itself
+
+    xs = _inputs(6, seed=5)
+    first = ThresholdEpoch(epoch=1, threshold=0.5).as_tuple()
+    second = ThresholdEpoch(epoch=2, threshold=0.8, horizon=3).as_tuple()
+    stamps = [first, first, first, first, None, second]
+    queue, outbox, epochs = AdmissionQueue(capacity=8), [], {}
+    for round_ in ((0, 1, 2), (3, 4, 5)):
+        _stage_round([(i, xs[i], None, stamps[i]) for i in round_],
+                     FrameRings(), queue, outbox, epochs)
+    staged = queue.get_nowait(limit=8)
+    assert outbox == [] and len(staged) == 6
+    interned = [request.epoch for request, _ in staged]
+    assert all(epoch is interned[0] for epoch in interned[:4])
+    assert interned[4] is None
+    assert interned[5] is not interned[0] and interned[5].as_tuple() == second
+
+    def decide(requests):
+        engine = InferenceEngine(
+            _model(), EntropyExitPolicy(0.3), max_timesteps=TIMESTEPS)
+        engine.admit_batch([(request, Response(), 0.0) for request in requests])
+        outcomes = {}
+        while not engine.idle:
+            for sample in engine.step():
+                outcomes[sample.request.request_id] = (
+                    sample.prediction, sample.exit_timestep, sample.threshold)
+        return outcomes
+
+    fresh = [Request(request_id=i, inputs=xs[i],
+                     epoch=None if stamp is None else ThresholdEpoch(*stamp))
+             for i, stamp in enumerate(stamps)]
+    assert decide([request for request, _ in staged]) == decide(fresh)
 
 
 def test_training_mode_model_is_served_like_thread_mode():

@@ -131,7 +131,7 @@ class TestClosedLoopTurnover:
         return engine, queue, ContinuousBatcher(engine, queue, batch_width=WIDTH)
 
     def test_no_compaction_one_extension_per_round_and_survivors_stay(
-            self, monkeypatch):
+            self, monkeypatch, executor_state):
         compactions, extensions = [], []
         compact, extend = PlanExecutor.compact_rows, PlanExecutor.extend_rows
 
@@ -155,10 +155,12 @@ class TestClosedLoopTurnover:
         while queue.depth() >= WIDTH:
             free = list(engine._free)
             before = _row_ids(engine)
-            membranes = [None if m is None else m.copy() for m in executor._membranes]
+            membranes = [None if m is None else m.copy()
+                         for m in executor_state(executor)[0]]
             calls = len(extensions)
             batcher._fill_slots()
             after = _row_ids(engine)
+            refilled = executor_state(executor)[0]
             assert engine.active_count == WIDTH and not engine._free
             if free:
                 admission_rounds += 1
@@ -170,18 +172,18 @@ class TestClosedLoopTurnover:
                 if was is None:
                     assert now is not None and row in free
                     # A recycled row starts from fresh (zero) membranes.
-                    assert all(m is None or not m[row].any()
-                               for m in executor._membranes)
+                    assert all(m is None or not m[row].any() for m in refilled)
                 else:
                     # A survivor keeps its row and its membrane bits while
                     # its neighbours are replaced.
                     assert now == was
-                    for kept, membrane in zip(membranes, executor._membranes):
+                    for kept, membrane in zip(membranes, refilled):
                         if membrane is not None:
                             assert np.array_equal(kept[row], membrane[row])
                     survivors_checked += bool(free)
             assert executor.batch_rows == WIDTH
             engine.step()
+            executor_state(executor)  # no op left a strided activation
         assert admission_rounds >= 5 and survivors_checked >= 5
         assert compactions == []
         assert len(extensions) == 1 + admission_rounds
@@ -385,7 +387,7 @@ class TestFreeRowsUnderHostileMoments:
                     == [(s.request.request_id, _outcome(s)) for s in fresh.step()])
         assert engine.idle
 
-    def test_invalidate_stem_between_retire_and_admit(self):
+    def test_invalidate_stem_between_retire_and_admit(self, executor_state):
         """A reload landing while rows are free: the refill must not write
         fresh stem rows next to stale ones — the stem stays invalidated and
         the next step recomputes it for every live row."""
@@ -405,7 +407,7 @@ class TestFreeRowsUnderHostileMoments:
         assert executor._stem is None and executor.needs_frame
         outcomes.update({s.request.request_id: _outcome(s) for s in engine.step()})
         assert executor._stem is not None and not executor.needs_frame
-        for rows in executor._stem.values():
+        for rows in executor_state(executor)[1].values():
             assert rows.shape[0] == executor.batch_rows and np.isfinite(rows).all()
         while not engine.idle:
             outcomes.update({s.request.request_id: _outcome(s) for s in engine.step()})

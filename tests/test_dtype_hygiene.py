@@ -116,13 +116,15 @@ def test_eval_forward_is_float32_on_both_paths(kind):
     _assert_float32("fast-path cumulative logits", logits)
 
 
-def test_executor_internals_are_float32():
-    """Scratch buffers, registers, membranes and stem rows stay float32."""
+def test_executor_internals_are_float32(executor_state):
+    """Scratch buffers, registers, membranes and stem rows stay float32
+    (and the activations C-contiguous)."""
     model = _build("vgg-bn").eval()
     executor = executor_for(model, use_runtime=True)
     run_cumulative_logits(model, executor, _inputs(), TIMESTEPS)
 
-    for membrane in executor._membranes:
+    membranes, stem = executor_state(executor)
+    for membrane in membranes:
         if membrane is not None:
             _assert_float32("executor membrane", membrane)
     for register in executor._registers:
@@ -135,9 +137,8 @@ def test_executor_internals_are_float32():
             if buffer.dtype == np.bool_:  # fire/relu masks are boolean
                 continue
             _assert_float32(f"scratch buffer {key!r}", buffer)
-    if executor._stem is not None:
-        for register, value in executor._stem.items():
-            _assert_float32(f"stem register r{register}", value)
+    for register, value in stem.items():
+        _assert_float32(f"stem register r{register}", value)
 
 
 def test_serve_engine_running_state_is_float32():
