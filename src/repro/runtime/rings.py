@@ -3,23 +3,26 @@
 Pickling every input frame to a replica and every completion back is pure
 overhead: the frame is already a contiguous ``float32`` array, and a
 completion is ten scalars.  This module is the payload path — preallocated
-shared memory — and the pool's pipes carry only *cursors* and control
-messages:
+shared memory — and the wire format the pool's pipes carry instead: one
+message of fixed-width binary *work entries* per dispatch round, one
+*cursor range* per completion round.  Every per-round byte is packed and
+unpacked by a precompiled :class:`struct.Struct`.
 
 * **Request slab** (parent writer, replica reader) — ``slots`` fixed-width
   slots per replica, each a 64-byte header (sequence, byte count, CRC32)
   followed by ``slot_bytes`` of payload capacity.  The forwarder copies the
-  frame into a free slot exactly once at dispatch and ships a *ticket*
-  (slot index, sequence, CRC, shape, dtype) in the round's pipe message; the
-  replica validates the header against the ticket and binds a read-only
-  ``np.ndarray`` view — zero copies on the consume side.
+  frame into a free slot exactly once at dispatch and ships its *ticket*
+  (slot index, sequence, CRC, shape, dtype) in a work entry
+  (:func:`encode_work`); the replica validates the header against the
+  ticket and binds a read-only ``np.ndarray`` view — zero copies on the
+  consume side.
 * **Completion ring** (replica writer, parent reader) — fixed-width
   96-byte records (:data:`COMPLETION_RECORD`), each sequence- and
-  CRC-guarded.  The replica appends a finished round from one structured
-  buffer and sends only the ``(start, count)`` cursor range over its result
-  pipe; the pipe write is the cross-process memory barrier, so the ring
-  itself needs no shared cursors or atomics.  The parent copies the range
-  out once and validates and decodes *the copy*.
+  CRC-guarded.  The replica packs a finished round straight into the ring,
+  record by record, and sends only the ``(start, count)`` cursor range over
+  its result pipe; the pipe write is the cross-process memory barrier, so
+  the ring itself needs no shared cursors or atomics.  The parent copies
+  the range out once and validates and decodes *the copy*.
 
 Safety model: slots are parent-owned.  A request slot is allocated before
 dispatch and freed only after its completion (or failure) resolves, and the
@@ -27,24 +30,25 @@ window semaphore bounds in-flight work per replica — so ``slots >= window``
 guarantees the writer never reuses a slot a replica may still read, and
 ``completion_slots > window`` guarantees the replica never overwrites an
 unread record.  Sequence numbers make reuse *detectable* anyway: a stale
-ticket (or a torn/corrupted record) fails validation loudly with
-:class:`RingIntegrityError` instead of serving wrong bytes.
+ticket (or a torn/corrupted record or work round) fails validation loudly
+with :class:`RingIntegrityError` instead of serving wrong bytes.
 
 Everything is preallocated at pool construction (one segment for the whole
 fleet); steady-state dispatch performs no allocation in shared memory.  A
-payload larger than a slot gets no ticket, and the pool refuses that
-request typed — there is no second payload path.
+frame a slot or a work entry cannot carry gets no ticket, and the pool
+refuses that request typed — there is no second payload path.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
+import struct
 import weakref
 import zlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from ..analysis.lockorder import named_lock
 __all__ = [
     "COMPLETION_RECORD",
     "CompletionReader",
+    "MAX_FRAME_RANK",
     "PoolRings",
     "ReplicaRings",
     "RequestRingWriter",
@@ -60,24 +65,21 @@ __all__ = [
     "RingSpec",
     "RingTicket",
     "attach_rings",
+    "decode_work",
+    "encode_work",
 ]
 
 _ALIGNMENT = 64
 DEFAULT_SLOT_BYTES = 1 << 18  # 256 KiB of payload capacity per request slot.
 
-# Request-slot header: exactly one cache line ahead of the payload.
-_SLOT_HEADER = np.dtype([
-    ("seq", "<u8"),
-    ("nbytes", "<u8"),
-    ("crc", "<u4"),
-    ("_pad", "V44"),
-])
-assert _SLOT_HEADER.itemsize == _ALIGNMENT
+# Request-slot header: (seq, nbytes, crc) at the head of one cache line
+# ahead of the payload; the other 44 bytes stay zero.
+_SLOT_HEADER = struct.Struct("<QQI")
 
 # One completed request, fixed width.  Optional fields collapse onto
 # sentinels (``-1`` for absent epoch/horizon) plus presence bits in
 # ``flags`` so ``None`` survives the round trip exactly.  The CRC is the
-# last field and covers every byte before it.
+# last field and covers every byte before it.  ``_RECORD`` is its codec.
 COMPLETION_RECORD = np.dtype([
     ("seq", "<u8"),
     ("request_id", "<i8"),
@@ -93,16 +95,43 @@ COMPLETION_RECORD = np.dtype([
     ("_pad", "V10"),
     ("crc", "<u4"),
 ])
-assert COMPLETION_RECORD.itemsize == 96
+_RECORD = struct.Struct("<QqqqqqddddH10xI")
+_RECORD_CRC = struct.Struct("<I")
+_RECORD_BODY = _RECORD.size - _RECORD_CRC.size  # the bytes the CRC covers
+assert _RECORD.size == COMPLETION_RECORD.itemsize == 96
 
 _FLAG_BROWNOUT = 1 << 0
 _FLAG_HAS_THRESHOLD = 1 << 1
 _FLAG_HAS_EPOCH = 1 << 2
 _FLAG_HAS_HORIZON = 1 << 3
 
+
+def _flags(epoch, threshold, horizon, brownout) -> int:
+    """Presence bits of an epoch's optional fields, in both codecs."""
+    flags = _FLAG_BROWNOUT if brownout else 0
+    if threshold is not None:
+        flags |= _FLAG_HAS_THRESHOLD
+    if epoch is not None:
+        flags |= _FLAG_HAS_EPOCH
+    if horizon is not None:
+        flags |= _FLAG_HAS_HORIZON
+    return flags
+
+
 # A ticket travels over the work pipe in place of the payload:
 # (slot, seq, crc, nbytes, shape, dtype string).
 RingTicket = Tuple[int, int, int, int, Tuple[int, ...], str]
+#: Most dimensions a work entry carries; a frame of higher rank gets no
+#: ticket and is refused at dispatch.
+MAX_FRAME_RANK = 6
+_DTYPE_BYTES = 8  # longest ``np.dtype.str`` an entry carries
+# A work entry: request id, slot, seq, crc, nbytes, has-label, label, then
+# what a server repeats for every request as one raw *tail* the decoder
+# memoizes: the stamp (the record's sentinels and flags), rank, dims, dtype.
+_TAIL = struct.Struct(f"<qdqBB{MAX_FRAME_RANK}Q{_DTYPE_BYTES}s")
+_ENTRY = struct.Struct(f"<qIQIQ?q{_TAIL.size}s")
+_WORK_HEADER = struct.Struct("<II")  # entry count, CRC32 of the entries
+_TAILS: Dict[bytes, tuple] = {}  # tail -> (stamp, shape, dtype), 64 at most
 
 
 class RingIntegrityError(RuntimeError):
@@ -134,6 +163,54 @@ def _payload_crc(payload, nbytes: int) -> int:
 
 def _align(value: int) -> int:
     return (value + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
+
+
+def encode_work(entries: Sequence[tuple]) -> bytes:
+    """A count + CRC32 header, then one fixed-width entry per ``(request_id,
+    ticket from try_write, label, ThresholdEpoch.as_tuple() or None)``."""
+    parts = []
+    for request_id, (slot, seq, crc, nbytes, shape, dtype), label, stamp in entries:
+        epoch, threshold, horizon, brownout = stamp or (None, None, None, False)
+        tail = _TAIL.pack(
+            -1 if epoch is None else epoch, 0.0 if threshold is None else threshold,
+            -1 if horizon is None else horizon,
+            _flags(epoch, threshold, horizon, brownout), len(shape), *shape,
+            *(0,) * (MAX_FRAME_RANK - len(shape)), dtype.encode(),
+        )
+        parts.append(_ENTRY.pack(request_id, slot, seq, crc, nbytes,
+                                 label is not None, label or 0, tail))
+    body = b"".join(parts)
+    return _WORK_HEADER.pack(len(parts), zlib.crc32(body)) + body
+
+
+def decode_work(message: bytes) -> List[tuple]:
+    """The entries :func:`encode_work` wrote — or, for a message that is
+    truncated, padded or fails its CRC, :class:`RingIntegrityError` and
+    none of them."""
+    body = memoryview(message)[_WORK_HEADER.size:]
+    count, crc = (_WORK_HEADER.unpack_from(message)
+                  if len(message) >= _WORK_HEADER.size else (-1, None))
+    if len(body) != count * _ENTRY.size or zlib.crc32(body) != crc:
+        raise RingIntegrityError(
+            f"work round of {len(message)} bytes failed validation")
+    entries = []
+    for request_id, slot, seq, crc, nbytes, has_label, label, tail in (
+            _ENTRY.iter_unpack(body)):
+        decoded = _TAILS.get(tail)
+        if decoded is None:
+            epoch, threshold, horizon, flags, rank, *dims, dtype = _TAIL.unpack(tail)
+            if len(_TAILS) >= 64:
+                _TAILS.clear()
+            decoded = _TAILS[tail] = (
+                (epoch, threshold if flags & _FLAG_HAS_THRESHOLD else None,
+                 horizon if flags & _FLAG_HAS_HORIZON else None,
+                 bool(flags & _FLAG_BROWNOUT)) if flags & _FLAG_HAS_EPOCH else None,
+                tuple(dims[:rank]), dtype.rstrip(b"\0").decode("latin-1"),
+            )
+        stamp, shape, dtype = decoded
+        entries.append((request_id, (slot, seq, crc, nbytes, shape, dtype),
+                        label if has_label else None, stamp))
+    return entries
 
 
 @dataclass(frozen=True)
@@ -198,17 +275,14 @@ class RingSpec:
 
 
 def _slab_views(spec: RingSpec, buffer: memoryview, index: int):
-    """One replica's request slab as ``(headers, payloads)``: a strided
-    structured array over the slot headers and one memoryview per slot's
-    payload capacity.  Both ends bind the same layout."""
+    """One replica's request slab as ``(headers, payloads)``: one memoryview
+    per slot's 64-byte header and one per slot's payload capacity.  Both
+    ends bind the same layout."""
     base = spec.request_offsets[index]
     stride = _ALIGNMENT + spec.slot_bytes
-    headers = np.ndarray((spec.slots,), dtype=_SLOT_HEADER, buffer=buffer,
-                         offset=base, strides=(stride,))
-    payloads = [
-        buffer[base + slot * stride + _ALIGNMENT:base + (slot + 1) * stride]
-        for slot in range(spec.slots)
-    ]
+    starts = [base + slot * stride for slot in range(spec.slots)]
+    headers = [buffer[start:start + _ALIGNMENT] for start in starts]
+    payloads = [buffer[start + _ALIGNMENT:start + stride] for start in starts]
     return headers, payloads
 
 
@@ -222,8 +296,9 @@ class RequestRingWriter:
     *release* happens from collector and monitor threads, so the free list
     is lock-protected.  ``try_write`` either copies the frame into a free
     slot and returns a ticket, or returns ``None`` (the payload exceeds slot
-    capacity, or no slot is free — which the window invariant rules out) and
-    the caller refuses the request.
+    capacity, a work entry cannot carry its rank or dtype string, or no slot
+    is free — which the window invariant rules out) and the caller refuses
+    the request.
     """
 
     def __init__(self, spec: RingSpec, buffer: memoryview, index: int):
@@ -235,13 +310,15 @@ class RequestRingWriter:
 
     def close(self) -> None:
         """Drop the buffer views so the owner's mapping can close."""
-        self._headers = None
+        self._headers = []
         self._payloads = []
 
     def try_write(self, array: np.ndarray) -> Optional[RingTicket]:
         data = np.ascontiguousarray(array)
         nbytes = data.nbytes
-        if nbytes > self.spec.slot_bytes:
+        dtype = data.dtype.str
+        if (nbytes > self.spec.slot_bytes or data.ndim > MAX_FRAME_RANK
+                or len(dtype) > _DTYPE_BYTES):
             return None
         with self._lock:
             if not self._free:
@@ -253,8 +330,8 @@ class RequestRingWriter:
         dest = np.ndarray(data.shape, dtype=data.dtype, buffer=payload)
         dest[...] = data
         crc = _payload_crc(payload, nbytes)
-        self._headers[slot] = (seq, nbytes, crc, b"")
-        return (slot, seq, crc, nbytes, data.shape, data.dtype.str)
+        _SLOT_HEADER.pack_into(self._headers[slot], 0, seq, nbytes, crc)
+        return (slot, seq, crc, nbytes, data.shape, dtype)
 
     def release(self, slot: int) -> None:
         """Return a slot to the free list once its request resolved."""
@@ -279,30 +356,32 @@ class CompletionReader:
 
     def __init__(self, spec: RingSpec, buffer: memoryview, index: int):
         self.spec = spec
-        self._records = np.ndarray(
-            (spec.completion_slots,), dtype=COMPLETION_RECORD, buffer=buffer,
-            offset=spec.completion_offsets[index],
-        )
+        self._ring = buffer[spec.completion_offsets[index]:][
+            :spec.completion_slots * _RECORD.size]
 
     def close(self) -> None:
         """Drop the buffer view so the owner's mapping can close."""
-        self._records = None
+        self._ring = None
 
     def read(self, start: int, count: int) -> List[tuple]:
-        # ONE copy out of shared memory (the modulo handles the wrap);
+        ring = self._ring
+        if not 0 <= count <= self.spec.completion_slots:  # reads a record twice
+            raise RingIntegrityError(f"completion range {count} failed validation")
+        # ONE copy out of shared memory (two slices where the range wraps);
         # validation and decoding both work on the copy, so what was checked
         # is what is decoded, whatever the writer does to the ring meanwhile.
-        block = self._records[
-            np.arange(start, start + count) % self.spec.completion_slots]
-        encoded = memoryview(block.view(np.uint8))
-        width = COMPLETION_RECORD.itemsize
+        head = start % self.spec.completion_slots * _RECORD.size
+        tail = head + count * _RECORD.size
+        block = ring[head:tail].tobytes()
+        if tail > len(ring):
+            block += ring[:tail - len(ring)].tobytes()
+        encoded = memoryview(block)
         completions = []
-        # One .tolist() decodes the whole range to Python scalars.
         for position, (seq, request_id, prediction, exit_timestep, epoch,
                        horizon, score, threshold, start_time, finish_time,
-                       flags, _pad, crc) in enumerate(block.tolist(), start):
-            base = (position - start) * width
-            expected = zlib.crc32(encoded[base:base + width - 4])
+                       flags, crc) in enumerate(_RECORD.iter_unpack(block), start):
+            base = (position - start) * _RECORD.size
+            expected = zlib.crc32(encoded[base:base + _RECORD_BODY])
             if seq != position or crc != expected:
                 raise RingIntegrityError(
                     f"completion record at cursor {position} failed "
@@ -427,14 +506,9 @@ class ReplicaRings:
         # Read-only memoryviews: every array bound over one is born
         # non-writeable, so a served frame cannot be scribbled on.
         self._payloads = [payload.toreadonly() for payload in payloads]
-        self._records = np.ndarray(
-            (spec.completion_slots,), dtype=COMPLETION_RECORD, buffer=buffer,
-            offset=spec.completion_offsets[index],
-        )
+        self._ring = buffer[spec.completion_offsets[index]:][
+            :spec.completion_slots * _RECORD.size]
         self._cursor = 0
-        # A round is encoded here, whole, then stored into the ring at once.
-        self._round = np.zeros((spec.completion_slots,), dtype=COMPLETION_RECORD)
-        self._round_bytes = memoryview(self._round.view(np.uint8))
 
     # -- request side -------------------------------------------------- #
     def request_view(self, ticket: RingTicket) -> np.ndarray:
@@ -446,7 +520,8 @@ class ReplicaRings:
         trusting a single byte.
         """
         slot, seq, crc, nbytes, shape, dtype_str = ticket
-        header_seq, header_nbytes, header_crc, _pad = self._headers[slot].item()
+        header_seq, header_nbytes, header_crc = _SLOT_HEADER.unpack_from(
+            self._headers[slot])
         if header_seq != seq:
             raise RingIntegrityError(
                 f"request slot {slot} sequence mismatch: ticket {seq}, "
@@ -461,7 +536,7 @@ class ReplicaRings:
             raise RingIntegrityError(
                 f"request slot {slot} payload failed CRC validation"
             )
-        return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=payload)
+        return np.ndarray(shape, dtype=dtype_str, buffer=payload)
 
     # -- completion side ----------------------------------------------- #
     def write_completions(self, completions: Sequence[tuple]) -> Tuple[int, int]:
@@ -473,51 +548,37 @@ class ReplicaRings:
         records, and the ring holds more than the whole window).
         """
         count = len(completions)
-        if count > self.spec.completion_slots:
+        slots = self.spec.completion_slots
+        if count > slots:
             raise ValueError(
                 f"a round of {count} completions exceeds the completion "
-                f"ring's {self.spec.completion_slots} slots"
+                f"ring's {slots} slots"
             )
+        ring = self._ring
         start = self._cursor
-        rows = []
         for position, (request_id, prediction, exit_timestep, score, threshold,
                        start_time, finish_time, epoch, brownout,
                        horizon) in enumerate(completions, start):
-            flags = 0
-            if brownout:
-                flags |= _FLAG_BROWNOUT
-            if threshold is not None:
-                flags |= _FLAG_HAS_THRESHOLD
-            if epoch is not None:
-                flags |= _FLAG_HAS_EPOCH
-            if horizon is not None:
-                flags |= _FLAG_HAS_HORIZON
-            rows.append((
-                position, request_id, prediction, exit_timestep,
+            base = position % slots * _RECORD.size
+            _RECORD.pack_into(
+                ring, base, position, request_id, prediction, exit_timestep,
                 -1 if epoch is None else epoch,
                 -1 if horizon is None else horizon,
                 score, 0.0 if threshold is None else threshold,
-                start_time, finish_time, flags, b"", 0,
-            ))
-        block = self._round[:count]
-        block[:] = rows  # one structured store for the round
-        width = COMPLETION_RECORD.itemsize
-        block["crc"] = [
-            zlib.crc32(self._round_bytes[base:base + width - 4])
-            for base in range(0, count * width, width)
-        ]
-        # One store into the ring; the modulo handles the wrap.
-        self._records[
-            np.arange(start, start + count) % self.spec.completion_slots] = block
+                start_time, finish_time,
+                _flags(epoch, threshold, horizon, brownout), 0,
+            )
+            _RECORD_CRC.pack_into(ring, base + _RECORD_BODY,
+                                  zlib.crc32(ring[base:base + _RECORD_BODY]))
         self._cursor = start + count
         return (start, count)
 
     def close(self) -> None:
         # Drop our own views first so the mapping can actually close; any
         # request_view() arrays still held by the engine keep it pinned.
-        self._headers = None
+        self._headers = []
         self._payloads = []
-        self._records = None
+        self._ring = None
         try:
             self._segment.close()
         except (OSError, BufferError):

@@ -17,25 +17,28 @@ request (docs/ARCHITECTURE.md, "Ring dispatch"):
   in-flight window, drains that many requests in ONE ``queue.get``, copies
   each frame **once** into the replica's shared-memory request slab
   (:mod:`repro.runtime.rings`), registers the round in one lock section and
-  ships its CRC/sequence-guarded *tickets* in one message over a plain pipe.
-  The window is ``2 * batch_width`` — one width stepping, one staged — so
-  the replica refills from its own staging queue the moment rows exit
-  instead of idling out a round trip through the parent; it bounds both what
-  a crash can take down and how many slab slots a replica can occupy.  A
-  frame larger than a slab slot is refused typed and costs only itself:
-  there is no second payload path.
-* **Serving** — per message, the replica validates the round's tickets,
-  binds zero-copy read-only views over the slab, stages the round in its
-  local admission queue in one critical section and advances the continuous
-  batcher (:meth:`~repro.serve.ContinuousBatcher.advance`: fill, step,
-  retire — no completion chain); per-sample batch invariance makes its
-  decisions identical to the sequential oracle no matter how the dispatcher
-  splits traffic.
-* **Completion** — the samples a step retires go as fixed-width records into
-  the replica's completion ring; only the ``(start, count)`` cursor range
-  travels over its *per-replica* response pipe (single writer each: a
-  replica killed mid-message can corrupt only its own channel, and a torn
-  record fails CRC validation instead of resolving a future with garbage).
+  ships its CRC/sequence-guarded *tickets* as fixed-width binary entries in
+  one ``send_bytes`` over a plain pipe.  The window is ``2 * batch_width``
+  — one width stepping, one staged — so the replica refills from its own
+  staging queue the moment rows exit instead of idling out a round trip
+  through the parent; it bounds both what a crash can take down and how
+  many slab slots a replica can occupy.  A frame the ring cannot carry
+  (larger than a slot, or of rank above ``MAX_FRAME_RANK``) is refused typed
+  and costs only itself: there is no second payload path.
+* **Serving** — per message, the replica decodes the round's entries,
+  validates their tickets, binds zero-copy read-only views over the slab,
+  stages the round in its local admission queue in one critical section and
+  advances the continuous batcher
+  (:meth:`~repro.serve.ContinuousBatcher.advance`: fill, step, retire — no
+  completion chain); per-sample batch invariance makes its decisions
+  identical to the sequential oracle no matter how the dispatcher splits
+  traffic.
+* **Completion** — the samples a step retires are packed, record by
+  record, into the replica's completion ring; only the ``(start, count)``
+  cursor range travels over its *per-replica* response pipe (single writer
+  each: a replica killed mid-message can corrupt only its own channel, and a
+  torn record fails CRC validation instead of resolving a future with
+  garbage — a message the collector cannot decode kills its replica).
   A *collector* thread multiplexes the pipes, decodes each range from one
   copy, pops the round's entries in one lock section, returns its permits
   in one release and hands it, as one round, to the completion sink it
@@ -72,7 +75,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import multiprocessing
 from collections import deque
@@ -85,12 +88,15 @@ from ..runtime import plan_for, runtime_enabled
 from ..runtime.arena import ArenaSpec, PlanArena, attach_arena
 from ..runtime.rings import (
     DEFAULT_SLOT_BYTES,
+    MAX_FRAME_RANK,
     PoolRings,
     ReplicaRings,
     RingIntegrityError,
     RingSpec,
     RingTicket,
     attach_rings,
+    decode_work,
+    encode_work,
 )
 from ..snn.network import SpikingNetwork
 from .batcher import ContinuousBatcher, complete_round, fail_round
@@ -134,18 +140,13 @@ class _ReplicaConfig:
     use_runtime: Optional[bool]
 
 
-# Work-pipe message kinds (parent -> replica).  Requests and completions
-# travel as *rounds* — one pickle + one pipe wakeup per dispatch round or
-# step round, not per request.  A round's entries are (request_id, ticket,
-# label, epoch stamp): the TICKET — (slot, seq, crc, nbytes, shape, dtype) —
-# is a cursor into the shared-memory request slab, never frame bytes, and
-# completions come back as a cursor range over the completion ring.
-# Threshold changes need no control message: every request carries its
-# ThresholdEpoch stamp, and the replica engine evaluates each slot under its
-# stamped knobs — the recorded threshold is the deciding one by construction
-# (the PR 5 one-way-message caveat, closed; docs/RESILIENCE.md).
-_MSG_REQUEST = "reqs"
-_MSG_DRAIN = "drain"
+# Work-pipe messages (parent -> replica) are bytes: one ``encode_work`` round
+# per dispatch round — slab tickets, never frame bytes — or the empty drain
+# sentinel.  Threshold changes need no control message: every request carries
+# its ThresholdEpoch stamp, and the replica engine evaluates each slot under
+# its stamped knobs — the recorded threshold is the deciding one by
+# construction (docs/RESILIENCE.md).
+_MSG_DRAIN = b""
 # Result-pipe message kinds (replica -> parent).
 _MSG_READY = "ready"
 _MSG_DONE_RING = "donr"
@@ -189,11 +190,11 @@ class _RelayResponse:
         self._outbox.append((self._request_id, text))
 
 
-def _stage_round(entries: Sequence[tuple], rings: ReplicaRings,
+def _stage_round(message: bytes, rings: ReplicaRings,
                  local_queue: AdmissionQueue, outbox: List[Tuple[int, str]],
                  epochs: Dict[tuple, ThresholdEpoch]) -> None:
-    """Validate one dispatch round's tickets and enqueue it, whole, in one
-    local-queue critical section.
+    """Decode one dispatch round (or raise out of the replica), validate
+    its tickets and enqueue it, whole, in one local-queue critical section.
 
     ``epochs`` interns one :class:`ThresholdEpoch` per wire stamp for the
     child's lifetime, as the parent stamps one object until a knob moves:
@@ -201,7 +202,7 @@ def _stage_round(entries: Sequence[tuple], rings: ReplicaRings,
     monotone, so it keeps the last stamp only.
     """
     staged = []
-    for request_id, ticket, label, stamp in entries:
+    for request_id, ticket, label, stamp in decode_work(message):
         try:
             inputs = rings.request_view(ticket)
         except RingIntegrityError as error:
@@ -237,7 +238,7 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
     replica killed mid-message can corrupt only its own channel — a
     survivor's completions can never block behind a dead neighbour's lock
     (the failure mode a shared result queue would have).  They carry one
-    ticket list or one cursor range per round; the bytes are in the rings.
+    work round or one cursor range per round; the bytes are in the rings.
     """
     index = config.index
     attachment = None
@@ -279,11 +280,11 @@ def _replica_main(spec: ArenaSpec, skeleton: bytes, config: _ReplicaConfig,
             timeout = _IDLE_POLL_MS if idle else 0
             while work_ready.poll(timeout):
                 timeout = 0
-                message = work_conn.recv()
-                if message[0] == _MSG_DRAIN:
+                message = work_conn.recv_bytes()
+                if message == _MSG_DRAIN:
                     draining = True
                 else:
-                    _stage_round(message[1], rings, local_queue, outbox, epochs)
+                    _stage_round(message, rings, local_queue, outbox, epochs)
             # Weight-reload propagation: rebind at the round boundary so a
             # refreshed arena serves coherent constants from the next step.
             # The ack tells the parent this replica no longer reads the
@@ -730,7 +731,7 @@ class ReplicaPool:
         while not self._dead[index] and not self._aborting:
             if self.queue.closed and self._backlog_empty():
                 try:
-                    self._work_writers[index].send((_MSG_DRAIN,))
+                    self._work_writers[index].send_bytes(_MSG_DRAIN)
                 except OSError:
                     pass  # already dead: the monitor owns its exit
                 return
@@ -790,15 +791,16 @@ class ReplicaPool:
         # Frames go into the slab BEFORE the pool lock is taken (the copy is
         # the expensive part; the slab is per-replica and this forwarder is
         # its only writer).  A permit implies a free slot, so no ticket
-        # means the frame exceeds a slot: refused typed, costing only itself.
+        # means a frame the ring cannot carry: refused typed, costing itself.
         entries: List[Tuple[Request, Response, RingTicket]] = []
         for request, response in batch:
             ticket = writer.try_write(request.inputs)
             if ticket is None:
                 self._fail([(request, response)], AdmissionRejectedError(
-                    f"request {request.request_id} frame of "
-                    f"{request.inputs.nbytes} bytes exceeds the replica ring's "
-                    f"slot capacity of {writer.spec.slot_bytes} bytes",
+                    f"request {request.request_id} frame {request.inputs.shape} "
+                    f"of {request.inputs.nbytes} bytes does not fit the replica "
+                    f"ring's {writer.spec.slot_bytes}-byte slots and "
+                    f"{MAX_FRAME_RANK}-dimension entries",
                 ), "rejected")
                 self._window_sems[index].release()
             else:
@@ -817,11 +819,11 @@ class ReplicaPool:
                 # engine evaluates the slot under exactly these knobs, so a
                 # request can never run under knobs other than the ones
                 # stamped at its submission.  Tickets only — a round is at
-                # most ``window`` of them (2-3 KB against a 64 KB pipe
-                # buffer) and at most ``window`` are ever unread, so this
-                # send never blocks on a live replica; on a dead one
-                # (nobody holds the read end) it raises.
-                self._work_writers[index].send((_MSG_REQUEST, [
+                # most ``window`` 123-byte entries (about 2 KB at width 8
+                # against a 64 KB pipe buffer) and at most ``window`` are
+                # ever unread, so this send never blocks on a live replica;
+                # on a dead one (nobody holds the read end) it raises.
+                self._work_writers[index].send_bytes(encode_work([
                     (request.request_id, ticket, request.label,
                      None if request.epoch is None else request.epoch.as_tuple())
                     for request, _, ticket in entries
@@ -918,14 +920,25 @@ class ReplicaPool:
                     self._pipe_drained[indices[id(reader)]].set()
                     continue
                 try:
-                    self._handle_result(message)
-                except Exception:  # pragma: no cover - a malformed message
-                    # must not take down the collector with everyone's
-                    # futures.
+                    self._handle_result(indices[id(reader)], message)
+                except Exception:  # pragma: no cover - a failing sink must
+                    # not take down the collector with everyone's futures.
                     traceback.print_exc()
 
-    def _handle_result(self, message: Tuple) -> None:
-        index, kind = message[0], message[1]
+    def _handle_result(self, index: int, message) -> None:
+        # A message the collector cannot decode (wrong arity, unknown kind, a
+        # range that fails validation) is its replica's failure: killed, so
+        # its monitor fails its window typed; none of it reaches a sink.
+        try:
+            _, kind, payload = message
+            if kind == _MSG_DONE_RING:
+                completions = self._ring_readers[index].read(*payload)
+            elif kind not in (_MSG_ERROR, _MSG_READY, _MSG_REBOUND, _MSG_BYE):
+                raise ValueError(f"unknown result message kind {kind!r}")
+        except Exception:
+            traceback.print_exc()
+            self.processes[index].kill()
+            return
         if kind == _MSG_DONE_RING:
             # The backpressure gauge must sample the *shared* admission
             # queue (a replica's local queue is window-bounded and says
@@ -934,9 +947,7 @@ class ReplicaPool:
             self.telemetry.record_queue_depth(self.queue.depth())
             # One message = one ring read = one round through the shared
             # completion sink: the same chain, in the same order, as a
-            # thread batcher's step.  A range that fails validation raises
-            # here, before any of it reaches the sink.
-            completions = self._ring_readers[index].read(*message[2])
+            # thread batcher's step.
             entries = self._pop_round(
                 index, [completion[0] for completion in completions]
             )
@@ -959,21 +970,20 @@ class ReplicaPool:
                 self.controller, self.trace, self.spans,
             )
         elif kind == _MSG_ERROR:
-            relayed = message[2]
-            entries = self._pop_round(index, [request_id for request_id, _ in relayed])
-            for entry, (_, text) in zip(entries, relayed):
+            entries = self._pop_round(index, [request_id for request_id, _ in payload])
+            for entry, (_, text) in zip(entries, payload):
                 # Accounted exactly like a thread-mode engine rejection.
                 if entry is not None:
                     self._fail([entry[:2]], AdmissionRejectedError(text), "rejected")
         elif kind == _MSG_READY:
             with self._lock:
-                self._rebound[index] = int(message[2])
+                self._rebound[index] = int(payload)
             self._ready[index].set()
         elif kind == _MSG_REBOUND:
             with self._lock:
-                self._rebound[index] = int(message[2])
+                self._rebound[index] = int(payload)
         elif kind == _MSG_BYE:
-            self.telemetry.extend_occupancy(message[2])
+            self.telemetry.extend_occupancy(payload)
 
     def _pop_round(self, index: int, request_ids: List[int]) -> List[Optional[tuple]]:
         """Pop one round's in-flight entries in one lock section, free their

@@ -1,6 +1,6 @@
 """Property and fuzz tests for the shared-memory ring decoders.
 
-Two byte formats cross the replica process boundary, and both decoders are
+Three byte formats cross the replica process boundary, and every decoder is
 hot-path code that was rewritten round-shaped:
 
 1. **Completion rounds** (``ReplicaRings.write_completions`` →
@@ -17,6 +17,10 @@ hot-path code that was rewritten round-shaped:
    read-only; a flipped header byte (``seq``/``nbytes``/``crc``), a flipped
    byte in the CRC-covered first or last 4 KiB of a payload, or a tampered
    ticket fails that ticket's validation and leaves its neighbours intact.
+3. **Work rounds** (``encode_work`` → ``decode_work``, the work pipe) —
+   any ids, labels, epoch stamps, ranks and dtypes decode to the entries
+   written; arbitrary bytes, a truncated round or one flipped byte raise
+   :class:`RingIntegrityError` and nothing else — never a partial round.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.runtime.rings import (
     COMPLETION_RECORD,
+    MAX_FRAME_RANK,
     PoolRings,
     RingIntegrityError,
     attach_rings,
+    decode_work,
+    encode_work,
 )
 
 SLOTS = 4  # completion ring of SLOTS + 2 records: every few rounds wrap
@@ -84,7 +91,7 @@ class _Rings:
 
     def completion_bytes(self):
         """The completion ring as a writable byte matrix, one row a record."""
-        return self.reader._records.view(np.uint8).reshape(
+        return np.frombuffer(self.reader._ring, dtype=np.uint8).reshape(
             -1, COMPLETION_RECORD.itemsize)
 
 
@@ -206,7 +213,7 @@ def test_header_and_guarded_payload_flips_fail_only_their_ticket(
         covered = st.integers(0, min(size, 4096) - 1) | st.integers(
             max(0, size - 4096), size - 1)
         if data.draw(st.booleans(), label="flip header"):
-            target = rings.writer._headers[slot:slot + 1].view(np.uint8)
+            target = rings.writer._headers[slot]
             offset = data.draw(st.integers(0, _GUARDED_HEADER_BYTES - 1))
         else:
             target = rings.writer._payloads[slot]
@@ -231,3 +238,82 @@ def test_a_tampered_ticket_fails_validation(field, delta):
         ticket[field] += delta
         with pytest.raises(RingIntegrityError):
             rings.replica.request_view(tuple(ticket))
+
+
+# --------------------------------------------------------------------- #
+# Work rounds
+# --------------------------------------------------------------------- #
+#: Every dtype a frame can have in the slab, in both byte orders.
+DTYPES = sorted({np.dtype(code).newbyteorder(order).str
+                 for code in "?bhilqBHILQefdgFDG" for order in "<>"})
+uint32, uint64 = st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
+ticket = st.tuples(
+    uint32,                                                     # slot
+    uint64,                                                     # seq
+    uint32,                                                     # crc
+    uint64,                                                     # nbytes
+    st.lists(uint64, max_size=MAX_FRAME_RANK).map(tuple),       # shape
+    st.sampled_from(DTYPES),                                    # dtype
+)
+stamp = st.none() | st.tuples(
+    int64, st.none() | any_float, st.none() | int64, st.booleans())
+work_entry = st.tuples(int64, ticket, st.none() | int64, stamp)
+work_round = st.lists(work_entry, max_size=16)
+
+
+def _entry_bits(entries):
+    """Entries with the stamp's threshold as its bit pattern (NaN-safe)."""
+    return [
+        (request_id, ticket, label, None if stamp is None else (
+            stamp[0], None if stamp[1] is None else struct.pack("<d", stamp[1]),
+            *stamp[2:]))
+        for request_id, ticket, label, stamp in entries
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(work_round)
+@example([])
+@example([(0, (0, 1, 0, 0, (), "|b1"), None, None)])
+@example([(-1, (2**32 - 1, 2**64 - 1, 2**32 - 1, 2**64 - 1,
+                (2**64 - 1,) * MAX_FRAME_RANK, ">c16"),
+            -2**63, (2**63 - 1, float("nan"), -2**63, True))])
+def test_work_rounds_round_trip_exactly(entries):
+    decoded = decode_work(encode_work(entries))
+    assert _entry_bits(decoded) == _entry_bits(entries)
+    for written, read in zip(entries, decoded):
+        assert type(read[2]) is type(written[2])
+        assert read[3] is None or [type(field) for field in read[3]] == [
+            type(field) for field in written[3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=600))
+@example(b"")
+@example(bytes(8))  # a CRC-valid empty round
+@example(bytes(7))
+def test_arbitrary_bytes_decode_whole_or_raise_ring_integrity_error(message):
+    """The decoder's whole contract on any input: a list of well-formed
+    entries, or RingIntegrityError — no other exception."""
+    try:
+        entries = decode_work(message)
+    except RingIntegrityError:
+        return
+    for _, (_, _, _, _, shape, dtype), _, _ in entries:
+        assert len(shape) <= MAX_FRAME_RANK and isinstance(dtype, str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(work_round, st.data())
+def test_a_truncated_or_flipped_work_round_is_refused_whole(entries, data):
+    message = encode_work(entries)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = message[:data.draw(st.integers(0, len(message) - 1), label="length")]
+    else:
+        offset = data.draw(st.integers(0, len(message) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = bytearray(message)
+        damaged[offset] ^= flip
+        damaged = bytes(damaged)
+    with pytest.raises(RingIntegrityError):
+        decode_work(damaged)

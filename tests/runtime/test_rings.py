@@ -5,7 +5,8 @@ by ``tests/serve/test_replica.py`` and ``tests/serve/test_conservation.py``;
 these tests pin the ring mechanics that do not need a second process:
 ticket round trips are bitwise and zero-copy, sequence/CRC guards reject
 stale or corrupted slots loudly, completion records survive the fixed-width
-encode/decode including every ``None`` sentinel, slot accounting enforces
+encode/decode including every ``None`` sentinel and are byte-identical to
+golden records of the documented layout, slot accounting enforces
 the window invariant, and ``destroy`` unlinks ``/dev/shm`` exactly once.
 """
 
@@ -18,9 +19,11 @@ import pytest
 
 from repro.runtime.rings import (
     COMPLETION_RECORD,
+    MAX_FRAME_RANK,
     PoolRings,
     RingIntegrityError,
     RingSpec,
+    _RECORD,
     attach_rings,
 )
 
@@ -100,11 +103,16 @@ def test_corrupted_payload_fails_crc_validation():
 
 
 def test_oversized_payload_gets_no_ticket():
+    """Nor does a frame a work entry cannot carry: rank above
+    ``MAX_FRAME_RANK``, or a dtype string longer than its 8 bytes."""
     rings = _make_rings(slot_bytes=256)
     try:
         writer = rings.writer(0)
         assert writer.try_write(np.zeros(1024, dtype=np.float32)) is None
-        # The refusal consumed no slot.
+        assert writer.try_write(
+            np.zeros((1,) * (MAX_FRAME_RANK + 1), dtype=np.float32)) is None
+        assert writer.try_write(np.zeros(2, dtype="M8[100ns]")) is None
+        # The refusals consumed no slot.
         assert writer.free_slots() == rings.spec.slots
     finally:
         rings.destroy()
@@ -185,20 +193,61 @@ def test_completion_round_larger_than_ring_is_a_value_error():
         rings.destroy()
 
 
+#: Records at cursors 3 and 4 as the structured ``COMPLETION_RECORD``
+#: encoding wrote them (one ``np.ndarray`` store per round, before records
+#: were packed with ``struct``): the documented layout, frozen.
+_GOLDEN_RECORDS = {
+    # Every optional field present, brown-out set.
+    (7, 3, 2, 0.875, 0.9, 10.5, 11.25, 4, True, 8): (
+        "0300000000000000070000000000000003000000000000000200000000000000"
+        "04000000000000000800000000000000000000000000ec3fcdccccccccccec3f"
+        "000000000000254000000000008026400f0000000000000000000000244dd2bd"),
+    # Every optional field absent.
+    (-9, 0, 4, -0.0, None, 0.0, 1e-3, None, False, None): (
+        "0400000000000000f7ffffffffffffff00000000000000000400000000000000"
+        "ffffffffffffffffffffffffffffffff00000000000000800000000000000000"
+        "0000000000000000fca9f1d24d62503f000000000000000000000000718ee9b7"),
+}
+
+
+def test_completion_records_match_the_golden_bytes_and_the_documented_layout():
+    rings = _make_rings()
+    try:
+        replica = attach_rings(rings.spec, 0)
+        reader = rings.reader(0)
+        replica.write_completions([_COMPLETIONS[2]] * 3)
+        cursor = replica.write_completions(list(_GOLDEN_RECORDS))
+        assert cursor == (3, 2)
+        width = COMPLETION_RECORD.itemsize
+        written = bytes(reader._ring[3 * width:5 * width])
+        assert written.hex() == "".join(_GOLDEN_RECORDS.values())
+        assert reader.read(*cursor) == list(_GOLDEN_RECORDS)
+        # The codec's struct IS the dtype: same size, and every field it
+        # unpacks sits at the dtype's offset with the dtype's value.
+        assert _RECORD.size == width
+        for record in (written[:width], written[width:]):
+            through_dtype = np.frombuffer(record, dtype=COMPLETION_RECORD)[0]
+            fields = [name for name in COMPLETION_RECORD.names if name != "_pad"]
+            assert list(_RECORD.unpack(record)) == [
+                through_dtype[name].item() for name in fields]
+        replica.close()
+    finally:
+        rings.destroy()
+
+
 def test_corrupted_completion_record_fails_validation():
     rings = _make_rings()
     try:
         replica = attach_rings(rings.spec, 0)
         reader = rings.reader(0)
         cursor = replica.write_completions(_COMPLETIONS[:1])
-        record = reader._records[0]
-        record["prediction"] = record["prediction"] + 1  # CRC now stale
+        prediction = COMPLETION_RECORD.fields["prediction"][1]
+        reader._ring[prediction] ^= 1  # CRC now stale
         with pytest.raises(RingIntegrityError, match="failed validation"):
             reader.read(*cursor)
         # A never-written cursor range fails the sequence check too.
         with pytest.raises(RingIntegrityError):
             reader.read(100, 1)
-        del record
         replica.close()
     finally:
         rings.destroy()

@@ -46,7 +46,8 @@ from repro.serve import (
     TraceRecorder,
     load_trace,
 )
-from repro.serve.replica import _stage_round
+from repro.runtime.rings import MAX_FRAME_RANK, attach_rings, encode_work
+from repro.serve.replica import _MSG_DONE_RING, _stage_round
 from repro.snn import spiking_vgg
 from repro.snn.encoding import EventFrameEncoder
 from repro.utils import seed_everything
@@ -268,12 +269,13 @@ class TestReplicaServing:
 
     def test_oversized_frame_is_refused_typed(self, tmp_path):
         """There is no inline payload path: a frame larger than a slab slot
-        is refused with ``AdmissionRejectedError`` naming both sizes and
+        is refused with ``AdmissionRejectedError`` naming both sizes, and one
+        of higher rank than a work entry carries naming its shape; each is
         accounted like any other rejection (telemetry, WAL reject line,
         terminal span), the requests gathered into the same dispatch round
         are served decision-exact, conservation holds and no segment leaks.
-        The whole workload is queued before the pool starts, so the oversize
-        frame sits mid-round by construction."""
+        The whole workload is queued before the pool starts, so the refused
+        frames sit mid-round by construction."""
         from repro.serve import AdmissionQueue, SpanTracker, Telemetry
         from repro.serve.replica import ReplicaPool
 
@@ -281,6 +283,7 @@ class TestReplicaServing:
         xs = _inputs(8, seed=43)
         reference = _oracle_decisions(model, xs)
         oversize = np.zeros((3, IMAGE_SIZE + 2, IMAGE_SIZE + 2), dtype=np.float32)
+        deep = np.zeros((1,) * (MAX_FRAME_RANK + 1), dtype=np.float32)
         queue = AdmissionQueue(capacity=64)
         telemetry = Telemetry()
         spans = SpanTracker()
@@ -302,12 +305,17 @@ class TestReplicaServing:
             if index == 1:
                 refused = Response()
                 queue.put(Request(request_id=100, inputs=oversize), refused)
+            if index == 4:
+                too_deep = Response()
+                queue.put(Request(request_id=101, inputs=deep), too_deep)
         pool.start()
         try:
             assert pool.wait_ready() == 1
             results = [r.result(timeout=60.0) for r in responses]
             with pytest.raises(AdmissionRejectedError) as raised:
                 refused.result(timeout=60.0)
+            with pytest.raises(AdmissionRejectedError) as raised_deep:
+                too_deep.result(timeout=60.0)
         finally:
             queue.close()
             pool.drain()
@@ -315,16 +323,19 @@ class TestReplicaServing:
         message = str(raised.value)
         assert str(oversize.nbytes) in message
         assert str(pool.rings.spec.slot_bytes) in message
+        message = str(raised_deep.value)
+        assert str(deep.shape) in message
+        assert f"{MAX_FRAME_RANK}-dimension entries" in message
         decisions = {
             r.request_id: (r.prediction, r.exit_timestep) for r in results
         }
         assert decisions == reference
         assert telemetry.completed == len(responses)
-        assert telemetry.rejected == 1 and telemetry.shed == 0
+        assert telemetry.rejected == 2 and telemetry.shed == 0
         assert spans.open_spans() == []
         trace = load_trace(str(tmp_path / "wal.jsonl"))
         assert len(trace.records) == len(responses)
-        assert [line["id"] for line in trace.rejections] == [100]
+        assert [line["id"] for line in trace.rejections] == [100, 101]
         assert _ring_segments() <= before, "ring segment leaked past pool drain"
 
     def test_retirement_is_thread_clean(self):
@@ -395,17 +406,21 @@ def test_staged_rounds_intern_one_epoch_object_per_stamp():
     the same requests carrying one fresh epoch object each.  (Replica
     decisions under stamped epochs against the oracle: TestReplicaServing.)"""
 
+    xs = _inputs(6, seed=5)
+
     class FrameRings:
         def request_view(self, ticket):
-            return ticket  # the ticket is the frame itself
+            return xs[ticket[0]]  # the ticket's slot indexes the frames
 
-    xs = _inputs(6, seed=5)
     first = ThresholdEpoch(epoch=1, threshold=0.5).as_tuple()
     second = ThresholdEpoch(epoch=2, threshold=0.8, horizon=3).as_tuple()
     stamps = [first, first, first, first, None, second]
     queue, outbox, epochs = AdmissionQueue(capacity=8), [], {}
     for round_ in ((0, 1, 2), (3, 4, 5)):
-        _stage_round([(i, xs[i], None, stamps[i]) for i in round_],
+        tickets = [(i, 1, 0, xs[i].nbytes, xs[i].shape, xs[i].dtype.str)
+                   for i in round_]
+        _stage_round(encode_work([(i, ticket, None, stamps[i])
+                                  for i, ticket in zip(round_, tickets)]),
                      FrameRings(), queue, outbox, epochs)
     staged = queue.get_nowait(limit=8)
     assert outbox == [] and len(staged) == 6
@@ -507,6 +522,72 @@ class TestReplicaFaultInjection:
         assert _arena_segments() | _ring_segments() <= before, "segment leaked"
         assert server.stats()["live_replicas"] == 0.0
 
+    def test_an_undecodable_completion_range_fails_its_replica_window_typed(self):
+        """A result message the collector cannot decode is its replica's
+        failure, not a line to print and skip: a DONE_RING cursor over a
+        record with one flipped byte gets the (SIGSTOPped) replica killed,
+        so every request of its window fails with ``ReplicaCrashError``
+        (reason ``shed``) instead of stranding with its window permit, and
+        the survivor serves the rest decision-exact."""
+        model = _model()
+        xs = _inputs(120, seed=71)
+        reference = _oracle_decisions(model, xs, threshold=0.0)
+        before = _arena_segments() | _ring_segments()
+        server = _replica_server(
+            model, threshold=0.0, num_replicas=2, batch_width=3,
+            queue_capacity=len(xs),
+        ).start()
+        pool = server.replicas
+        try:
+            futures = [server.submit(x) for x in xs]
+            deadline = time.monotonic() + 30.0
+            while server.telemetry.completed < 2:
+                assert time.monotonic() < deadline, "no completions"
+                time.sleep(0.005)
+            os.kill(pool.processes[0].pid, signal.SIGSTOP)
+            # Its window is settled once no buffered completion and no
+            # refill moves it for a while.
+            held, settled = None, 0
+            while settled < 5:
+                assert time.monotonic() < deadline, "victim's window never settled"
+                with pool._lock:
+                    window = sorted(pool._inflight[0])
+                settled = settled + 1 if window == held else 0
+                held = window
+                time.sleep(0.02)
+            assert 0 < len(held) <= pool.window
+            forged = attach_rings(pool.rings.spec, 0)
+            cursor = forged.write_completions(
+                [(held[0], 0, 1, 0.5, None, 0.0, 0.0, None, False, None)])
+            forged.close()
+            assert cursor == (0, 1)
+            pool._ring_readers[0]._ring[16] ^= 0x01  # its prediction's low byte
+            pool._handle_result(0, (0, _MSG_DONE_RING, cursor))
+
+            completed, crashed = {}, []
+            for index, future in enumerate(futures):
+                try:
+                    result = future.result(timeout=60.0)
+                    completed[index] = (result.prediction, result.exit_timestep)
+                except ReplicaCrashError:
+                    crashed.append(index)
+        finally:
+            # A no-op once the collector killed it; otherwise the stopped
+            # victim would hold the drain forever.
+            pool.processes[0].kill()
+            server.shutdown(drain=True)
+        assert crashed == held
+        for index, decision in completed.items():
+            assert decision == reference[index], f"request {index}"
+        telemetry = server.telemetry
+        assert telemetry.completed == len(completed) == len(xs) - len(held)
+        assert telemetry.shed == len(crashed)
+        assert len(xs) == (
+            telemetry.completed + telemetry.rejected + telemetry.shed
+            + sum(telemetry.deadline_drops_by_class.values())
+        )
+        assert _arena_segments() | _ring_segments() <= before, "segment leaked"
+
     def test_all_replicas_dead_fails_queued_clients_typed(self):
         model = _model()
         xs = _inputs(32, seed=13)
@@ -606,15 +687,15 @@ class TestReplicaFaultInjection:
                 self.pipe = pipe
                 self.broken = 0
 
-            def send(self, message):
-                if message[0] == "reqs" and not self.broken:
+            def send_bytes(self, message):
+                if message and not self.broken:  # a round, not the drain
                     os.kill(victim.pid, signal.SIGKILL)
                     # A write end whose last reader is gone polls POLLERR.
                     closed = select.poll()
                     closed.register(self.pipe.fileno(), 0)
                     assert closed.poll(30_000), "victim's pipe end never closed"
                 try:
-                    self.pipe.send(message)
+                    self.pipe.send_bytes(message)
                 except OSError:
                     self.broken += 1
                     raise
