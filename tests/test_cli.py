@@ -1,11 +1,14 @@
 """Tests for the command-line interface (analysis and serving subcommands)."""
 
 import glob
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.cli import _oracle_mismatches, build_parser, main
+from repro.serve import load_trace
+from repro.serve.trace import _decode_line, _encode_line
 from repro.utils import load_json, load_state_dict
 
 
@@ -179,3 +182,98 @@ class TestServingCommands:
     def test_loadgen_prints_the_sweep_table(self, capsys):
         assert main(["loadgen", "--rates", "200", "--num-requests", "24"]) == 0
         assert "Load sweep" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------- #
+def _requests(path):
+    """The decoded ``request`` payloads of the WAL at ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        return [p for p in map(_decode_line, handle) if p["kind"] == "request"]
+
+
+def _forge(source, target, requests):
+    """Write a trace at ``target`` holding the header and the clip store of
+    ``source`` and the ``requests`` payloads, each sealed with its CRC."""
+    with open(source, encoding="utf-8") as handle:
+        header = [p for p in map(_decode_line, handle) if p["kind"] == "header"]
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.writelines(_encode_line(p) for p in header + requests)
+    shutil.copyfile(source + ".clips", target + ".clips")
+    return target
+
+
+@pytest.fixture(scope="module")
+def recordings(tmp_path_factory):
+    """One request stream recorded twice through the CLI: at the calibrated
+    threshold and at 0.3, so the two halves of a spliced trace ran under
+    different thresholds on the same clips."""
+    directory = tmp_path_factory.mktemp("recordings")
+    paths = {}
+    for name, flags in (("calibrated", []), ("low", ["--threshold", "0.3"])):
+        paths[name] = str(directory / f"{name}.jsonl")
+        assert main([*TestServingCommands.SELF_TEST, "--record-trace",
+                     paths[name], *flags]) == 0
+    return paths
+
+
+def _moving_trace(recordings, target, stamped):
+    """The calibrated recording followed by the 0.3 one as a second epoch: a
+    trace whose threshold moved mid-run, with or without epoch stamps."""
+    low = _requests(recordings["low"])
+    for payload in low:
+        payload["id"] += 1000
+        payload["epoch"] = 1
+    requests = _requests(recordings["calibrated"]) + low
+    if not stamped:
+        for payload in requests:
+            payload["epoch"] = None  # a pre-epoch recording
+    path = _forge(recordings["calibrated"], target, requests)
+    trace = load_trace(path)
+    assert trace.fixed_threshold() is None
+    assert trace.epoch_stamped() is stamped
+    return path
+
+
+class TestReplayContract:
+    """What `replay` prints and returns on the traces it must refuse, skip
+    or fail, beside the happy round trip above."""
+
+    def test_unstamped_moving_trace_fails_before_serving(self, recordings,
+                                                         tmp_path, capsys):
+        trace = _moving_trace(recordings, str(tmp_path / "m.jsonl"), False)
+        assert main(["replay", "--trace", trace]) == 1
+        output = capsys.readouterr().out
+        assert "REPLAY FAIL" in output and "pre-epoch recording" in output
+        assert "REPLAY PASS" not in output
+        assert "training in-process" not in output
+
+    def test_unstamped_moving_trace_serves_without_verification(
+            self, recordings, tmp_path, capsys):
+        trace = _moving_trace(recordings, str(tmp_path / "m.jsonl"), False)
+        assert main(["replay", "--trace", trace, "--no-verify"]) == 0
+        output = capsys.readouterr().out
+        assert "REPLAY FAIL" not in output and "REPLAY PASS" not in output
+
+    def test_stamped_moving_trace_replays_exactly(self, recordings, tmp_path,
+                                                  capsys):
+        trace = _moving_trace(recordings, str(tmp_path / "m.jsonl"), True)
+        assert main(["replay", "--trace", trace]) == 0
+        assert "REPLAY PASS" in capsys.readouterr().out
+
+    def test_a_forged_exit_fails_naming_both_decisions(self, recordings,
+                                                       tmp_path, capsys):
+        requests = _requests(recordings["calibrated"])
+        victim = requests[3]
+        true_exit = victim["exit_t"]
+        victim["exit_t"] = true_exit % 4 + 1
+        trace = _forge(recordings["calibrated"], str(tmp_path / "f.jsonl"),
+                       requests)
+        assert main(["replay", "--trace", trace]) == 1
+        output = capsys.readouterr().out
+        assert "REPLAY PASS" not in output
+        (line,) = [line for line in output.splitlines()
+                   if line.startswith(f"REPLAY FAIL: request {victim['id']}:")]
+        prediction = victim["prediction"]
+        assert (f"recorded (prediction={prediction}, "
+                f"exit_t={victim['exit_t']})") in line
+        assert f"replayed (prediction={prediction}, exit_t={true_exit})" in line
