@@ -814,6 +814,10 @@ class ReplicaPool:
                 for request, response, ticket in entries:
                     inflight[request.request_id] = (request, response, ticket[0])
         if alive:
+            # ``dispatched`` (the stage only replica mode observes) is read
+            # BEFORE the send: a forwarder descheduled after it could stamp
+            # it after the replica admitted, or even completed, the round.
+            dispatched_at = self.clock() if self.spans is not None else None
             try:
                 # Each request ships its ThresholdEpoch stamp: the replica
                 # engine evaluates the slot under exactly these knobs, so a
@@ -842,11 +846,6 @@ class ReplicaPool:
             self._abandon_round(index, entries)
             return False
         if self.spans is not None:
-            # The one lifecycle stage only replica mode can observe live:
-            # the moment a request leaves the parent for a worker process.
-            # Stamped after the send so dispatched >= queued and the span
-            # stays monotone in the parent's clock domain.
-            dispatched_at = self.clock()
             for request, _, _ in entries:
                 self.spans.record(request.request_id, "dispatched", dispatched_at)
         return True

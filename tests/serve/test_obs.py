@@ -36,6 +36,7 @@ from repro.serve import (
     SpanTracker,
     Telemetry,
 )
+from repro.runtime.rings import decode_work
 from repro.snn import spiking_vgg
 from repro.utils import seed_everything
 
@@ -256,6 +257,51 @@ class TestSpans:
             assert "dispatched" in events, span
             assert (events["queued"] < events["admitted"] < events["exited"]
                     < events["completed"]), span
+
+    def test_dispatched_is_stamped_before_the_round_can_complete(self):
+        """The forwarder reads the clock for ``dispatched`` before the work
+        send.  Here every send returns only once its round's futures have
+        resolved — a forwarder descheduled right after the send — and every
+        span must still come out monotone: a stamp read after the send
+        lands after ``completed``."""
+        xs = _inputs(8)
+        spans = SpanTracker()
+        server = Server(
+            _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+            batch_width=3, queue_capacity=len(xs), num_replicas=1,
+            use_runtime=True, spans=spans,
+        ).start()
+        pool = server.replicas
+
+        class SendThenWait:
+            def __init__(self, pipe):
+                self.pipe = pipe
+                self.rounds = 0
+
+            def send_bytes(self, message):
+                # The round's requests are in flight before it is sent.
+                futures = [pool._inflight[0][entry[0]][1]
+                           for entry in (decode_work(message) if message else [])]
+                self.pipe.send_bytes(message)
+                for future in futures:
+                    future.result(timeout=30.0)
+                self.rounds += bool(futures)
+
+            def close(self):
+                self.pipe.close()
+
+        hooked = pool._work_writers[0] = SendThenWait(pool._work_writers[0])
+        try:
+            for future in [server.submit(x) for x in xs]:
+                future.result(timeout=60.0)
+        finally:
+            server.shutdown(drain=True)
+        assert hooked.rounds >= 1
+        tracked = spans.spans()
+        assert len(tracked) == len(xs)
+        for span in tracked:
+            assert span.monotone, span
+            assert span.events["dispatched"] <= span.events["admitted"], span
 
     def test_deadline_drop_records_the_instant_it_compared(self):
         """One clock reading decides the drop AND is the recorded drop time:
