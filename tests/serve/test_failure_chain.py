@@ -38,6 +38,7 @@ from repro.serve import (
     DeadlineExceededError,
     ReplicaCrashError,
     Request,
+    RequestResult,
     Response,
     Server,
     ServerClosedError,
@@ -162,12 +163,36 @@ def test_trace_report_breaks_failures_down_by_reason(tmp_path, capsys):
                   for _ in range(count)]
         fail_round(failed, error, reason, lambda: 0.0, Telemetry(), recorder)
     recorder.close()
+    assert _trace_report_tool().report(recorder.path) == 1  # no completions to summarise
+    assert "failed: 10 (deadline 1, rejected 2, shed 3, storm 4)" in capsys.readouterr().out
+
+
+def _trace_report_tool():
     path = pathlib.Path(__file__).resolve().parents[2] / "tools" / "trace_report.py"
     spec = importlib.util.spec_from_file_location("trace_report", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.report(recorder.path) == 1  # no completions to summarise
-    assert "failed: 10 (deadline 1, rejected 2, shed 3, storm 4)" in capsys.readouterr().out
+    return tool
+
+
+@pytest.mark.parametrize("stamped", [True, False], ids=["stamped", "unstamped"])
+def test_trace_report_advises_no_verify_only_without_epoch_stamps(
+        tmp_path, capsys, stamped):
+    """A moving threshold replays with verification once every record
+    carries its epoch stamp; only a pre-epoch trace needs --no-verify."""
+    path = str(tmp_path / "wal.jsonl")
+    with TraceRecorder(path, store_clips=False) as recorder:
+        for request_id, threshold in enumerate((0.3, 0.3, 0.9)):
+            recorder.record_request(
+                Request(request_id=request_id, inputs=_inputs(1)[0]),
+                RequestResult(request_id=request_id, prediction=0,
+                              exit_timestep=1, score=0.1, threshold=threshold,
+                              epoch=int(threshold > 0.5) if stamped else None))
+    assert _trace_report_tool().report(path) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("threshold: moved over [0.3, 0.9]")]
+    assert ("--no-verify" in line) is not stamped
+    assert ("replayable with bitwise verification" in line) is stamped
 
 
 # --------------------------------------------------------------------------- #

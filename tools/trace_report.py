@@ -90,8 +90,11 @@ def report(path: str, ops_json: str | None = None) -> int:
         print(f"\nthreshold: {thresholds[0]} (fixed — replayable with "
               "bitwise verification)")
     elif thresholds:
+        advice = ("epoch-stamped — replayable with bitwise verification"
+                  if trace.epoch_stamped()
+                  else "no epoch stamps — replay with --no-verify")
         print(f"\nthreshold: moved over [{thresholds[0]}, {thresholds[-1]}] "
-              "(controller trace — replay with --no-verify)")
+              f"(controller trace, {advice})")
     exits = np.array([r.exit_timestep for r in records])
     horizon = int(trace.max_timesteps or exits.max())
     histogram = np.bincount(exits, minlength=horizon + 1)[1:]
