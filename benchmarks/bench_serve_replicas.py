@@ -14,14 +14,14 @@ Method — the canonical-trace workload (docs/OBSERVABILITY.md):
    (:class:`repro.serve.TraceRecorder`) — clips, arrival order, threshold,
    and every recorded decision;
 2. every composition (1 worker baseline, N thread workers, N process
-   replicas) then replays *that same trace* through
-   :class:`repro.serve.TraceReplayer` (median of ``ROUNDS`` replays), so all
+   replicas) then replays *that same trace* through the recorded baseline of
+   :class:`repro.serve.Backtester` (median of ``ROUNDS`` replays), so all
    rows measure the identical workload through the identical submission
    machinery — apples to apples by construction;
 3. decision-exactness is asserted per replay: every composition must
-   reproduce the recorded predictions and exit timesteps bitwise
-   (``ReplayReport.exact``), which is the trace-replay regression gate
-   doing double duty as the correctness check;
+   reproduce the recorded predictions and exit timesteps bitwise (an empty
+   baseline diff), which is the trace-replay regression gate doing double
+   duty as the correctness check;
 4. the headline single-core ratio lands in ``BENCH_serve_replicas.json``
    as structured data (machine, cores, req/s per composition, arena bytes,
    replica PSS) instead of prose.  Schema v3 drops v2's pipe-transport
@@ -43,9 +43,9 @@ from _bench_utils import SMOKE, emit, emit_bench_json, print_section
 from repro.core import EntropyExitPolicy
 from repro.imc import format_table
 from repro.serve import (
+    Backtester,
     Server,
     TraceRecorder,
-    TraceReplayer,
     load_trace,
     request_stream,
 )
@@ -121,15 +121,14 @@ def _replay_once(experiment, threshold, trace, *, num_workers=1, num_replicas=0)
     try:
         if num_replicas:
             pss_kb = _replica_pss_kb(server)
-        replayer = TraceReplayer(trace, verify=True)
-        report = replayer.replay(server)
-        replayer.assert_exact(report)
+        baseline, mismatches = Backtester(trace).replay(server)
+        assert not mismatches, mismatches[:5]
     finally:
         server.shutdown(drain=True)
     arena_bytes = (
         server.replicas.arena.spec.size if server.replicas is not None else None
     )
-    return report.throughput_rps, arena_bytes, pss_kb
+    return baseline.measured["throughput_rps"], arena_bytes, pss_kb
 
 
 def _median_rps(experiment, threshold, trace, **kwargs):

@@ -62,14 +62,15 @@ from .data import (
 from .imc import IMCChip, format_breakdown, format_table
 from .serve import (
     AdaptiveThresholdController,
+    Backtester,
     BacktestSweep,
     LoadGenerator,
     MetricsRegistry,
+    RecordedSchedule,
     Server,
     SpanTracker,
     ThresholdSchedule,
     TraceRecorder,
-    TraceReplayer,
     calibrated_threshold_bounds,
     load_trace,
     request_stream,
@@ -683,13 +684,17 @@ def _command_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _namespace_from_trace(trace, args: argparse.Namespace,
-                          with_energy: bool = False) -> argparse.Namespace:
+def _namespace_from_trace(trace, args: argparse.Namespace) -> argparse.Namespace:
     """Rebuild the identical serving context from a trace header: same seeded
     dataset + in-process training (or checkpoint), threshold pinned to the
     recorded one so calibration cannot drift the decisions.  Shared by
     ``replay`` and ``backtest`` — both must serve the exact recorded model."""
     header = trace.header
+    threshold = trace.fixed_threshold()
+    if threshold is None:
+        # A moving (controller) threshold: every request is pinned to its
+        # recorded knobs, so the live policy only starts where the run did.
+        threshold = trace.threshold
     return argparse.Namespace(
         dataset=header.get("dataset", "cifar10"),
         arch=header.get("arch", "vgg"),
@@ -701,10 +706,10 @@ def _namespace_from_trace(trace, args: argparse.Namespace,
         seed=int(header.get("seed", 0)),
         checkpoint=args.checkpoint or header.get("checkpoint"),
         train_epochs=int(header.get("train_epochs", 4)),
-        threshold=trace.fixed_threshold(),
+        threshold=threshold,
         tolerance=float(header.get("tolerance", 0.005)),
         target_p95_ms=None,
-        with_energy=with_energy,
+        with_energy=getattr(args, "with_energy", False),
         batch_width=(args.batch_width if args.batch_width is not None
                      else int(header.get("batch_width", 8))),
         queue_capacity=(args.queue_capacity if args.queue_capacity is not None
@@ -715,82 +720,78 @@ def _namespace_from_trace(trace, args: argparse.Namespace,
     )
 
 
-def _command_replay(args: argparse.Namespace) -> int:
+def _load_replayable(args: argparse.Namespace, command: str,
+                     diffs_baseline: bool):
+    """The preamble ``replay`` and ``backtest`` share: load ``--trace`` and
+    refuse, before any model is built, a trace that cannot be re-served — no
+    header, no request records, clips missing from the store, or (when the
+    recorded baseline is diffed) a moving threshold without epoch stamps.
+    Returns ``(backtester, serving namespace)``, or ``None`` after printing
+    the ``FAIL`` line."""
+    tag = command.upper()
     trace = load_trace(args.trace)
     if trace.truncated:
-        print("note: trace had a truncated tail; replaying the recovered prefix")
+        print(f"note: trace had a truncated tail; {command}ing the recovered "
+              "prefix")
     if not trace.header:
-        print("REPLAY FAIL: trace has no header (not a serve --record-trace file?)")
+        print(f"{tag} FAIL: trace has no header (not a serve --record-trace "
+              "file?)")
+        return None
+    try:
+        backtester = Backtester(trace)
+        if diffs_baseline:
+            backtester.check_baseline()
+    except ValueError as error:
+        print(f"{tag} FAIL: {error}")
+        return None
+    return backtester, _namespace_from_trace(trace, args)
+
+
+def _composition(ns: argparse.Namespace) -> str:
+    return (f"{ns.replicas} process replica(s)" if ns.replicas
+            else f"{ns.workers} worker thread(s)")
+
+
+def _command_replay(args: argparse.Namespace) -> int:
+    loaded = _load_replayable(args, "replay", diffs_baseline=not args.no_verify)
+    if loaded is None:
         return 1
-    header = trace.header
-    ns = _namespace_from_trace(trace, args)
-    verify = not args.no_verify
-    if ns.threshold is None:
-        if trace.epoch_stamped():
-            # The threshold moved mid-run, but every record is epoch-stamped
-            # with the threshold its engine slot evaluated, so the replayer
-            # pins each request to its recorded knobs and bitwise
-            # verification is defined again.  The live policy threshold only
-            # seeds the server; take it from the header (or first record).
-            ns.threshold = float(header.get("threshold",
-                                            trace.records[0].threshold))
-            if verify:
-                print("trace threshold moved mid-run; records are "
-                      "epoch-stamped — replaying with per-request pinned "
-                      "thresholds")
-        elif verify:
-            print("REPLAY FAIL: the trace's threshold moved mid-run without "
-                  "epoch stamps (pre-epoch recording); bitwise verification "
-                  "is undefined — pass --no-verify to use it as a load "
-                  "source, or re-record with an epoch-stamping server")
-            return 1
-    replayer = TraceReplayer(trace, honor_arrivals=args.honor_arrivals,
-                             speed=args.speed, verify=verify)
+    backtester, ns = loaded
+    pace = args.speed if args.honor_arrivals else None
     model, test, collected, policy, controller, cost_model = _prepare_serving(ns)
     server = _build_server(ns, model, policy, controller, cost_model).start()
     try:
-        report = replayer.replay(server)
+        baseline, mismatches = (
+            (backtester.evaluate(server, RecordedSchedule(), pace=pace), [])
+            if args.no_verify else backtester.replay(server, pace=pace))
     finally:
         server.shutdown(drain=True)
-    composition = (f"{ns.replicas} process replica(s)" if ns.replicas
-                   else f"{ns.workers} worker thread(s)")
-    rows = [
-        ["replayed requests", float(report.offered)],
-        ["completed", float(report.completed)],
-        ["duration (s)", report.duration],
-        ["throughput (req/s)", report.throughput_rps],
-        ["latency p95 (ms)", 1000.0 * report.stats.get("latency_p95", 0.0)],
-    ]
+    composition = _composition(ns)
+    replayed = len(baseline.decisions)
+    rows = [["replayed requests", float(replayed)],
+            *map(list, baseline.measured.items())]
     print(format_table(["metric", "value"], rows,
                        title=f"Trace replay against {composition}",
-                       float_format="{:.3f}"))
-    if not verify:
+                       float_format="{:.6f}"))
+    if args.no_verify:
         return 0
-    if report.exact:
-        print(f"REPLAY PASS: {report.offered} decisions bitwise-identical to "
+    if not mismatches:
+        print(f"REPLAY PASS: {replayed} decisions bitwise-identical to "
               f"the recorded trace under {composition}")
         return 0
-    for mismatch in report.mismatches[:10]:
+    for mismatch in mismatches[:10]:
         print(f"REPLAY FAIL: {mismatch}")
-    print(f"REPLAY FAIL: {len(report.mismatches)} of {report.offered} "
-          "decisions diverged")
+    diverged = sum(line.startswith("request ") for line in mismatches)
+    print(f"REPLAY FAIL: {diverged} of {replayed} decisions diverged")
     return 1
 
 
 def _command_backtest(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
-    if trace.truncated:
-        print("note: trace had a truncated tail; backtesting the recovered prefix")
-    if not trace.header:
-        print("BACKTEST FAIL: trace has no header (not a serve --record-trace file?)")
+    loaded = _load_replayable(args, "backtest",
+                              diffs_baseline=not args.no_baseline)
+    if loaded is None:
         return 1
-    ns = _namespace_from_trace(trace, args, with_energy=args.with_energy)
-    if ns.threshold is None:
-        # A moving-threshold (controller) trace: the backtester pins every
-        # request's knobs explicitly, so the live policy threshold only seeds
-        # the server — any valid value works.
-        ns.threshold = float(trace.header.get("threshold",
-                                              trace.records[0].threshold or 0.5))
+    backtester, ns = loaded
 
     horizons = args.horizons if args.horizons else [None]
     candidates = {}
@@ -806,7 +807,7 @@ def _command_backtest(args: argparse.Namespace) -> int:
     def run_sweep(workers: int, replicas: int):
         composition = argparse.Namespace(**{**vars(ns), "workers": workers,
                                             "replicas": replicas})
-        sweep = BacktestSweep(trace, candidates,
+        sweep = BacktestSweep(backtester.trace, candidates,
                               include_baseline=not args.no_baseline,
                               cost_model=cost_model)
         server = _build_server(composition, model, policy, controller,
@@ -818,8 +819,7 @@ def _command_backtest(args: argparse.Namespace) -> int:
 
     result = run_sweep(args.workers, args.replicas)
 
-    composition = (f"{args.replicas} process replica(s)" if args.replicas
-                   else f"{args.workers} worker thread(s)")
+    composition = _composition(ns)
     rows = []
     for candidate in result.candidates:
         scores = candidate.score_row()
@@ -842,7 +842,7 @@ def _command_backtest(args: argparse.Namespace) -> int:
     if not args.no_baseline:
         if result.baseline_exact:
             print(f"BACKTEST PASS: recorded baseline reproduced the trace's "
-                  f"{len(trace.records)} decisions and telemetry exactly")
+                  f"{len(backtester.records)} decisions and telemetry exactly")
         else:
             for mismatch in result.baseline_mismatches[:10]:
                 print(f"BACKTEST FAIL: {mismatch}")

@@ -35,20 +35,20 @@ this package turns that saving into *throughput*.  The pieces, front to back:
   recorded decision names the exact knob values its engine slot evaluated.
 * :class:`LoadGenerator` / :func:`request_stream` — deterministic open- and
   closed-loop load for benchmarks and tests.
-* :class:`TraceRecorder` / :class:`TraceReplayer` — a WAL-style traffic
-  trace (every admitted request with its clip digest, arrival offset,
-  threshold and recorded decision, plus a content-addressed clip store) and
-  its deterministic replay against any server composition, asserting
-  decision-exactness bitwise (docs/OBSERVABILITY.md).
+* :class:`TraceRecorder` — a WAL-style traffic trace (every admitted
+  request with its clip digest, arrival offset, threshold and recorded
+  decision, plus a content-addressed clip store; docs/OBSERVABILITY.md).
 * :class:`SpanTracker` / :class:`MetricsRegistry` — per-request lifecycle
   spans (queued → dispatched → admitted → exited → completed) and a
   Prometheus/JSON-exportable metrics registry fed by :class:`Telemetry`.
-* :class:`Backtester` / :class:`BacktestSweep` — offline SLA backtesting:
-  replays a recorded trace under *candidate* :class:`ThresholdSchedule`
-  knobs instead of the recorded ones, scores each candidate against the
-  full-horizon oracle, and emits a Pareto frontier (agreement vs. EDP vs.
-  modeled p99) whose decisions are bitwise-identical across server
-  compositions (docs/OBSERVABILITY.md §5).
+* :class:`Backtester` / :class:`BacktestSweep` — the one trace driver.
+  Its recorded baseline (:meth:`Backtester.replay`) re-serves a trace under
+  the knobs it was recorded with against any server composition and diffs
+  every decision bitwise; a sweep replays it under *candidate*
+  :class:`ThresholdSchedule` knobs instead, scores each candidate against
+  the full-horizon oracle, and emits a Pareto frontier (agreement vs. EDP
+  vs. modeled p99) whose decisions are bitwise-identical across server
+  compositions (docs/OBSERVABILITY.md §2, §5).
 
 Quickstart::
 
@@ -93,7 +93,6 @@ from .obs import (
     RequestSpan,
     SpanTracker,
 )
-from .replay import ReplayMismatch, ReplayReport, TraceReplayer
 from .replica import ReplicaCrashError, ReplicaPool
 from .request import (
     AdmissionQueue,
@@ -159,9 +158,6 @@ __all__ = [
     "TraceRecorder",
     "clip_digest",
     "load_trace",
-    "TraceReplayer",
-    "ReplayReport",
-    "ReplayMismatch",
     "BACKTEST_SCHEMA_VERSION",
     "Backtester",
     "BacktestSweep",

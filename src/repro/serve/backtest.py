@@ -25,6 +25,11 @@ every composition — {1, 2 worker threads} × {1, 2 process replicas} — so th
 sweep can fan candidates across the multi-worker stack for speed without the
 parallelism touching a single decision.
 
+:class:`Backtester` is the one loop that re-serves a trace.  Its recorded
+baseline (:meth:`Backtester.replay`: every request pinned to the knobs it
+was recorded under, then diffed against the recording) is the ``replay``
+CLI's regression gate and the sweep's self-calibration alike.
+
 Scoring is split into two strictly separated families:
 
 * **Decision-derived scores** (deterministic, composition-invariant):
@@ -43,7 +48,7 @@ The :func:`pareto_frontier` over (maximize agreement, minimize EDP, minimize
 modeled p99) is emitted as a schema-v1 JSON artifact
 (:meth:`SweepResult.to_json`) rendered by ``tools/backtest_report.py`` and
 produced end to end by the ``backtest`` CLI subcommand, which rebuilds the
-model from the trace header exactly like ``replay`` does.
+model from the trace header the way the ``replay`` subcommand does.
 """
 
 from __future__ import annotations
@@ -81,6 +86,9 @@ BACKTEST_SCHEMA_VERSION = 1
 #: entropy is >= 0 and the policy exits on ``score < threshold``, so pinning
 #: θ = 0.0 runs every clip to the full horizon — the static-SNN oracle.
 ORACLE_THRESHOLD = 0.0
+
+#: The candidate name of the :class:`RecordedSchedule` baseline.
+BASELINE_NAME = "recorded"
 
 
 # --------------------------------------------------------------------------- #
@@ -355,16 +363,19 @@ class CandidateResult:
     ``decisions`` is the bitwise contract object: per recorded request (in
     record-id order), the prediction and exit timestep produced under the
     candidate knobs.  Everything in the *decision-derived* block is a pure
-    function of ``decisions`` (+ the cost model), hence
+    function of ``decisions`` (+ the cost model and the oracle), hence
     composition-invariant; ``measured`` is wall-clock truth about this
     particular run and deliberately excluded from determinism comparisons.
+    ``moved_thresholds`` maps each request the server served under another
+    threshold than the one pinned to the threshold it reported (empty when
+    pinning held).
     """
 
     name: str
     schedule_spec: Dict[str, Any]
     decisions: List[Tuple[int, int, int]]  # (record_id, prediction, exit_t)
     # Decision-derived scores (deterministic):
-    agreement: float
+    agreement: Optional[float]
     accuracy: Optional[float]
     mean_exit: float
     exit_histogram: List[int]
@@ -375,6 +386,7 @@ class CandidateResult:
     model_latency_p99: float
     # Wall-clock truth (informational, composition-dependent):
     measured: Dict[str, float] = field(default_factory=dict)
+    moved_thresholds: Dict[int, float] = field(default_factory=dict)
 
     @property
     def digest(self) -> str:
@@ -399,7 +411,7 @@ def _score_decisions(
     name: str,
     schedule_spec: Dict[str, Any],
     rows: Sequence[Tuple[TraceRecord, int, int]],  # (record, prediction, exit)
-    oracle: Mapping[str, int],
+    oracle: Optional[Mapping[str, int]],
     max_timesteps: int,
     cost_model: Optional[InferenceCostModel],
     measured: Optional[Dict[str, float]] = None,
@@ -412,7 +424,8 @@ def _score_decisions(
     exits = np.array([exit_t for _, _, exit_t in decisions], dtype=np.int64)
     histogram = np.bincount(exits, minlength=max_timesteps + 1)[1:]
     agree = [int(prediction == oracle[record.digest])
-             for record, prediction, _ in rows if record.digest in oracle]
+             for record, prediction, _ in rows
+             if oracle is not None and record.digest in oracle]
     labelled = [(record.label, prediction)
                 for record, prediction, _ in rows if record.label is not None]
     energies, edps = [], []
@@ -434,7 +447,7 @@ def _score_decisions(
         name=name,
         schedule_spec=dict(schedule_spec),
         decisions=decisions,
-        agreement=float(np.mean(agree)) if agree else 0.0,
+        agreement=float(np.mean(agree)) if agree else None,
         accuracy=(float(np.mean([p == l for l, p in labelled]))
                   if labelled else None),
         mean_exit=float(exits.mean()) if exits.size else 0.0,
@@ -454,7 +467,10 @@ def _score_decisions(
 # The engines
 # --------------------------------------------------------------------------- #
 class Backtester:
-    """Replays one recorded trace under *candidate* knobs and scores it.
+    """Re-serves one recorded trace under candidate knobs and scores it.
+
+    The one trace driver: ``replay`` CLI runs and backtest sweeps both go
+    through :meth:`evaluate`.
 
     Parameters
     ----------
@@ -464,6 +480,9 @@ class Backtester:
     cost_model:
         Optional per-inference pricer (e.g. ``IMCChip``); enables the
         energy/EDP axes and the modeled-latency axis in physical units.
+    clock, sleep:
+        Injectable time source and pacing sleep (see ``pace`` on
+        :meth:`evaluate`).
 
     The backtester never reads or mutates the server's live policy knob: it
     submits every request with explicit ``threshold=`` / ``horizon=`` pins,
@@ -476,24 +495,27 @@ class Backtester:
         trace,
         cost_model: Optional[InferenceCostModel] = None,
         clock: Callable[[], float] = time.monotonic,
+        sleep: Callable[[float], None] = time.sleep,
     ):
         if isinstance(trace, str):
             trace = load_trace(trace)
         if not isinstance(trace, Trace):
             raise TypeError("trace must be a Trace or a path to one")
         if not trace.records:
-            raise ValueError("trace holds no request records to backtest")
+            raise ValueError("trace holds no request records to replay")
         missing = [r.request_id for r in trace.records
                    if r.digest not in trace.clips]
         if missing:
             raise ValueError(
-                f"trace cannot be backtested: {len(missing)} record(s) "
-                "reference clips missing from the clip store (recorded with "
-                "store_clips=False or truncated)"
+                f"trace cannot be replayed: {len(missing)} record(s) "
+                f"reference clips missing from the clip store (first: "
+                f"request {missing[0]}) — recorded with store_clips=False "
+                "or a truncated .clips file"
             )
         self.trace = trace
         self.cost_model = cost_model
         self.clock = clock
+        self.sleep = sleep
         self.records: List[TraceRecord] = sorted(
             trace.records, key=lambda r: (r.arrival_offset, r.request_id)
         )
@@ -531,6 +553,8 @@ class Backtester:
         server: Server,
         schedule,
         name: str = "candidate",
+        oracle: Optional[Mapping[str, int]] = None,
+        pace: Optional[float] = None,
         result_timeout: float = 300.0,
     ) -> CandidateResult:
         """Run every recorded request under ``schedule``'s knobs; score it.
@@ -540,27 +564,39 @@ class Backtester:
         :class:`RecordedSchedule` baseline, or a custom policy object.
         Submissions are pipelined (all submitted, then all resolved), so a
         multi-worker or multi-replica server overlaps the requests; epoch
-        pinning guarantees the overlap cannot move a decision.
+        pinning guarantees the overlap cannot move a decision.  ``agreement``
+        is scored against ``oracle`` (see :meth:`oracle`), and is ``None``
+        without one: nothing but the recorded requests is submitted.
+
+        ``pace`` of ``None`` submits closed-loop, as fast as backpressure
+        allows (a capacity measurement); a positive ``k`` sleeps each
+        request to its recorded arrival offset divided by ``k``, reproducing
+        the recorded load shape ``k`` times faster.
         """
-        oracle = self.oracle(server, result_timeout=result_timeout)
+        if pace is not None and not pace > 0:
+            raise ValueError("pace must be positive")
         start = self.clock()
         pending = []
         for record in self.records:
+            if pace is not None:
+                delay = start + record.arrival_offset / pace - self.clock()
+                if delay > 0:
+                    self.sleep(delay)
             threshold, horizon = schedule.knobs_for(record)
-            pending.append((record, server.submit(
-                self.trace.clips[record.digest],
-                label=record.label,
-                block=True,
-                threshold=threshold,
-                horizon=horizon,
-            )))
+            pending.append((record, threshold, server.submit(
+                self.trace.clips[record.digest], label=record.label,
+                block=True, threshold=threshold, horizon=horizon)))
         rows = []
         wall_latencies = []
-        for record, response in pending:
+        moved: Dict[int, float] = {}
+        for record, threshold, response in pending:
             result = response.result(timeout=result_timeout)
             rows.append((record, int(result.prediction),
                          int(result.exit_timestep)))
             wall_latencies.append(result.latency)
+            if (threshold is not None and result.threshold is not None
+                    and float(result.threshold) != float(threshold)):
+                moved[record.request_id] = float(result.threshold)
         duration = self.clock() - start
         wall = np.asarray(wall_latencies, dtype=np.float64)  # dtype-ok: latency bookkeeping is decision-side float64 (docs/NUMERICS.md)
         measured = {
@@ -569,22 +605,102 @@ class Backtester:
             "latency_p50_s": float(np.percentile(wall, 50)) if wall.size else 0.0,
             "latency_p99_s": float(np.percentile(wall, 99)) if wall.size else 0.0,
         }
-        return _score_decisions(
+        candidate = _score_decisions(
             name, schedule.spec(), rows, oracle, server.max_timesteps,
             self.cost_model, measured,
         )
+        candidate.moved_thresholds = moved
+        return candidate
 
     # ------------------------------------------------------------------ #
-    def trace_scores(self, oracle: Mapping[str, int],
-                     max_timesteps: int) -> CandidateResult:
-        """The trace's own telemetry, scored through the same rule as a live
-        candidate — what the recorded baseline must match *exactly*."""
-        rows = [(record, record.prediction, record.exit_timestep)
-                for record in self.records]
-        return _score_decisions(
-            "trace", {"kind": "trace"}, rows, oracle, max_timesteps,
-            self.cost_model,
-        )
+    def check_baseline(self) -> None:
+        """Refuse a trace whose recorded baseline cannot be diffed: a moving
+        threshold without epoch stamps, whose records do not say which
+        threshold each request's engine slot evaluated."""
+        if (self.trace.fixed_threshold() is None
+                and not self.trace.epoch_stamped()):
+            raise ValueError(
+                "trace was recorded under a moving threshold (SLA "
+                "controller) without epoch stamps (pre-epoch recording); "
+                "bitwise verification is undefined — skip the "
+                "recorded-baseline diff (replay --no-verify, backtest "
+                "--no-baseline), replay a fixed-threshold trace, or "
+                "re-record with an epoch-stamping server"
+            )
+
+    def check_server(self, server: Server) -> None:
+        """Refuse a server whose knobs cannot reproduce the trace."""
+        threshold = self.trace.fixed_threshold()
+        live = getattr(server.policy, "threshold", None)
+        if threshold is not None and live is not None and (
+            float(live) != float(threshold)
+        ):
+            raise ValueError(
+                f"server threshold {float(live)} != trace threshold "
+                f"{threshold}; decisions cannot match — build the policy "
+                "from the trace header"
+            )
+        recorded_t = self.trace.max_timesteps
+        if recorded_t is not None and server.max_timesteps != recorded_t:
+            raise ValueError(
+                f"server max_timesteps {server.max_timesteps} != trace "
+                f"horizon {recorded_t}"
+            )
+
+    def replay(
+        self,
+        server: Server,
+        oracle: Optional[Mapping[str, int]] = None,
+        pace: Optional[float] = None,
+        result_timeout: float = 300.0,
+    ) -> Tuple[CandidateResult, List[str]]:
+        """The recorded baseline: re-serve every request under its recorded
+        knobs and diff the outcome against the recording.
+
+        Returns the scored baseline and its mismatch lines (empty when the
+        replay reproduced every decision and decision-derived score
+        exactly).
+        """
+        self.check_baseline()
+        self.check_server(server)
+        baseline = self.evaluate(server, RecordedSchedule(), BASELINE_NAME,
+                                 oracle, pace, result_timeout)
+        recorded = _score_decisions(
+            "trace", {"kind": "trace"},
+            [(r, r.prediction, r.exit_timestep) for r in self.records],
+            oracle, server.max_timesteps, self.cost_model)
+        return baseline, self._diff_baseline(baseline, recorded)
+
+    def _diff_baseline(self, baseline: CandidateResult,
+                       recorded: CandidateResult) -> List[str]:
+        """Exact-match diff between the re-served baseline and the trace's
+        own telemetry, scored through the same rule: one line per request
+        whose decision or threshold moved, then one per decision-derived
+        score that differs (wall clock is a new measurement by definition)."""
+        mismatches: List[str] = []
+        replayed = {rid: (pred, exit_t) for rid, pred, exit_t in baseline.decisions}
+        for record in self.records:
+            prediction, exit_t = replayed[record.request_id]
+            served = baseline.moved_thresholds.get(record.request_id)
+            if ((prediction, exit_t) == (record.prediction, record.exit_timestep)
+                    and served is None):
+                continue
+            line = (f"request {record.request_id}: recorded "
+                    f"(prediction={record.prediction}, "
+                    f"exit_t={record.exit_timestep}) vs replayed "
+                    f"(prediction={prediction}, exit_t={exit_t})")
+            if served is not None:
+                line += (f" [threshold recorded={record.threshold} "
+                         f"replayed={served}]")
+            mismatches.append(line)
+        for axis in ("agreement", "accuracy", "mean_exit", "exit_histogram",
+                     "energy_total", "edp_mean"):
+            mine, theirs = getattr(baseline, axis), getattr(recorded, axis)
+            if mine != theirs:
+                mismatches.append(
+                    f"baseline {axis} {mine!r} != trace telemetry {theirs!r}"
+                )
+        return mismatches
 
 
 @dataclass
@@ -695,8 +811,6 @@ class BacktestSweep:
         Optional pricer enabling the energy/EDP Pareto axes.
     """
 
-    BASELINE_NAME = "recorded"
-
     def __init__(
         self,
         trace,
@@ -706,9 +820,9 @@ class BacktestSweep:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.backtester = Backtester(trace, cost_model=cost_model, clock=clock)
-        if include_baseline and self.BASELINE_NAME in candidates:
+        if include_baseline and BASELINE_NAME in candidates:
             raise ValueError(
-                f"candidate name {self.BASELINE_NAME!r} is reserved for the "
+                f"candidate name {BASELINE_NAME!r} is reserved for the "
                 "recorded baseline"
             )
         self.candidates = dict(candidates)
@@ -725,17 +839,13 @@ class BacktestSweep:
         baseline_mismatches: List[str] = []
         baseline_name = None
         if self.include_baseline:
-            baseline_name = self.BASELINE_NAME
-            baseline = backtester.evaluate(
-                server, RecordedSchedule(), name=baseline_name,
-                result_timeout=result_timeout,
-            )
+            baseline_name = BASELINE_NAME
+            baseline, baseline_mismatches = backtester.replay(
+                server, oracle, result_timeout=result_timeout)
             results.append(baseline)
-            reference = backtester.trace_scores(oracle, server.max_timesteps)
-            baseline_mismatches = self._diff_baseline(baseline, reference)
         for name in sorted(self.candidates):
             results.append(backtester.evaluate(
-                server, self.candidates[name], name=name,
+                server, self.candidates[name], name=name, oracle=oracle,
                 result_timeout=result_timeout,
             ))
         frontier = pareto_frontier(results)
@@ -760,37 +870,3 @@ class BacktestSweep:
             },
             oracle_size=len(oracle),
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _diff_baseline(baseline: CandidateResult,
-                       reference: CandidateResult) -> List[str]:
-        """Exact-match diff between the re-served baseline and the trace's
-        own telemetry (decision-derived block only — wall clock is a new
-        measurement by definition)."""
-        mismatches: List[str] = []
-        recorded = {(rid, pred, exit_t)
-                    for rid, pred, exit_t in reference.decisions}
-        for rid, pred, exit_t in baseline.decisions:
-            if (rid, pred, exit_t) not in recorded:
-                mismatches.append(
-                    f"request {rid}: replayed (prediction={pred}, "
-                    f"exit_t={exit_t}) not in the recording"
-                )
-                if len(mismatches) >= 10:
-                    mismatches.append("... (further mismatches elided)")
-                    return mismatches
-        for axis, mine, theirs in (
-            ("agreement", baseline.agreement, reference.agreement),
-            ("accuracy", baseline.accuracy, reference.accuracy),
-            ("mean_exit", baseline.mean_exit, reference.mean_exit),
-            ("exit_histogram", baseline.exit_histogram,
-             reference.exit_histogram),
-            ("energy_total", baseline.energy_total, reference.energy_total),
-            ("edp_mean", baseline.edp_mean, reference.edp_mean),
-        ):
-            if mine != theirs:
-                mismatches.append(
-                    f"baseline {axis} {mine!r} != trace telemetry {theirs!r}"
-                )
-        return mismatches

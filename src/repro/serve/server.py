@@ -385,7 +385,7 @@ class Server:
         budget in seconds: a request still undispatched after it is dropped
         with :class:`~repro.serve.DeadlineExceededError`.  ``threshold`` /
         ``horizon`` pin this request's exit knobs explicitly (the trace
-        replayer uses this to re-run each request under its recorded epoch);
+        backtester uses this to re-run each request under its recorded epoch);
         when omitted, the live policy knob — possibly brown-out-escalated by
         the storm guard — is stamped instead.
         """

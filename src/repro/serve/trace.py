@@ -21,9 +21,10 @@ files:
   likewise dropped at load.
 
 Records reference clips by digest, which is what makes a trace *replayable*:
-:class:`repro.serve.replay.TraceReplayer` resubmits the recorded clips in
-recorded arrival order against any server composition and checks the
-decisions bitwise against the recorded exits.
+the recorded baseline of :class:`repro.serve.backtest.Backtester` resubmits
+the recorded clips in recorded arrival order, each pinned to its recorded
+knobs, against any server composition and diffs the decisions bitwise
+against the recorded exits.
 
 Timestamps are stored as offsets from the first recorded arrival, in the
 server's (injectable) clock domain — a trace is a relative schedule, not a
@@ -130,8 +131,8 @@ class Trace:
 
     def fixed_threshold(self) -> Optional[float]:
         """The single threshold every record ran under, or ``None`` if the
-        threshold moved mid-trace (an SLA controller run) — in which case a
-        bitwise replay is not defined and the replayer refuses by default."""
+        threshold moved mid-trace (an SLA controller run) — in which case
+        the recorded baseline is only defined for an epoch-stamped trace."""
         values = {record.threshold for record in self.records}
         values.discard(None)
         if len(values) > 1:
@@ -146,7 +147,7 @@ class Trace:
         An epoch-stamped trace supports bitwise replay *even when the
         threshold moved mid-trace*: each record's threshold is provably the
         one its engine slot evaluated (the engine pins stamped knobs
-        per-slot), so the replayer can pin each request to its recorded
+        per-slot), so the backtester can pin each request to its recorded
         threshold/horizon instead of refusing.
         """
         return bool(self.records) and all(

@@ -37,11 +37,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import EntropyExitPolicy
 from repro.serve import (
+    Backtester,
     Request,
     RequestResult,
     Server,
     TraceRecorder,
-    TraceReplayer,
     clip_digest,
     load_trace,
 )
@@ -245,8 +245,8 @@ def test_a_trace_in_the_previous_layout_still_replays_bitwise(tmp_path):
 
     serving = server().start()
     try:
-        replayer = TraceReplayer(old)
-        replayer.assert_exact(replayer.replay(serving, result_timeout=60.0))
+        _, mismatches = Backtester(old).replay(serving, result_timeout=60.0)
+        assert not mismatches, mismatches
     finally:
         serving.shutdown(drain=True)
 

@@ -190,7 +190,8 @@ class TestBacktesterScoring:
         server = _server(model).start()
         try:
             candidate = backtester.evaluate(
-                server, ThresholdSchedule.constant(0.0), name="oracle-knob")
+                server, ThresholdSchedule.constant(0.0), name="oracle-knob",
+                oracle=backtester.oracle(server))
         finally:
             server.shutdown(drain=True)
         # θ=0 is the oracle's own knob: agreement 1.0, all exits at horizon.

@@ -41,6 +41,7 @@ from repro.serve import (
     PRIORITY_NORMAL,
     AdaptiveThresholdController,
     AdmissionQueue,
+    Backtester,
     DeadlineExceededError,
     EpochLedger,
     LoadGenerator,
@@ -52,7 +53,6 @@ from repro.serve import (
     StormShedError,
     StormState,
     TraceRecorder,
-    TraceReplayer,
     load_trace,
     priority_cycle,
     request_stream,
@@ -576,18 +576,19 @@ class TestEpochConsistencyMatrix:
             assert (result.prediction, result.exit_timestep) == (
                 int(oracle.predictions[j]), int(oracle.exit_timesteps[j])), \
                 f"request {i}"
-        # And the replayer no longer refuses the moving-threshold trace:
-        # it pins each request to its recorded epoch and verifies bitwise.
-        replayer = TraceReplayer(trace)
+        # And the recorded baseline no longer refuses the moving-threshold
+        # trace: it pins each request to its recorded epoch and diffs bitwise.
+        replayer = Backtester(trace)
         replay_server = Server(
             model, EntropyExitPolicy(theta0), max_timesteps=TIMESTEPS,
             batch_width=3, queue_capacity=len(xs), use_runtime=True,
         ).start()
         try:
-            report = replayer.replay(replay_server)
+            baseline, mismatches = replayer.replay(replay_server)
         finally:
             replay_server.shutdown(drain=True)
-        assert report.exact, [str(m) for m in report.mismatches]
+        assert not mismatches, mismatches
+        assert len(baseline.decisions) == len(trace.records)
 
     def test_unstamped_moving_trace_is_still_refused(self, tmp_path):
         model = _model()
@@ -597,8 +598,10 @@ class TestEpochConsistencyMatrix:
         for record in trace.records:
             record.epoch = None  # simulate a pre-epoch recording
         assert not trace.epoch_stamped()
+        unstarted = Server(model, EntropyExitPolicy(0.3),
+                           max_timesteps=TIMESTEPS, use_runtime=True)
         with pytest.raises(ValueError, match="epoch"):
-            TraceReplayer(trace)
+            Backtester(trace).replay(unstarted)
 
 
 # --------------------------------------------------------------------------- #
@@ -864,13 +867,14 @@ class TestStormGuardCanonicalReplay:
             batch_width=3, queue_capacity=64, use_runtime=True, storm=config,
         ).start()
         try:
-            report = TraceReplayer(trace).replay(server, result_timeout=60.0)
+            baseline, mismatches = Backtester(trace).replay(
+                server, result_timeout=60.0)
         finally:
             server.shutdown(drain=True)
-        assert report.exact, [str(m) for m in report.mismatches]
+        assert not mismatches, mismatches
         assert server.storm.state == StormState.NORMAL
         assert server.telemetry.snapshot().get("shed", 0.0) == 0.0
         # The replay aggregates match the recording, guard or no guard.
         recorded = [r.exit_timestep for r in trace.records]
-        assert report.mean_exit == pytest.approx(float(np.mean(recorded)))
-        assert sum(report.exit_histogram) == len(trace.records)
+        assert baseline.mean_exit == pytest.approx(float(np.mean(recorded)))
+        assert sum(baseline.exit_histogram) == len(trace.records)

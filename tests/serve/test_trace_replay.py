@@ -8,10 +8,11 @@ Three contracts pinned here:
 2. **Crash recovery** — a trace whose tail was interrupted mid-append (torn
    record line, corrupt CRC, truncated clip frame) loads its longest valid
    prefix and flags ``Trace.truncated``; nothing before the tear is lost.
-3. **Cross-composition replay** — the same recorded trace replays
-   decision-exact (bitwise predictions and exit timesteps) through thread
-   workers and process replicas alike.  Per-sample batch invariance is what
-   makes this well-defined; the replayer's refusal cases (missing clips,
+3. **Cross-composition replay** — the backtester's recorded baseline
+   (:meth:`~repro.serve.Backtester.replay`) re-serves the same recorded
+   trace decision-exact (bitwise predictions and exit timesteps) through
+   thread workers and process replicas alike.  Per-sample batch invariance
+   is what makes this well-defined; its refusal cases (missing clips,
    moving threshold, mismatched server knobs) keep it honest.
 4. **Durability order** — the completion sink flushes a round's WAL lines
    once, before any of the round's futures resolves: a resolved future's
@@ -40,6 +41,8 @@ from repro.core.policies import EntropyExitPolicy
 from repro.imc import IMCChip
 from repro.serve import (
     AdaptiveThresholdController,
+    Backtester,
+    RecordedSchedule,
     Request,
     RequestResult,
     Response,
@@ -50,7 +53,6 @@ from repro.serve import (
     Trace,
     TraceRecord,
     TraceRecorder,
-    TraceReplayer,
     clip_digest,
     load_trace,
 )
@@ -200,7 +202,7 @@ class TestWalRecovery:
         # A replay over records whose clips were lost must refuse loudly.
         if any(r.digest not in recovered.clips for r in recovered.records):
             with pytest.raises(ValueError, match="missing from the clip store"):
-                TraceReplayer(recovered)
+                Backtester(recovered)
 
 
 # --------------------------------------------------------------------------- #
@@ -216,15 +218,35 @@ def _fake_record(request_id, digest="00" * 16, threshold=0.5, arrival=0.0):
     )
 
 
+class _ScriptedServer:
+    """Answers the i-th submission with the i-th ``(prediction, exit_t,
+    threshold)`` of its script — a server whose every decision is chosen."""
+
+    max_timesteps = TIMESTEPS
+    policy = EntropyExitPolicy(THRESHOLD)
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def submit(self, inputs, label=None, block=True, threshold=None,
+               horizon=None):
+        prediction, exit_t, served = next(self.script)
+        response = Response()
+        response.set_result(RequestResult(
+            request_id=0, prediction=prediction, exit_timestep=exit_t,
+            score=0.5, threshold=served))
+        return response
+
+
 class TestReplayerRefusals:
     def test_empty_trace_refused(self):
         with pytest.raises(ValueError, match="no request records"):
-            TraceReplayer(_fake_trace([]))
+            Backtester(_fake_trace([]))
 
     def test_missing_clips_refused(self):
         trace = _fake_trace([_fake_record(0)])  # no clip store at all
         with pytest.raises(ValueError, match="missing from the clip store"):
-            TraceReplayer(trace)
+            Backtester(trace)
 
     def test_moving_threshold_refused_unless_unverified(self, make_clips):
         clip = make_clips(1)[0]
@@ -235,15 +257,17 @@ class TestReplayerRefusals:
         ]
         trace = _fake_trace(records, clips={digest: clip})
         assert trace.fixed_threshold() is None
+        backtester = Backtester(trace)
         with pytest.raises(ValueError, match="moving threshold"):
-            TraceReplayer(trace)
-        # As a pure load source the same trace is fine.
-        replayer = TraceReplayer(trace, verify=False)
-        assert replayer.verify is False
+            backtester.replay(_ScriptedServer([]))
+        # As a pure load source (no baseline diff) the same trace is fine.
+        served = backtester.evaluate(
+            _ScriptedServer([(0, 1, 0.4), (0, 1, 0.6)]), RecordedSchedule())
+        assert served.decisions == [(0, 0, 1), (1, 0, 1)]
 
     def test_check_server_rejects_mismatched_knobs(self, canonical_trace):
         model, trace = canonical_trace
-        replayer = TraceReplayer(trace)
+        replayer = Backtester(trace)
 
         wrong_threshold = Server(
             model, EntropyExitPolicy(0.9), max_timesteps=TIMESTEPS,
@@ -276,42 +300,44 @@ class TestCrossCompositionReplay:
             model, num_workers=num_workers, num_replicas=num_replicas
         ).start()
         try:
-            replayer = TraceReplayer(trace)
-            report = replayer.replay(server, result_timeout=60.0)
+            baseline, mismatches = Backtester(trace).replay(
+                server, result_timeout=60.0)
         finally:
             server.shutdown(drain=True)
-        assert report.exact
-        assert report.completed == report.offered == len(trace.records)
-        replayer.assert_exact(report)
+        assert not mismatches, mismatches
+        assert len(baseline.decisions) == len(trace.records)
+        assert set(baseline.decisions) == {
+            (r.request_id, r.prediction, r.exit_timestep) for r in trace.records}
 
-    def test_report_carries_decision_aggregates(self, canonical_trace):
-        """Satellite: exit-histogram and energy/EDP aggregates are computed
-        from the replay's own results, on the verifying AND the
-        ``verify=False`` path (the backtester scores from these)."""
+    def test_baseline_carries_decision_aggregates(self, canonical_trace):
+        """Exit-histogram and energy/EDP aggregates are computed from the
+        replay's own results, with AND without the baseline diff."""
         model, trace = canonical_trace
-        for verify in (True, False):
+        for diffed in (True, False):
             server = _server(model).start()
             try:
-                report = TraceReplayer(trace, verify=verify).replay(
-                    server, result_timeout=60.0)
+                backtester = Backtester(trace)
+                if diffed:
+                    baseline, _ = backtester.replay(server, result_timeout=60.0)
+                else:
+                    baseline = backtester.evaluate(
+                        server, RecordedSchedule(), result_timeout=60.0)
             finally:
                 server.shutdown(drain=True)
-            assert len(report.exit_histogram) == TIMESTEPS
-            assert sum(report.exit_histogram) == len(trace.records)
+            assert len(baseline.exit_histogram) == TIMESTEPS
+            assert sum(baseline.exit_histogram) == len(trace.records)
             recorded_exits = [r.exit_timestep for r in trace.records]
             expected = np.bincount(recorded_exits,
                                    minlength=TIMESTEPS + 1)[1:]
-            assert report.exit_histogram == [int(c) for c in expected]
-            assert report.mean_exit == pytest.approx(
+            assert baseline.exit_histogram == [int(c) for c in expected]
+            assert baseline.mean_exit == pytest.approx(
                 float(np.mean(recorded_exits)))
-            # No cost model on this server: energy stays None, not 0.0.
-            assert report.energy_mean is None
-            assert report.energy_total is None
-            assert report.edp_mean is None
+            # No cost model on this backtester: energy stays None, not 0.0.
+            assert baseline.energy_mean is None
+            assert baseline.energy_total is None
+            assert baseline.edp_mean is None
 
-    def test_report_energy_aggregates_with_cost_model(self, canonical_trace):
-        from repro.imc import IMCChip
-
+    def test_baseline_energy_aggregates_with_cost_model(self, canonical_trace):
         model, trace = canonical_trace
         sample = np.stack([trace.clips[r.digest] for r in trace.records[:4]])
         chip = IMCChip.from_network(model, sample, num_classes=NUM_CLASSES)
@@ -320,30 +346,36 @@ class TestCrossCompositionReplay:
             batch_width=3, use_runtime=True, cost_model=chip,
         ).start()
         try:
-            report = TraceReplayer(trace, verify=False).replay(
-                server, result_timeout=60.0)
+            baseline = Backtester(trace, cost_model=chip).evaluate(
+                server, RecordedSchedule(), result_timeout=60.0)
         finally:
             server.shutdown(drain=True)
         # Energy is priced per request from the recorded exits; the replay
         # aggregates must match pricing the trace's own exit timesteps.
         expected = [chip.energy(r.exit_timestep) for r in trace.records]
-        assert report.energy_total == pytest.approx(sum(expected))
-        assert report.energy_mean == pytest.approx(
+        assert baseline.energy_total == pytest.approx(sum(expected))
+        assert baseline.energy_mean == pytest.approx(
             sum(expected) / len(expected))
-        assert report.edp_mean is not None and report.edp_mean > 0.0
+        assert baseline.edp_mean is not None and baseline.edp_mean > 0.0
 
-    def test_assert_exact_diff_is_readable(self, canonical_trace):
-        _, trace = canonical_trace
-        replayer = TraceReplayer(trace)
-        from repro.serve import ReplayMismatch, ReplayReport
-
-        report = ReplayReport(
-            offered=2, completed=2, duration=1.0,
-            mismatches=[ReplayMismatch(7, 1, 2, 3, 4)],
-        )
-        assert not report.exact
-        with pytest.raises(AssertionError, match="request 7"):
-            replayer.assert_exact(report)
+    def test_the_diff_names_both_decisions_and_both_thresholds(self,
+                                                               make_clips):
+        clip = make_clips(1)[0]
+        digest = clip_digest(clip).hex()
+        trace = _fake_trace([_fake_record(7, digest=digest),
+                             _fake_record(8, digest=digest, arrival=1.0)],
+                            clips={digest: clip})
+        # Request 7 keeps its decision but reports another threshold than
+        # the one pinned; request 8 runs under the pin but exits later.
+        server = _ScriptedServer([(0, 1, 0.7), (0, 3, 0.5)])
+        _, mismatches = Backtester(trace).replay(server)
+        assert mismatches[:2] == [
+            "request 7: recorded (prediction=0, exit_t=1) vs replayed "
+            "(prediction=0, exit_t=1) [threshold recorded=0.5 replayed=0.7]",
+            "request 8: recorded (prediction=0, exit_t=1) vs replayed "
+            "(prediction=0, exit_t=3)",
+        ]
+        assert "baseline mean_exit 2.0 != trace telemetry 1.0" in mismatches
 
     def test_honored_arrivals_pace_through_injectable_clock(self,
                                                             canonical_trace):
@@ -362,20 +394,25 @@ class TestCrossCompositionReplay:
                 self.t += delay
 
         clock = FakeClock()
-        replayer = TraceReplayer(
-            trace, honor_arrivals=True, speed=2.0,
-            clock=clock, sleep=clock.sleep,
-        )
+        replayer = Backtester(trace, clock=clock, sleep=clock.sleep)
         server = _server(model).start()
         try:
-            report = replayer.replay(server, result_timeout=60.0)
+            _, mismatches = replayer.replay(server, pace=2.0,
+                                            result_timeout=60.0)
         finally:
             server.shutdown(drain=True)
-        assert report.exact
+        assert not mismatches, mismatches
         # The fake clock only advances inside sleep(): the total slept time
-        # is exactly the last arrival offset, compressed by the speed factor.
+        # is exactly the last arrival offset, compressed by the pace factor.
         last_offset = max(r.arrival_offset for r in trace.records)
         assert sum(sleeps) == pytest.approx(last_offset / 2.0)
+
+    def test_pace_must_be_positive(self, canonical_trace):
+        _, trace = canonical_trace
+        for pace in (0.0, -1.0):
+            with pytest.raises(ValueError, match="pace must be positive"):
+                Backtester(trace).evaluate(_ScriptedServer([]),
+                                           RecordedSchedule(), pace=pace)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _oracle_mismatches, build_parser, main
-from repro.serve import load_trace
+from repro.serve import TraceRecorder, load_trace
 from repro.serve.trace import _decode_line, _encode_line
 from repro.utils import load_json, load_state_dict
 
@@ -277,3 +277,43 @@ class TestReplayContract:
         assert (f"recorded (prediction={prediction}, "
                 f"exit_t={victim['exit_t']})") in line
         assert f"replayed (prediction={prediction}, exit_t={true_exit})" in line
+
+
+class TestUnservableTraces:
+    """`replay` and `backtest` share one preamble: a trace they cannot
+    re-serve is refused with a FAIL line and exit 1 before any model is
+    built, whatever the flags."""
+
+    COMMANDS = [["replay"], ["replay", "--no-verify"], ["backtest"]]
+
+    @staticmethod
+    def _refused(argv, trace, capsys):
+        assert main([*argv, "--trace", trace]) == 1
+        output = capsys.readouterr().out
+        assert "training in-process" not in output
+        return output, argv[0].upper()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_a_trace_without_request_records(self, argv, tmp_path, capsys):
+        # What a server leaves behind when it shed or crashed before its
+        # first completion: a header and nothing else.
+        trace = str(tmp_path / "empty.jsonl")
+        TraceRecorder(trace, meta={"threshold": 0.5, "max_timesteps": 4}).close()
+        output, tag = self._refused(argv, trace, capsys)
+        assert f"{tag} FAIL: trace holds no request records" in output
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_a_trace_whose_clips_are_gone(self, argv, recordings, tmp_path,
+                                          capsys):
+        trace = _forge(recordings["calibrated"], str(tmp_path / "c.jsonl"),
+                       _requests(recordings["calibrated"]))
+        (tmp_path / "c.jsonl.clips").unlink()
+        output, tag = self._refused(argv, trace, capsys)
+        assert f"{tag} FAIL: trace cannot be replayed" in output
+        assert "missing from the clip store" in output
+
+    def test_backtest_refuses_an_unstamped_moving_baseline(self, recordings,
+                                                           tmp_path, capsys):
+        trace = _moving_trace(recordings, str(tmp_path / "m.jsonl"), False)
+        output, _ = self._refused(["backtest"], trace, capsys)
+        assert "BACKTEST FAIL" in output and "pre-epoch recording" in output
