@@ -469,9 +469,6 @@ def _score_decisions(
 class Backtester:
     """Re-serves one recorded trace under candidate knobs and scores it.
 
-    The one trace driver: ``replay`` CLI runs and backtest sweeps both go
-    through :meth:`evaluate`.
-
     Parameters
     ----------
     trace:
@@ -817,9 +814,8 @@ class BacktestSweep:
         candidates: Mapping[str, Any],
         include_baseline: bool = True,
         cost_model: Optional[InferenceCostModel] = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
-        self.backtester = Backtester(trace, cost_model=cost_model, clock=clock)
+        self.backtester = Backtester(trace, cost_model=cost_model)
         if include_baseline and BASELINE_NAME in candidates:
             raise ValueError(
                 f"candidate name {BASELINE_NAME!r} is reserved for the "
