@@ -781,8 +781,8 @@ def _command_replay(args: argparse.Namespace) -> int:
         return 0
     for mismatch in mismatches[:10]:
         print(f"REPLAY FAIL: {mismatch}")
-    diverged = sum(line.startswith("request ") for line in mismatches)
-    print(f"REPLAY FAIL: {diverged} of {replayed} decisions diverged")
+    print(f"REPLAY FAIL: {len(mismatches)} mismatch(es) against the "
+          f"{replayed} recorded decisions")
     return 1
 
 

@@ -384,7 +384,7 @@ class Server:
         :class:`~repro.serve.StormShedError`.  ``deadline`` is a *relative*
         budget in seconds: a request still undispatched after it is dropped
         with :class:`~repro.serve.DeadlineExceededError`.  ``threshold`` /
-        ``horizon`` pin this request's exit knobs explicitly (the trace
+        ``horizon`` pin this request's exit knobs explicitly (the
         backtester uses this to re-run each request under its recorded epoch);
         when omitted, the live policy knob — possibly brown-out-escalated by
         the storm guard — is stamped instead.
