@@ -75,6 +75,7 @@ from .serve import (
     load_trace,
     request_stream,
 )
+from .serve.backtest import MISMATCH_LINES
 from .snn import EventFrameEncoder, spiking_resnet, spiking_vgg
 from .training import (
     Trainer,
@@ -753,6 +754,9 @@ def _composition(ns: argparse.Namespace) -> str:
 
 
 def _command_replay(args: argparse.Namespace) -> int:
+    if not args.speed > 0:
+        print(f"REPLAY FAIL: --speed must be positive, got {args.speed}")
+        return 1
     loaded = _load_replayable(args, "replay", diffs_baseline=not args.no_verify)
     if loaded is None:
         return 1
@@ -779,7 +783,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         print(f"REPLAY PASS: {replayed} decisions bitwise-identical to "
               f"the recorded trace under {composition}")
         return 0
-    for mismatch in mismatches[:10]:
+    for mismatch in mismatches[:MISMATCH_LINES]:
         print(f"REPLAY FAIL: {mismatch}")
     print(f"REPLAY FAIL: {len(mismatches)} mismatch(es) against the "
           f"{replayed} recorded decisions")
@@ -844,7 +848,7 @@ def _command_backtest(args: argparse.Namespace) -> int:
             print(f"BACKTEST PASS: recorded baseline reproduced the trace's "
                   f"{len(backtester.records)} decisions and telemetry exactly")
         else:
-            for mismatch in result.baseline_mismatches[:10]:
+            for mismatch in result.baseline_mismatches[:MISMATCH_LINES]:
                 print(f"BACKTEST FAIL: {mismatch}")
             failed = True
 

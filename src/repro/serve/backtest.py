@@ -26,9 +26,9 @@ sweep can fan candidates across the multi-worker stack for speed without the
 parallelism touching a single decision.
 
 :class:`Backtester` is the one loop that re-serves a trace.  Its recorded
-baseline (:meth:`Backtester.replay`: every request pinned to the knobs it
-was recorded under, then diffed against the recording) is the ``replay``
-CLI's regression gate and the sweep's self-calibration alike.
+baseline (:meth:`Backtester.replay`: every request re-served under the
+knobs it was recorded under, then diffed against the recording) is the
+``replay`` CLI's regression gate and the sweep's self-calibration alike.
 
 Scoring is split into two strictly separated families:
 
@@ -89,6 +89,11 @@ ORACLE_THRESHOLD = 0.0
 
 #: The candidate name of the :class:`RecordedSchedule` baseline.
 BASELINE_NAME = "recorded"
+
+#: How many baseline mismatch lines the artifact (and the ``replay`` CLI)
+#: shows before eliding the rest: a trace replayed against the wrong model
+#: mismatches on every request.
+MISMATCH_LINES = 10
 
 
 # --------------------------------------------------------------------------- #
@@ -366,9 +371,6 @@ class CandidateResult:
     function of ``decisions`` (+ the cost model and the oracle), hence
     composition-invariant; ``measured`` is wall-clock truth about this
     particular run and deliberately excluded from determinism comparisons.
-    ``moved_thresholds`` maps each request the server served under another
-    threshold than the one pinned to the threshold it reported (empty when
-    pinning held).
     """
 
     name: str
@@ -386,7 +388,6 @@ class CandidateResult:
     model_latency_p99: float
     # Wall-clock truth (informational, composition-dependent):
     measured: Dict[str, float] = field(default_factory=dict)
-    moved_thresholds: Dict[int, float] = field(default_factory=dict)
 
     @property
     def digest(self) -> str:
@@ -410,24 +411,23 @@ class CandidateResult:
 def _score_decisions(
     name: str,
     schedule_spec: Dict[str, Any],
-    rows: Sequence[Tuple[TraceRecord, int, int]],  # (record, prediction, exit)
+    rows: Sequence[Tuple[TraceRecord, Any]],  # (record, its RequestResult)
     oracle: Optional[Mapping[str, int]],
     max_timesteps: int,
     cost_model: Optional[InferenceCostModel],
     measured: Optional[Dict[str, float]] = None,
 ) -> CandidateResult:
-    """Deterministic scores from per-request decisions (one rule for the
-    backtester's live runs AND the trace's own telemetry, so the baseline
-    comparison is exact by construction)."""
-    decisions = [(record.request_id, int(prediction), int(exit_t))
-                 for record, prediction, exit_t in rows]
+    """Deterministic scores from the per-request decisions."""
+    decisions = [(record.request_id, int(result.prediction),
+                  int(result.exit_timestep)) for record, result in rows]
     exits = np.array([exit_t for _, _, exit_t in decisions], dtype=np.int64)
     histogram = np.bincount(exits, minlength=max_timesteps + 1)[1:]
     agree = [int(prediction == oracle[record.digest])
-             for record, prediction, _ in rows
+             for (record, _), (_, prediction, _) in zip(rows, decisions)
              if oracle is not None and record.digest in oracle]
     labelled = [(record.label, prediction)
-                for record, prediction, _ in rows if record.label is not None]
+                for (record, _), (_, prediction, _) in zip(rows, decisions)
+                if record.label is not None]
     energies, edps = [], []
     latencies = []
     for _, _, exit_t in decisions:
@@ -481,10 +481,11 @@ class Backtester:
         Injectable time source and pacing sleep (see ``pace`` on
         :meth:`evaluate`).
 
-    The backtester never reads or mutates the server's live policy knob: it
-    submits every request with explicit ``threshold=`` / ``horizon=`` pins,
-    so any server built from the trace header works and the SLA controller
-    (if one is attached) cannot perturb a candidate mid-run.
+    A candidate never reads or mutates the server's live policy knob: every
+    request goes in with explicit ``threshold=`` / ``horizon=`` pins, so any
+    server built from the trace header works and the SLA controller (if one
+    is attached) cannot perturb a candidate mid-run.  The recorded baseline
+    of a fixed-threshold trace is the exception (see :meth:`replay`).
     """
 
     def __init__(
@@ -570,6 +571,17 @@ class Backtester:
         request to its recorded arrival offset divided by ``k``, reproducing
         the recorded load shape ``k`` times faster.
         """
+        rows, measured = self._serve(server, schedule.knobs_for, pace,
+                                     result_timeout)
+        return _score_decisions(
+            name, schedule.spec(), rows, oracle, server.max_timesteps,
+            self.cost_model, measured,
+        )
+
+    def _serve(self, server: Server, knobs_for, pace: Optional[float],
+               result_timeout: float):
+        """Submit every record under ``knobs_for(record)``, then resolve them
+        all: the ``(record, result)`` rows and the wall-clock measurements."""
         if pace is not None and not pace > 0:
             raise ValueError("pace must be positive")
         start = self.clock()
@@ -579,35 +591,21 @@ class Backtester:
                 delay = start + record.arrival_offset / pace - self.clock()
                 if delay > 0:
                     self.sleep(delay)
-            threshold, horizon = schedule.knobs_for(record)
-            pending.append((record, threshold, server.submit(
+            threshold, horizon = knobs_for(record)
+            pending.append((record, server.submit(
                 self.trace.clips[record.digest], label=record.label,
                 block=True, threshold=threshold, horizon=horizon)))
-        rows = []
-        wall_latencies = []
-        moved: Dict[int, float] = {}
-        for record, threshold, response in pending:
-            result = response.result(timeout=result_timeout)
-            rows.append((record, int(result.prediction),
-                         int(result.exit_timestep)))
-            wall_latencies.append(result.latency)
-            if (threshold is not None and result.threshold is not None
-                    and float(result.threshold) != float(threshold)):
-                moved[record.request_id] = float(result.threshold)
+        rows = [(record, response.result(timeout=result_timeout))
+                for record, response in pending]
         duration = self.clock() - start
-        wall = np.asarray(wall_latencies, dtype=np.float64)  # dtype-ok: latency bookkeeping is decision-side float64 (docs/NUMERICS.md)
+        wall = np.asarray([result.latency for _, result in rows], dtype=np.float64)  # dtype-ok: latency bookkeeping is decision-side float64 (docs/NUMERICS.md)
         measured = {
             "duration_s": float(duration),
             "throughput_rps": (len(rows) / duration if duration > 0 else 0.0),
             "latency_p50_s": float(np.percentile(wall, 50)) if wall.size else 0.0,
             "latency_p99_s": float(np.percentile(wall, 99)) if wall.size else 0.0,
         }
-        candidate = _score_decisions(
-            name, schedule.spec(), rows, oracle, server.max_timesteps,
-            self.cost_model, measured,
-        )
-        candidate.moved_thresholds = moved
-        return candidate
+        return rows, measured
 
     # ------------------------------------------------------------------ #
     def check_baseline(self) -> None:
@@ -654,50 +652,52 @@ class Backtester:
         """The recorded baseline: re-serve every request under its recorded
         knobs and diff the outcome against the recording.
 
+        A fixed-threshold trace's request without a horizon cap is submitted
+        unpinned: :meth:`check_server` has made the live threshold the
+        recorded one, so the server's own knob path (a storm guard
+        included) stamps the recorded knobs or the diff shows it.  Every
+        other request (a moving threshold, a capped horizon) is pinned to
+        the knobs it was recorded under.
+
         Returns the scored baseline and its mismatch lines (empty when the
-        replay reproduced every decision and decision-derived score
-        exactly).
+        replay reproduced every decision and threshold exactly).
         """
         self.check_baseline()
         self.check_server(server)
-        baseline = self.evaluate(server, RecordedSchedule(), BASELINE_NAME,
-                                 oracle, pace, result_timeout)
-        recorded = _score_decisions(
-            "trace", {"kind": "trace"},
-            [(r, r.prediction, r.exit_timestep) for r in self.records],
-            oracle, server.max_timesteps, self.cost_model)
-        return baseline, self._diff_baseline(baseline, recorded)
+        fixed = self.trace.fixed_threshold() is not None
 
-    def _diff_baseline(self, baseline: CandidateResult,
-                       recorded: CandidateResult) -> List[str]:
-        """Exact-match diff between the re-served baseline and the trace's
-        own telemetry, scored through the same rule: one line per request
-        whose decision or threshold moved, then one per decision-derived
-        score that differs (wall clock is a new measurement by definition)."""
+        def knobs_for(record: TraceRecord):
+            capped = (record.horizon is not None
+                      and record.horizon < server.max_timesteps)
+            if fixed and not capped:
+                return None, None
+            return record.threshold, record.horizon
+
+        rows, measured = self._serve(server, knobs_for, pace, result_timeout)
+        baseline = _score_decisions(
+            BASELINE_NAME, RecordedSchedule().spec(), rows, oracle,
+            server.max_timesteps, self.cost_model, measured)
+        # One line per request whose decision moved or that reported another
+        # threshold than the recorded one.  Every decision-derived score is a
+        # function of these decisions (plus the oracle, labels and cost model
+        # both sides share), so no score can differ without such a line.
         mismatches: List[str] = []
-        replayed = {rid: (pred, exit_t) for rid, pred, exit_t in baseline.decisions}
-        for record in self.records:
-            prediction, exit_t = replayed[record.request_id]
-            served = baseline.moved_thresholds.get(record.request_id)
-            if ((prediction, exit_t) == (record.prediction, record.exit_timestep)
-                    and served is None):
+        for record, result in rows:
+            moved = (record.threshold is not None and result.threshold is not None
+                     and float(result.threshold) != float(record.threshold))
+            if not moved and (result.prediction, result.exit_timestep) == (
+                    record.prediction, record.exit_timestep):
                 continue
             line = (f"request {record.request_id}: recorded "
                     f"(prediction={record.prediction}, "
                     f"exit_t={record.exit_timestep}) vs replayed "
-                    f"(prediction={prediction}, exit_t={exit_t})")
-            if served is not None:
+                    f"(prediction={result.prediction}, "
+                    f"exit_t={result.exit_timestep})")
+            if moved:
                 line += (f" [threshold recorded={record.threshold} "
-                         f"replayed={served}]")
+                         f"replayed={float(result.threshold)}]")
             mismatches.append(line)
-        for axis in ("agreement", "accuracy", "mean_exit", "exit_histogram",
-                     "energy_total", "edp_mean"):
-            mine, theirs = getattr(baseline, axis), getattr(recorded, axis)
-            if mine != theirs:
-                mismatches.append(
-                    f"baseline {axis} {mine!r} != trace telemetry {theirs!r}"
-                )
-        return mismatches
+        return baseline, mismatches
 
 
 @dataclass
@@ -752,6 +752,10 @@ class SweepResult:
     # ------------------------------------------------------------------ #
     def to_document(self, include_decisions: bool = True) -> Dict[str, Any]:
         """The schema-v1 artifact (docs/OBSERVABILITY.md §5)."""
+        mismatches = self.baseline_mismatches[:MISMATCH_LINES]
+        extra = len(self.baseline_mismatches) - len(mismatches)
+        if extra:
+            mismatches.append(f"... ({extra} further mismatches elided)")
         return {
             "schema_version": BACKTEST_SCHEMA_VERSION,
             "kind": "backtest_sweep",
@@ -764,7 +768,7 @@ class SweepResult:
             "baseline": {
                 "name": self.baseline_name,
                 "exact": self.baseline_exact,
-                "mismatches": list(self.baseline_mismatches),
+                "mismatches": mismatches,
             },
             "pareto": list(self.pareto),
             "candidates": [
@@ -800,8 +804,8 @@ class BacktestSweep:
         ``{name: schedule}`` — the what-if set.  Names are the artifact keys.
     include_baseline:
         Add the :class:`RecordedSchedule` under ``baseline_name`` and check
-        it reproduces the trace's own decisions and decision-derived scores
-        exactly (:attr:`SweepResult.baseline_exact`).  This is the sweep's
+        it reproduces the trace's own decisions (and so every
+        decision-derived score) exactly (:attr:`SweepResult.baseline_exact`).  This is the sweep's
         self-calibration: if the recorded knobs do not reproduce the
         recording, no what-if number can be trusted.
     cost_model:

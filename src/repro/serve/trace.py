@@ -22,7 +22,7 @@ files:
 
 Records reference clips by digest, which is what makes a trace *replayable*:
 the recorded baseline of :class:`repro.serve.backtest.Backtester` resubmits
-the recorded clips in recorded arrival order, each pinned to its recorded
+the recorded clips in recorded arrival order, each under its recorded
 knobs, against any server composition and diffs the decisions bitwise
 against the recorded exits.
 

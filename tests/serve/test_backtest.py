@@ -36,6 +36,7 @@ from repro.serve import (
     RecordedSchedule,
     ScheduleSegment,
     Server,
+    SweepResult,
     ThresholdSchedule,
     Trace,
     TraceRecord,
@@ -346,3 +347,17 @@ class TestSweepArtifact:
         compact = json.loads(path.read_text())
         assert all("decisions" not in c for c in compact["candidates"])
         assert all(c["decision_digest"] for c in compact["candidates"])
+
+    def test_a_long_mismatch_list_is_elided_in_the_artifact(self):
+        # A trace backtested against the wrong model mismatches on every
+        # request; the artifact keeps the first lines and counts the rest.
+        lines = [f"request {i}: moved" for i in range(25)]
+        result = SweepResult(
+            candidates=[], pareto=[], baseline_name="recorded",
+            baseline_mismatches=lines, composition={}, trace_info={},
+            oracle_size=0)
+        baseline = result.to_document()["baseline"]
+        assert baseline["exact"] is False
+        assert baseline["mismatches"] == [
+            *lines[:10], "... (15 further mismatches elided)"]
+        assert len(result.baseline_mismatches) == 25

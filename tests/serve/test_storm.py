@@ -866,12 +866,20 @@ class TestStormGuardCanonicalReplay:
             model, EntropyExitPolicy(THRESHOLD), max_timesteps=TIMESTEPS,
             batch_width=3, queue_capacity=64, use_runtime=True, storm=config,
         ).start()
+        # The fixed-threshold baseline goes through the guard's knob path
+        # (no pins), so a guard that moved θ or the horizon while calm would
+        # show up in the diff below.
+        knob_path = []
+        effective = server.storm.effective
+        server.storm.effective = (
+            lambda live: knob_path.append(live) or effective(live))
         try:
             baseline, mismatches = Backtester(trace).replay(
                 server, result_timeout=60.0)
         finally:
             server.shutdown(drain=True)
         assert not mismatches, mismatches
+        assert knob_path == [THRESHOLD] * len(trace.records)
         assert server.storm.state == StormState.NORMAL
         assert server.telemetry.snapshot().get("shed", 0.0) == 0.0
         # The replay aggregates match the recording, guard or no guard.

@@ -317,3 +317,11 @@ class TestUnservableTraces:
         trace = _moving_trace(recordings, str(tmp_path / "m.jsonl"), False)
         output, _ = self._refused(["backtest"], trace, capsys)
         assert "BACKTEST FAIL" in output and "pre-epoch recording" in output
+
+    @pytest.mark.parametrize("speed", ["0", "-2"])
+    def test_replay_refuses_a_non_positive_speed(self, speed, recordings,
+                                                 capsys):
+        output, _ = self._refused(
+            ["replay", "--honor-arrivals", "--speed", speed],
+            recordings["calibrated"], capsys)
+        assert "REPLAY FAIL: --speed must be positive" in output
