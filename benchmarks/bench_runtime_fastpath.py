@@ -10,11 +10,11 @@ conv1+norm1 stem per input, replaying it across the whole horizon.
 This benchmark measures the per-timestep forward cost of both paths on the
 same trained model at serving batch widths, plus the no-stem-cache variant
 (what an event-stream encoder pays), the per-op-class split of a fast-path
-step (``REPRO_TRACE_OPS=1``), a width walk: the batch alternating
-between 8 and 5 rows, the move an open-loop lull or a drain makes — with the
-price of a *turnover* (5 of 8 rows replaced: compacted and re-appended vs
-recycled in place, what a closed-loop round does) — and
-the *round budget*: the whole serving round (``submit`` → fill → ``step`` →
+step (each op class's ``run`` timed in place), a width walk: the batch
+alternating between 8 and 5 rows, the move an open-loop lull or a drain
+makes — with the price of a *turnover* (5 of 8 rows replaced: compacted and
+re-appended vs recycled in place, what a closed-loop round does) — and the
+*round budget*: the whole serving round (``submit`` → fill → ``step`` →
 ``complete_round``) replayed on one thread, the GIL-free per-stage cost the
 threaded ``perf/`` trace cannot attribute.
 Everything lands in ``BENCH_runtime_fastpath.json`` (docs/OBSERVABILITY.md).
@@ -96,28 +96,39 @@ def _time_fast_path(model, executor, x, timesteps):
 
 
 def _op_split_us(model, x, timesteps):
-    """Per-op-class microseconds of one fast-path step at ``x``'s width, from
-    the executor's own ``REPRO_TRACE_OPS`` profile (the stem runs once per
-    input under direct encoding, so its share is per step, not per call)."""
-    previous = os.environ.get("REPRO_TRACE_OPS")
-    os.environ["REPRO_TRACE_OPS"] = "1"
-    try:
-        executor = executor_for(model)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_TRACE_OPS"]
-        else:
-            os.environ["REPRO_TRACE_OPS"] = previous
+    """Per-op-class microseconds of one fast-path step at ``x``'s width.
+
+    Timed from outside the program, the way ``_round_budget`` times its
+    sinks: ``run`` of every op class the plan holds is wrapped for the
+    measured rounds and restored after.  The wrapper sits on the class (the
+    ops keep ``__slots__``), as in ``perf/layers.py``.  The stem runs once
+    per input under direct encoding, so its share is per step, not per call.
+    """
+    executor = executor_for(model)
     run_cumulative_logits(model, executor, x, timesteps)  # warmup (binds)
-    warm = {entry["index"]: entry["seconds"] for entry in executor.op_timings()}
-    for _ in range(ROUNDS):
-        run_cumulative_logits(model, executor, x, timesteps)
-    split = {}
-    for entry in executor.op_timings():
-        group = OP_GROUPS.get(entry["op"], "other")
-        seconds = entry["seconds"] - warm[entry["index"]]
-        split[group] = split.get(group, 0.0) + 1e6 * seconds / (ROUNDS * timesteps)
-    return split
+    clock = time.perf_counter
+    seconds = {}
+
+    def timed(group, run):
+        def timer(op, *args):
+            began = clock()
+            run(op, *args)
+            seconds[group] += clock() - began
+        return timer
+
+    originals = {type(op): vars(type(op))["run"] for op in executor.plan.ops}
+    try:
+        for cls, run in originals.items():
+            group = OP_GROUPS.get(cls.__name__, "other")
+            seconds[group] = 0.0
+            cls.run = timed(group, run)
+        for _ in range(ROUNDS):
+            run_cumulative_logits(model, executor, x, timesteps)
+    finally:
+        for cls, run in originals.items():
+            cls.run = run
+    return {group: 1e6 * total / (ROUNDS * timesteps)
+            for group, total in seconds.items()}
 
 
 def _time_steps(executor, steps):

@@ -3,10 +3,10 @@
 Every lock in ``repro.serve`` and ``repro.runtime`` is created through
 :func:`named_lock`, which gives the lock a stable hierarchy name (the rank
 table lives in docs/ANALYSIS.md).  With ``REPRO_LOCK_CHECK`` unset the
-factory returns a plain ``threading.Lock`` — zero wrapper overhead, same
-construction-time-flag pattern as ``REPRO_TRACE_OPS``.  With
-``REPRO_LOCK_CHECK=1`` it returns a :class:`NamedLock` whose acquisitions
-feed a process-global :class:`LockGraph`:
+factory returns a plain ``threading.Lock`` — zero wrapper overhead, because
+the flag is read when the lock is built.  With ``REPRO_LOCK_CHECK=1`` it
+returns a :class:`NamedLock` whose acquisitions feed a process-global
+:class:`LockGraph`:
 
 * each thread keeps the stack of named locks it currently holds;
 * acquiring lock ``B`` while holding ``A`` records the edge ``A -> B``

@@ -505,7 +505,7 @@ def _build_server(args: argparse.Namespace, model, policy, controller, cost_mode
         num_replicas=args.replicas,
         cost_model=cost_model,
         controller=controller,
-        use_runtime=False if args.reference_path else None,
+        use_runtime=not args.reference_path,
         trace=trace,
         spans=spans,
     )

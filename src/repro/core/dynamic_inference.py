@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..autograd import no_grad
+from ..autograd.dtypes import scalar_operand
 from ..data.datasets import DataLoader
 from ..runtime import executor_for
 from ..snn.network import SpikingNetwork
@@ -97,13 +98,12 @@ class DynamicTimestepInference:
         model: Optional[SpikingNetwork] = None,
         policy: Optional[ExitPolicy] = None,
         max_timesteps: Optional[int] = None,
-        use_runtime: Optional[bool] = None,
+        use_runtime: bool = True,
     ):
         self.model = model
         self.policy = policy or EntropyExitPolicy()
-        # None defers to the REPRO_RUNTIME environment gate; False pins the
-        # define-by-run Tensor path (the reference oracle the equivalence
-        # suite compares against).
+        # False pins the define-by-run Tensor path (the reference oracle the
+        # equivalence suite compares against).
         self.use_runtime = use_runtime
         if max_timesteps is None and model is not None:
             max_timesteps = model.default_timesteps
@@ -224,9 +224,11 @@ class DynamicTimestepInference:
                     else:
                         logits = executor.step(frame.data)
                     running_sum = logits if running_sum is None else running_sum + logits
+                    # The oracle's running mean (cumulative_mean_logits).
                     # Without compaction the running sum spans the full batch;
                     # restrict the exit decision to the still-active rows.
-                    cumulative = running_sum / float(t + 1)
+                    cumulative = running_sum * scalar_operand(
+                        1.0 / (t + 1), running_sum.dtype)
                     if not compact:
                         cumulative = cumulative[active]
 

@@ -27,8 +27,7 @@ scratch buffers and membrane state never contain a float64 array, and the
 plan verifier proves it at every compile.
 
 The Tensor path stays available everywhere as the *reference oracle*: pass
-``use_runtime=False`` (or set ``REPRO_RUNTIME=0``) to
-:class:`~repro.core.DynamicTimestepInference`,
+``use_runtime=False`` to :class:`~repro.core.DynamicTimestepInference`,
 :class:`~repro.serve.InferenceEngine` / :class:`~repro.serve.Server`, or
 :func:`~repro.training.collect_cumulative_logits`.  ``tests/equivalence``
 asserts the two paths agree bitwise on predictions, exit timesteps and
@@ -44,7 +43,6 @@ import numpy as np
 from ..autograd.dtypes import scalar_operand
 from ..snn.encoding import DirectEncoder
 from ..snn.network import SpikingNetwork
-from ..utils.validation import env_flag
 from .arena import ArenaAttachment, ArenaSpec, PlanArena, attach_arena
 from .executor import PlanExecutor
 from .rings import (
@@ -79,20 +77,11 @@ __all__ = [
     "attach_arena",
     "attach_rings",
     "compile_network",
-    "runtime_enabled",
     "plan_for",
     "plan_registry",
     "executor_for",
     "run_cumulative_logits",
 ]
-
-
-def runtime_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve a ``use_runtime`` flag: explicit argument wins, else the
-    ``REPRO_RUNTIME`` environment variable (default: enabled)."""
-    if override is not None:
-        return bool(override)
-    return env_flag("REPRO_RUNTIME", True)
 
 
 def plan_for(model: SpikingNetwork) -> Optional[CompiledPlan]:
@@ -110,10 +99,11 @@ def plan_for(model: SpikingNetwork) -> Optional[CompiledPlan]:
 
 def executor_for(
     model: SpikingNetwork,
-    use_runtime: Optional[bool] = None,
+    use_runtime: bool = True,
     collect_statistics: bool = True,
 ) -> Optional[PlanExecutor]:
-    """A fresh executor for ``model``, or ``None`` to use the Tensor path.
+    """A fresh executor for ``model``, or ``None`` to use the Tensor path:
+    when ``use_runtime`` is false or the model does not lower.
 
     The *aligned* stem cache engages only under :class:`DirectEncoder` — the
     one encoder whose frame is constant across timesteps for a given sample.
@@ -123,9 +113,7 @@ def executor_for(
     :meth:`PlanExecutor.step` recover the stem skip for replayed clips, and
     callers that don't (e.g. single-pass batch inference) pay nothing.
     """
-    if not runtime_enabled(use_runtime):
-        return None
-    plan = plan_for(model)
+    plan = plan_for(model) if use_runtime else None
     if plan is None:
         return None
     encoder = model.encoder

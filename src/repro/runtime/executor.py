@@ -32,45 +32,14 @@ equivalence test harness asserts.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..utils.validation import env_flag
 from .kernels import Scratch, channels_last
 from .plan import CompiledPlan, PlanOp, StemCache
 
 __all__ = ["PlanExecutor"]
-
-
-def _trace_ops_enabled() -> bool:
-    """``REPRO_TRACE_OPS=1`` turns on per-op wall-clock timing.
-
-    Read at executor construction (like ``REPRO_RUNTIME``): the executor
-    then puts a :class:`_TimedOp` in each op's place, so the default-off
-    cost is nothing at all.
-    """
-    return env_flag("REPRO_TRACE_OPS", False)
-
-
-class _TimedOp:
-    """Stands in for one plan op under ``REPRO_TRACE_OPS=1``: same ``run``,
-    timed into the executor's per-op totals."""
-
-    __slots__ = ("op", "index", "seconds", "calls")
-
-    def __init__(self, op: PlanOp, index: int, seconds: List[float], calls: List[int]):
-        self.op = op
-        self.index = index
-        self.seconds = seconds
-        self.calls = calls
-
-    def run(self, regs, scratch, state, stats) -> None:
-        began = time.perf_counter()
-        self.op.run(regs, scratch, state, stats)
-        self.seconds[self.index] += time.perf_counter() - began
-        self.calls[self.index] += 1
 
 
 class PlanExecutor:
@@ -106,8 +75,8 @@ class PlanExecutor:
     executor owns — registers, scratch buffers, membranes, stem rows,
     returned logits — is float32 (boolean fire/relu masks aside), and the
     results are bitwise-identical to the define-by-run Tensor oracle
-    (``use_runtime=False`` / ``REPRO_RUNTIME=0``), which remains available
-    everywhere as the reference.
+    (``use_runtime=False``), which remains available everywhere as the
+    reference.
     """
 
     def __init__(self, plan: CompiledPlan, stem_cache: bool = False,
@@ -144,16 +113,9 @@ class PlanExecutor:
         self._frame_live = any(
             0 in op.reads for op in plan.ops[plan.stem_len:]
         )
-        self.trace_ops = _trace_ops_enabled()
-        self._op_seconds = [0.0] * len(plan.ops)
-        self._op_calls = [0] * len(plan.ops)
-        ops: Sequence = plan.ops
-        if self.trace_ops:
-            ops = [_TimedOp(op, index, self._op_seconds, self._op_calls)
-                   for index, op in enumerate(plan.ops)]
         # The step program: (op, its scratch) in execution order, split
         # where a cached stem lets a step start.
-        program = list(zip(ops, self._scratch))
+        program = list(zip(plan.ops, self._scratch))
         self._stem_program = program[: plan.stem_len]
         self._body_program = program[plan.stem_len:]
 
@@ -426,27 +388,6 @@ class PlanExecutor:
         # reused scratch (anything but a Linear head): the next step() would
         # otherwise overwrite the caller's running sum in place.
         return output.copy() if plan.output_needs_copy else output
-
-    # ------------------------------------------------------------------ #
-    def op_timings(self) -> List[Dict[str, object]]:
-        """Accumulated per-op wall-clock profile (``REPRO_TRACE_OPS=1``).
-
-        One entry per plan op, in execution order: op index, the op's class
-        name, call count and total seconds.  All zeros when tracing is off —
-        callers can tell from :attr:`trace_ops`.  The profile accumulates
-        over the executor's lifetime (the whole serve session), which is the
-        useful granularity for a breakdown report; it is cheap to reset by
-        building a fresh executor.
-        """
-        return [
-            {
-                "index": index,
-                "op": type(op).__name__,
-                "calls": self._op_calls[index],
-                "seconds": self._op_seconds[index],
-            }
-            for index, op in enumerate(self.plan.ops)
-        ]
 
     # ------------------------------------------------------------------ #
     @property

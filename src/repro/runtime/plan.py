@@ -684,8 +684,8 @@ def compile_network(model: SpikingNetwork) -> CompiledPlan:
 
     Raises :exc:`UnsupportedModuleError` when the model contains a module the
     fast path cannot express; callers should fall back to the Tensor oracle
-    (``use_runtime=False`` / ``REPRO_RUNTIME=0``), which remains available
-    everywhere and produces bitwise-identical results.  Raises
+    (``use_runtime=False``), which remains available everywhere and
+    produces bitwise-identical results.  Raises
     :exc:`repro.analysis.planverify.PlanVerificationError` when lowering
     produced an IR that breaks an executor contract — that is a compiler
     bug, so it deliberately does *not* trigger the oracle fallback.

@@ -208,10 +208,6 @@ class ContinuousBatcher:
         self.clock = clock
         self.trace = trace
         self.spans = spans
-        # Admission rounds rejected by engine validation (e.g. a malformed
-        # request co-drained with the round); their futures were failed but
-        # the worker kept serving.
-        self.rejected_rounds = 0
 
     # ------------------------------------------------------------------ #
     def _fill_slots(self, wait_timeout: Optional[float] = None) -> int:
@@ -257,7 +253,6 @@ class ContinuousBatcher:
             # the in-flight neighbours, or the server's admission queue.
             # These requests already left the queue: failing them here is
             # the only way their clients ever hear about it.
-            self.rejected_rounds += 1
             self._fail([admission[:2] for admission in admissions], error,
                        "rejected", now)
             return 0

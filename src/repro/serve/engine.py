@@ -22,7 +22,7 @@ where every freed row is refilled before the next step, no survivor moves.
 By default each step executes through the :mod:`repro.runtime` compiled plan
 (graph-free fused kernels, per-slot stem cache) when the model lowers; the
 define-by-run Tensor path remains available as the bitwise-identical
-reference oracle via ``use_runtime=False`` or ``REPRO_RUNTIME=0``.
+reference oracle via ``use_runtime=False``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class InferenceEngine:
         model: SpikingNetwork,
         policy: ExitPolicy,
         max_timesteps: Optional[int] = None,
-        use_runtime: Optional[bool] = None,
+        use_runtime: bool = True,
     ):
         if max_timesteps is None:
             max_timesteps = model.default_timesteps
@@ -184,17 +184,6 @@ class InferenceEngine:
     def fast_path(self) -> bool:
         """True when steps execute through the compiled-plan runtime."""
         return self._executor is not None
-
-    def op_timings(self):
-        """Per-op wall-clock profile from the executor (``REPRO_TRACE_OPS=1``).
-
-        ``None`` on the Tensor oracle (no op list to attribute time to) or
-        when tracing is off; otherwise the executor's accumulated
-        ``[{index, op, calls, seconds}, ...]`` breakdown.
-        """
-        if self._executor is None or not self._executor.trace_ops:
-            return None
-        return self._executor.op_timings()
 
     # ------------------------------------------------------------------ #
     def admit(self, request: Request, response: Response, start_time: float) -> None:
@@ -498,7 +487,9 @@ class InferenceEngine:
             )
         running_sum = self._running_sum[:active]
         running_sum += logits
-        cumulative = running_sum / elapsed[:, None].astype(running_sum.dtype)
+        # The oracle's running mean: the sum times the reciprocal of the
+        # elapsed timestep at the logits dtype (cumulative_mean_logits).
+        cumulative = running_sum * (1.0 / elapsed[:, None]).astype(running_sum.dtype)
 
         # The live policy threshold is read ONCE, up front — the PR 5 bug
         # was reading it again after the decision, so a concurrent

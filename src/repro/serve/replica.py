@@ -84,7 +84,7 @@ from multiprocessing import connection
 from ..analysis.lockorder import named_lock
 from ..core.accounting import InferenceCostModel
 from ..core.policies import ExitPolicy
-from ..runtime import plan_for, runtime_enabled
+from ..runtime import plan_for
 from ..runtime.arena import ArenaSpec, PlanArena, attach_arena
 from ..runtime.rings import (
     DEFAULT_SLOT_BYTES,
@@ -137,7 +137,7 @@ class _ReplicaConfig:
     max_timesteps: int
     batch_width: int
     window: int
-    use_runtime: Optional[bool]
+    use_runtime: bool
 
 
 # Work-pipe messages (parent -> replica) are bytes: one ``encode_work`` round
@@ -349,7 +349,7 @@ class ReplicaPool:
         telemetry: Telemetry,
         max_timesteps: Optional[int] = None,
         batch_width: int = 8,
-        use_runtime: Optional[bool] = None,
+        use_runtime: bool = True,
         cost_model: Optional[InferenceCostModel] = None,
         controller: Optional[AdaptiveThresholdController] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -371,7 +371,7 @@ class ReplicaPool:
         # on the caller's model; the skeleton drops them in transit.
         model.eval()
         model.reset_state()
-        if runtime_enabled(use_runtime) and plan_for(model) is None:
+        if use_runtime and plan_for(model) is None:
             raise ValueError(
                 "replica serving shares plan constants through the arena, "
                 "which requires a model the compiled-plan runtime can lower; "

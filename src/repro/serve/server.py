@@ -115,11 +115,11 @@ class Server:
     controller:
         Optional :class:`AdaptiveThresholdController` holding a latency SLA.
     use_runtime:
-        Per-engine execution path: ``None`` (default) lets the
-        ``REPRO_RUNTIME`` gate pick the compiled-plan fast path when the
-        model lowers; ``False`` pins the define-by-run Tensor oracle.  Both
-        paths produce bitwise-identical predictions and exit timesteps, so
-        the oracle switch is a pure speed/debuggability trade.
+        Per-engine execution path: ``True`` (default) takes the
+        compiled-plan fast path when the model lowers; ``False`` pins the
+        define-by-run Tensor oracle.  Both paths produce bitwise-identical
+        predictions and exit timesteps, so the oracle switch is a pure
+        speed/debuggability trade.
 
     Dtype guarantees
     ----------------
@@ -142,7 +142,7 @@ class Server:
         cost_model: Optional[InferenceCostModel] = None,
         controller: Optional[AdaptiveThresholdController] = None,
         clock: Callable[[], float] = time.monotonic,
-        use_runtime: Optional[bool] = None,
+        use_runtime: bool = True,
         trace=None,
         spans=None,
         storm=None,

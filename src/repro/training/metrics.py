@@ -43,7 +43,7 @@ def collect_cumulative_logits(
     model: SpikingNetwork,
     loader: DataLoader,
     timesteps: Optional[int] = None,
-    use_runtime: Optional[bool] = None,
+    use_runtime: bool = True,
 ) -> Dict[str, np.ndarray]:
     """Run the model over a loader and collect cumulative logits per timestep.
 

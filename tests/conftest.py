@@ -98,10 +98,10 @@ def executor_state():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Export the lock-acquisition graph when the tracked shard asks for it.
+    """Export the lock-acquisition graph when the tracked run asks for it.
 
-    The CI static-analysis job runs a suite shard under REPRO_LOCK_CHECK=1
-    with REPRO_LOCK_GRAPH_OUT pointing at an artifact path; cycles raise
+    The CI test job runs the suite under REPRO_LOCK_CHECK=1 with
+    REPRO_LOCK_GRAPH_OUT pointing at an artifact path; cycles raise
     LockOrderError at the offending acquire, and the dumped JSON is the
     evidence reviewers read (docs/ANALYSIS.md).
     """

@@ -72,7 +72,7 @@ GOLDEN_LOGITS_T4_SAMPLE0 = [
 # fmt: on
 
 
-def _run_golden_stream(model, dataset, use_runtime=None):
+def _run_golden_stream(model, dataset, use_runtime=True):
     """Serve the pinned stream; returns (predictions, exit_timesteps, accuracy).
 
     To regenerate the constants after an *intentional* numeric change: run

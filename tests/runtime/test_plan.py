@@ -16,7 +16,6 @@ from repro.runtime import (
     plan_for,
     plan_registry,
     run_cumulative_logits,
-    runtime_enabled,
 )
 from repro.runtime.plan import FoldedConvNormOp, LIFOp, LinearOp
 from repro.serve import InferenceEngine, Request, Response
@@ -127,14 +126,10 @@ class TestLowering:
 
 
 class TestGating:
-    def test_env_flag_disables_runtime(self, monkeypatch):
+    def test_use_runtime_false_returns_no_executor(self):
         model = _tiny_vgg()
-        monkeypatch.setenv("REPRO_RUNTIME", "0")
-        assert not runtime_enabled()
-        assert executor_for(model) is None
-        # explicit opt-in overrides the environment
-        assert runtime_enabled(True)
-        assert executor_for(model, use_runtime=True) is not None
+        assert executor_for(model, use_runtime=False) is None
+        assert executor_for(model) is not None
 
     def test_stem_cache_requires_direct_encoder(self):
         model = _tiny_vgg()

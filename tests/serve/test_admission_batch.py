@@ -184,7 +184,7 @@ class TestBatcherSurvivesBadRequest:
         queue.put(Request(request_id=91, inputs=inputs[3]), co_drained)
         batcher.run_once()
 
-        assert batcher.rejected_rounds == 1
+        assert batcher.telemetry.rejected == 2  # the bad request and the co-drained one
         # The whole drained round fails together (documented semantics)…
         for response in (bad, co_drained):
             with pytest.raises(AdmissionRejectedError):

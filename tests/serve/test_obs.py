@@ -1,4 +1,4 @@
-"""Request-lifecycle spans, the metrics registry, and the op-timing hook.
+"""Request-lifecycle spans and the metrics registry.
 
 Pins the observability layer's contracts:
 
@@ -7,9 +7,7 @@ Pins the observability layer's contracts:
 * counters/gauges/histograms merge exactly (fixed buckets) and export valid
   Prometheus text exposition;
 * :meth:`Telemetry.fill_registry` surfaces every counter and gauge family
-  from the raw samples;
-* the per-op timing hook costs nothing unless ``REPRO_TRACE_OPS=1`` was set
-  when the executor was built, and attributes real time to real ops when on.
+  from the raw samples.
 """
 
 from __future__ import annotations
@@ -408,43 +406,3 @@ class TestMetrics:
         assert exits["counts"] == [2, 2, 1, 1, 0]
         assert metrics["repro_queue_depth_max"]["value"] == 9.0
         assert metrics["repro_occupancy_max"]["value"] == 0.75
-
-
-# --------------------------------------------------------------------------- #
-class TestOpTimingHook:
-    def _run_one(self, engine):
-        engine.admit(Request(request_id=0, inputs=_inputs(1)[0]), Response(), 0.0)
-        for _ in range(TIMESTEPS):
-            if engine.step():
-                break
-
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_OPS", raising=False)
-        engine = InferenceEngine(
-            _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
-            use_runtime=True,
-        )
-        self._run_one(engine)
-        assert engine._executor.trace_ops is False
-        assert engine.op_timings() is None
-
-    def test_env_enables_per_op_attribution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_OPS", "1")
-        engine = InferenceEngine(
-            _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
-            use_runtime=True,
-        )
-        self._run_one(engine)
-        timings = engine.op_timings()
-        assert timings is not None and len(timings) > 0
-        exercised = [entry for entry in timings if entry["calls"] > 0]
-        assert exercised, "no op recorded any calls under REPRO_TRACE_OPS=1"
-        for entry in exercised:
-            assert entry["seconds"] >= 0.0
-            assert isinstance(entry["op"], str) and entry["op"]
-        # The oracle path has no op list to attribute time to.
-        oracle = InferenceEngine(
-            _model(), EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
-            use_runtime=False,
-        )
-        assert oracle.op_timings() is None

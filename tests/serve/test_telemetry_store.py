@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.serve import MetricsRegistry, RequestResult, Telemetry
+from repro.serve.server import _release_free_heap
 from repro.serve.telemetry import GAUGE_WINDOW
 
 TIMESTEPS = 4
@@ -280,11 +281,13 @@ class TestFixedSize:
     def test_rss_flat_over_a_million_completions(self):
         """ROADMAP 3(a)'s gate; the tracemalloc case above is its fast twin."""
         def rss_bytes():
-            """Median of seven collected reads: one read is at the mercy of
+            """Median of seven collected, trimmed reads: glibc keeps freed
+            heap resident until trimmed, and one read is at the mercy of
             allocator and page-cache noise."""
             reads = []
             for _ in range(7):
                 gc.collect()
+                _release_free_heap()
                 with open("/proc/self/statm", encoding="ascii") as handle:
                     reads.append(int(handle.read().split()[1]) * 4096)
             return sorted(reads)[len(reads) // 2]

@@ -8,8 +8,6 @@ import pytest
 
 import repro
 from repro.analysis.lockorder import lock_check_enabled
-from repro.runtime import runtime_enabled
-from repro.runtime.executor import _trace_ops_enabled
 from repro.utils import (
     MetricLogger,
     Registry,
@@ -162,10 +160,8 @@ class TestValidation:
             check_ndim("x", [1, 2], 2)
 
 
-# The three boolean REPRO_* switches, each through the function that reads it.
+# The boolean REPRO_* switches, each through the function that reads it.
 _ENV_SWITCHES = {
-    "REPRO_RUNTIME": (runtime_enabled, True),
-    "REPRO_TRACE_OPS": (_trace_ops_enabled, False),
     "REPRO_LOCK_CHECK": (lock_check_enabled, False),
 }
 
@@ -189,8 +185,8 @@ def test_boolean_switches_share_one_vocabulary(name, raw, expected, monkeypatch)
         assert read() is (default if expected == "default" else expected)
 
 
-def test_env_surface_is_four_flags():
-    """Every environment read in ``src/`` is one of four literal
+def test_env_surface_is_two_flags():
+    """Every environment read in ``src/`` is one of two literal
     ``env_flag(name, default)`` calls — the table in docs/ARCHITECTURE.md,
     enumerated from the code — and nothing else touches ``os.environ`` but
     the parser itself and the replica pool's BLAS-thread pin at spawn."""
@@ -212,10 +208,5 @@ def test_env_surface_is_four_flags():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 if {alias.name for alias in node.names} & {"environ", "getenv"}:
                     touching.add(path.relative_to(root).as_posix())
-    assert flags == {
-        "REPRO_RUNTIME": True,
-        "REPRO_TRACE_OPS": False,
-        "REPRO_LOCK_CHECK": False,
-        "REPRO_FLOAT64": False,
-    }
+    assert flags == {"REPRO_LOCK_CHECK": False, "REPRO_FLOAT64": False}
     assert touching == {"utils/validation.py", "serve/replica.py"}

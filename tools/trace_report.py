@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Summarize a serving trace: traffic shape, stage breakdown, op profile.
+"""Summarize a serving trace: traffic shape, decisions, stage breakdown.
 
 Reads a WAL trace recorded with ``python -m repro.cli serve --record-trace``
 and prints a human-readable breakdown:
@@ -14,23 +14,14 @@ and prints a human-readable breakdown:
   come from ``serve --stats-dump``, which holds live SpanTracker state);
 * clips — unique clips vs. total requests (content-addressed dedup ratio).
 
-With ``--ops-json`` it also renders a per-op timing profile captured under
-``REPRO_TRACE_OPS=1`` (the ``op_timings`` list from
-:meth:`repro.serve.InferenceEngine.op_timings`, saved as JSON), sorted by
-total seconds — the op-level breakdown of where a serve session spent its
-compute.
-
 Usage::
 
     PYTHONPATH=src python tools/trace_report.py /tmp/trace.jsonl
-    PYTHONPATH=src python tools/trace_report.py /tmp/trace.jsonl \
-        --ops-json /tmp/ops.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -48,7 +39,7 @@ def _percentiles(values, points=(50, 95, 99)):
     return {f"p{p}": float(np.percentile(array, p)) for p in points}
 
 
-def report(path: str, ops_json: str | None = None) -> int:
+def report(path: str) -> int:
     trace = load_trace(path)
     records = trace.records
     print(f"trace: {path}")
@@ -120,33 +111,14 @@ def report(path: str, ops_json: str | None = None) -> int:
     if energies:
         print(f"energy: total {sum(energies):.4g}, "
               f"mean {sum(energies) / len(energies):.4g} per request")
-
-    # Optional per-op profile (REPRO_TRACE_OPS=1)
-    if ops_json:
-        with open(ops_json, "r", encoding="utf-8") as handle:
-            timings = json.load(handle)
-        timings = [t for t in timings if t.get("calls")]
-        if not timings:
-            print("\nop profile: empty (was REPRO_TRACE_OPS=1 set?)")
-            return 0
-        total = sum(t["seconds"] for t in timings)
-        print(f"\nop profile ({total * 1000.0:.1f}ms total across "
-              f"{len(timings)} ops):")
-        for t in sorted(timings, key=lambda t: -t["seconds"])[:15]:
-            share = t["seconds"] / total if total else 0.0
-            bar = "#" * int(40 * share)
-            print(f"  [{t['index']:3d}] {t['op']:<24s} {t['calls']:6d} calls "
-                  f"{1000.0 * t['seconds']:8.2f}ms ({100.0 * share:5.1f}%) {bar}")
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trace", help="WAL trace path (serve --record-trace)")
-    parser.add_argument("--ops-json", default=None,
-                        help="per-op timing JSON captured under REPRO_TRACE_OPS=1")
     args = parser.parse_args()
-    return report(args.trace, args.ops_json)
+    return report(args.trace)
 
 
 if __name__ == "__main__":
