@@ -131,6 +131,20 @@ class TestGating:
         assert executor_for(model, use_runtime=False) is None
         assert executor_for(model) is not None
 
+    @pytest.mark.parametrize(
+        "name, value", [("REPRO_RUNTIME", "0"), ("REPRO_TRACE_OPS", "1")]
+    )
+    def test_retired_env_flags_change_nothing(self, name, value, monkeypatch):
+        """The oracle switch and the per-op timer were environment flags once;
+        a deployment that still sets them gets the plan's own ops unwrapped."""
+        monkeypatch.setenv(name, value)
+        model = _tiny_vgg()
+        engine = InferenceEngine(model, EntropyExitPolicy(0.9))
+        assert engine.fast_path is True
+        executor = engine._executor
+        program = executor._stem_program + executor._body_program
+        assert [op for op, _ in program] == list(plan_for(model).ops)
+
     def test_stem_cache_requires_direct_encoder(self):
         model = _tiny_vgg()
         assert executor_for(model).stem_enabled

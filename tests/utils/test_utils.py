@@ -169,8 +169,9 @@ _ENV_SWITCHES = {
 @pytest.mark.parametrize("name", sorted(_ENV_SWITCHES))
 @pytest.mark.parametrize(
     "raw, expected",
-    [(None, "default"), ("1", True), ("TRUE", True), (" on ", True),
-     ("0", False), ("No", False), ("garbage", ValueError)],
+    [(None, "default"), ("", "default"), ("1", True), ("TRUE", True),
+     (" on ", True), ("yes", True), ("0", False), ("false", False),
+     ("OFF", False), ("No", False), ("garbage", ValueError)],
 )
 def test_boolean_switches_share_one_vocabulary(name, raw, expected, monkeypatch):
     read, default = _ENV_SWITCHES[name]
